@@ -52,8 +52,7 @@ struct ModeResult {
 /// rotate through `window` slots; the in-order retire contract makes the
 /// rotation safe (frame f retires before frame f+window is admitted).
 Result<ModeResult> RunMode(runtime::StreamMode mode, int frames, int in_flight,
-                           int size, double fps_target,
-                           const std::vector<HostImage<float>>& raws,
+                           int size, const std::vector<HostImage<float>>& raws,
                            const HostImage<float>& gain,
                            sim::TraceSink* trace) {
   runtime::PipelineGraph graph;
@@ -66,7 +65,6 @@ Result<ModeResult> RunMode(runtime::StreamMode mode, int frames, int in_flight,
   runtime::StreamOptions sopts;
   sopts.mode = mode;
   sopts.in_flight = in_flight;
-  sopts.fps_target = fps_target;
   runtime::StreamExecutor executor(graph, gopts, sopts);
   HIPACC_RETURN_IF_ERROR(executor.Prepare());
 
@@ -147,8 +145,8 @@ int main(int argc, char** argv) {
   // Serial is always run: it is the bit-identity reference and the speedup
   // baseline. Overlap runs unless --stream-mode=serial narrowed the bench.
   Result<ModeResult> serial =
-      RunMode(runtime::StreamMode::kSerial, frames, in_flight, size,
-              fps_target, raws, gain, &trace);
+      RunMode(runtime::StreamMode::kSerial, frames, in_flight, size, raws,
+              gain, &trace);
   if (!serial.ok()) {
     std::fprintf(stderr, "error: serial run: %s\n",
                  serial.status().ToString().c_str());
@@ -156,7 +154,7 @@ int main(int argc, char** argv) {
   }
   Result<ModeResult> overlap =
       both ? RunMode(runtime::StreamMode::kOverlap, frames, in_flight, size,
-                     fps_target, raws, gain, &trace)
+                     raws, gain, &trace)
            : Result<ModeResult>(serial.value());
   if (!overlap.ok()) {
     std::fprintf(stderr, "error: overlap run: %s\n",

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "runtime/graph_plan.hpp"
-#include "runtime/scheduler.hpp"
+#include "runtime/stream_executor.hpp"
 #include "sim/trace.hpp"
 
 namespace hipacc::runtime {
@@ -92,26 +92,21 @@ PipelineGraph& PipelineGraph::Output(std::string name) {
 Status PipelineGraph::Run(const InputBindings& inputs,
                           const OutputBindings& outputs,
                           const GraphOptions& options) {
-  // One-shot execution is exactly "build one plan, execute one frame"; the
-  // streaming executor (stream_executor.hpp) holds the plan across frames
-  // instead.
+  // One-shot execution is one frame through the frame loop: window 1,
+  // epoch 0, and no stream.* counters. The streaming executor
+  // (stream_executor.hpp) holds the plan across frames instead.
   sim::TraceSpan span(options.run.trace, "graph run", "graph");
   Result<GraphPlan> plan = GraphPlan::Build(*this, options);
   if (!plan.ok()) return plan.status();
-  HIPACC_RETURN_IF_ERROR(plan.value().ValidateBindings(inputs, outputs));
-
-  FrameExec frame(plan.value(), /*epoch=*/0);
-  frame.BindInputs(&inputs);
-  Status status = RunDag(plan.value().dag, options.workers,
-                         [&frame](int index) { return frame.ExecStage(index); });
-  if (status.ok()) status = frame.CopyOutputs(outputs);
-  // Return every remaining buffer (outputs, unconsumed leaves) to the pool
-  // for the next Run() — also on failure, so errors never leak buffers.
-  frame.ReleaseRemaining();
-  HIPACC_RETURN_IF_ERROR(status);
-
-  if (options.run.profiles != nullptr)
-    options.run.profiles->RecordBatch(frame.TakeObservations());
+  StreamStats stats;
+  HIPACC_RETURN_IF_ERROR(RunFrames(
+      plan.value(), /*frames=*/1, /*window=*/1, /*first_epoch=*/0,
+      [&](long long, InputBindings* in, OutputBindings* out) {
+        *in = inputs;
+        *out = outputs;
+        return Status::Ok();
+      },
+      {}, &stats));
   if (options.run.trace != nullptr)
     options.run.trace->IncrementCounter("graph.runs");
   return Status::Ok();

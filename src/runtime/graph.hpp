@@ -21,7 +21,10 @@
 //
 // Stage declaration is order-free: a stage may consume an image that is
 // declared later. Run() validates the graph — unknown images, duplicate
-// producers, and cycles are reported with the offending stage names.
+// producers, and cycles are reported with the offending stage names — then
+// builds a GraphPlan (graph_plan.hpp) and runs it as one frame through the
+// runtime's frame loop (RunFrames, stream_executor.hpp), the same scheduler
+// that streams frames.
 //
 // Execution semantics: every stage runs exactly once per Run(), producers
 // before consumers; outputs are bit-identical to running the same kernels
@@ -69,8 +72,11 @@ struct GraphOptions {
   /// the direct kernel only up to factorization rounding (~1e-6 relative),
   /// not bit-exactly.
   bool separate = false;
-  /// Worker threads executing independent DAG branches (0 = hardware
-  /// concurrency). Results are identical for any worker count.
+  /// Bounds every thread that runs stages, and so their rows: the frame loop
+  /// uses min(workers, stages x window) workers, the calling thread among
+  /// them (0 = hardware concurrency). 1 means the caller's thread only, for
+  /// every stage and row of a one-shot run too. Results are identical for
+  /// any worker count.
   int workers = 0;
   Executor executor = Executor::kAuto;
 };

@@ -13,6 +13,58 @@
 
 namespace hipacc::runtime {
 
+Result<std::vector<int>> TopologicalOrder(
+    const DagSpec& dag, const std::function<std::string(int)>& label) {
+  const int n = dag.node_count();
+  std::vector<int> pending = dag.dependencies;
+  std::vector<int> order;
+  order.reserve(static_cast<std::size_t>(n));
+  std::vector<int> ready;
+  for (int i = 0; i < n; ++i)
+    if (pending[static_cast<std::size_t>(i)] == 0) ready.push_back(i);
+  while (!ready.empty()) {
+    const int node = ready.back();
+    ready.pop_back();
+    order.push_back(node);
+    for (int consumer : dag.consumers[static_cast<std::size_t>(node)])
+      if (--pending[static_cast<std::size_t>(consumer)] == 0)
+        ready.push_back(consumer);
+  }
+  if (static_cast<int>(order.size()) == n) return order;
+
+  // Every unprocessed node still has a pending producer, so following any
+  // chain of unprocessed producers must revisit a node: that walk is the
+  // cycle we report. Rebuild producer edges locally (the spec only stores
+  // consumers).
+  std::vector<std::vector<int>> producers(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i)
+    for (int consumer : dag.consumers[static_cast<std::size_t>(i)])
+      producers[static_cast<std::size_t>(consumer)].push_back(i);
+  int start = 0;
+  while (pending[static_cast<std::size_t>(start)] == 0) ++start;
+  std::vector<int> walk;
+  std::vector<bool> seen(static_cast<std::size_t>(n), false);
+  int node = start;
+  while (!seen[static_cast<std::size_t>(node)]) {
+    seen[static_cast<std::size_t>(node)] = true;
+    walk.push_back(node);
+    for (int producer : producers[static_cast<std::size_t>(node)]) {
+      if (pending[static_cast<std::size_t>(producer)] != 0 ||
+          std::find(walk.begin(), walk.end(), producer) != walk.end()) {
+        node = producer;
+        break;
+      }
+    }
+  }
+  // `node` closes the cycle; trim the lead-in and print it producer-first.
+  std::string message = "pipeline graph has a cycle: ";
+  const auto entry = std::find(walk.begin(), walk.end(), node);
+  for (auto it = entry; it != walk.end(); ++it)
+    message += label(*it) + " -> ";
+  message += label(node);
+  return Status::Invalid(message);
+}
+
 namespace {
 
 using Node = PipelineGraph::Node;
@@ -383,29 +435,20 @@ Status FrameExec::RunKernelStage(const GraphPlan::Stage& stage) {
   launch.programs = ck.bytecode.get();
   launch.epoch = epoch_;
 
-  const bool host_ok =
-      options.executor != GraphOptions::Executor::kSimulator &&
-      ck.bytecode != nullptr &&
-      HostExecSupports(*ck.bytecode, launch.width, launch.height,
-                       ck.device_ir.bh_window.half_x,
-                       ck.device_ir.bh_window.half_y);
-  if (options.executor == GraphOptions::Executor::kHost && !host_ok)
-    return Status::Unimplemented(
-        "stage '" + stage.name +
-        "' is not supported by the host executor (GraphOptions::Executor::"
-        "kHost)");
-  if (host_ok) {
-    // Inside a multi-worker schedule each stage runs its rows serially —
-    // the DAG branches (and, when streaming, the overlapped frames) are the
-    // parallelism; a lone worker hands the row loop all cores instead.
-    HostExecOptions exec_options;
-    exec_options.threads = options.workers == 1 ? 0 : 1;
-    HIPACC_RETURN_IF_ERROR(RunOnHost(launch, ck.device_ir.bh_window.half_x,
-                                     ck.device_ir.bh_window.half_y,
-                                     exec_options));
-    if (plan_.trace != nullptr)
-      plan_.trace->IncrementCounter("graph.launches.host");
-    return Status::Ok();
+  if (options.executor != GraphOptions::Executor::kSimulator) {
+    const Status host = RunOnHost(launch, ck.device_ir.bh_window.half_x,
+                                  ck.device_ir.bh_window.half_y);
+    if (host.ok()) {
+      if (plan_.trace != nullptr)
+        plan_.trace->IncrementCounter("graph.launches.host");
+      return Status::Ok();
+    }
+    if (host.code() != StatusCode::kUnimplemented) return host;
+    if (options.executor == GraphOptions::Executor::kHost)
+      return Status::Unimplemented(
+          "stage '" + stage.name +
+          "' is not supported by the host executor (GraphOptions::Executor::"
+          "kHost): " + host.message());
   }
   sim::Simulator simulator(options.run.device, options.run.sim_options());
   Result<sim::LaunchStats> stats = simulator.Execute(launch);

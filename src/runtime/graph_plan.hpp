@@ -1,8 +1,6 @@
 // Split of the pipeline graph runtime into a reusable *plan* and per-frame
-// *execution state*. PR 4's GraphRun bundled both into one object that lived
-// for exactly one Run() call; the streaming executor needs the opposite
-// lifetime — one planning/compilation pass amortised over a whole frame
-// stream, with several frames' worth of mutable state alive at once. So:
+// *execution state*, so one planning/compilation pass serves a whole frame
+// stream with several frames' worth of mutable state alive at once:
 //
 //   GraphPlan   — everything about a graph that is frame-invariant: the
 //                 validated, separated, fused, *compiled* stage list, the
@@ -18,11 +16,13 @@
 //                 they draw from the shared BufferPool, which hands every
 //                 Acquire a distinct image.
 //
-// PipelineGraph::Run is now exactly "Build one plan, execute one frame";
-// runtime::StreamExecutor (stream_executor.hpp) keeps the plan and pipelines
-// FrameExecs with N frames in flight.
+// Neither starts a thread at execution time. The frame loop
+// (runtime::RunFrames, stream_executor.hpp) is the one scheduler that drives
+// FrameExecs: PipelineGraph::Run is one frame through it, StreamExecutor
+// keeps the plan and pipelines N frames.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -32,9 +32,23 @@
 #include "compiler/driver.hpp"
 #include "compiler/profile.hpp"
 #include "runtime/graph.hpp"
-#include "runtime/scheduler.hpp"
 
 namespace hipacc::runtime {
+
+/// Dependency structure of a plan's stages. Stage `i` may start once all of
+/// its `dependencies[i]` producers completed; when it completes, each stage
+/// in `consumers[i]` loses one pending dependency.
+struct DagSpec {
+  std::vector<std::vector<int>> consumers;
+  std::vector<int> dependencies;
+
+  int node_count() const { return static_cast<int>(dependencies.size()); }
+};
+
+/// Kahn's algorithm. Returns a valid execution order, or Invalid naming the
+/// stages on a cycle ("a -> b -> a") via the `label` callback.
+Result<std::vector<int>> TopologicalOrder(
+    const DagSpec& dag, const std::function<std::string(int)>& label);
 
 /// Frame-invariant execution plan of one PipelineGraph under fixed
 /// GraphOptions. Holds pointers to the graph's buffer pool and the options'
@@ -88,11 +102,11 @@ struct GraphPlan {
 };
 
 /// Mutable state of one frame's execution over a GraphPlan. ExecStage is
-/// thread-safe across *distinct* stages of the same frame (the DAG workers'
+/// thread-safe across *distinct* stages of the same frame (the frame loop's
 /// contract); distinct frames are fully independent.
 class FrameExec {
  public:
-  /// `epoch` is the frame index in a streaming run (0 for one-shot Run());
+  /// `epoch` is 0 for one-shot Run() and frame index + 1 in a streaming run;
   /// it labels trace spans/launches and groups profile observations.
   FrameExec(const GraphPlan& plan, long long epoch);
 

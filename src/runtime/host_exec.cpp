@@ -1,12 +1,11 @@
 #include "runtime/host_exec.hpp"
 
-#include <atomic>
 #include <cstddef>
 #include <vector>
 
 #include "dsl/boundary.hpp"
 #include "ast/type.hpp"
-#include "support/parallel_for.hpp"
+#include "sim/bytecode.hpp"
 #include "support/string_utils.hpp"
 
 namespace hipacc::runtime {
@@ -90,9 +89,9 @@ HostScratch& ThreadScratch() {
   return scratch;
 }
 
-/// Everything resolved once per launch and shared read-only by the row
-/// workers: buffer/mask bindings in program index order and per-program
-/// scalar seeds (floats pre-rounded exactly like the VM's ParamFill).
+/// Everything resolved once per launch and read by every row: buffer/mask
+/// bindings in program index order and per-program scalar seeds (floats
+/// pre-rounded exactly like the VM's ParamFill).
 struct ExecPlan {
   const ProgramSet* ps = nullptr;
   std::vector<const sim::BufferBinding*> buffers;
@@ -580,8 +579,8 @@ Status BindLaunch(const sim::Launch& launch, const ProgramSet& ps,
               : v});
     }
     // The VM binds lazily and errors when an instruction touches a missing
-    // buffer; the host path front-loads the same checks so the row workers
-    // are infallible.
+    // buffer; the host path front-loads the same checks so the row loop is
+    // infallible.
     for (const Insn& I : prog.code) {
       if (I.op == Op::kLoadImage || I.op == Op::kStore) {
         const sim::BufferBinding* buf =
@@ -623,15 +622,7 @@ void ExecRow(const ExecPlan& plan, int y) {
 
 }  // namespace
 
-bool HostExecSupports(const ProgramSet& programs, int width, int height,
-                      int halo_x, int halo_y) {
-  if (programs.programs.empty()) return false;
-  ExecPlan plan;
-  return PlanRegions(programs, width, height, halo_x, halo_y, &plan).ok();
-}
-
-Status RunOnHost(const sim::Launch& launch, int halo_x, int halo_y,
-                 const HostExecOptions& options) {
+Status RunOnHost(const sim::Launch& launch, int halo_x, int halo_y) {
   if (launch.programs == nullptr || launch.programs->programs.empty())
     return Status::Unimplemented(
         "host executor: launch carries no bytecode programs");
@@ -643,9 +634,7 @@ Status RunOnHost(const sim::Launch& launch, int halo_x, int halo_y,
   HIPACC_RETURN_IF_ERROR(
       PlanRegions(ps, launch.width, launch.height, halo_x, halo_y, &plan));
   HIPACC_RETURN_IF_ERROR(BindLaunch(launch, ps, &plan));
-  ParallelFor(
-      0, launch.height, [&plan](int y) { ExecRow(plan, y); },
-      options.threads > 0 ? static_cast<unsigned>(options.threads) : 0);
+  for (int y = 0; y < launch.height; ++y) ExecRow(plan, y);
   return Status::Ok();
 }
 

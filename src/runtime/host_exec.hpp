@@ -18,23 +18,23 @@
 // outputs are bit-identical to both simulator engines and to the DSL's
 // functional path.
 //
+// Rows run serially on the calling thread. The graph runtime's frame loop
+// (runtime/stream_executor.hpp) is the only place that starts threads for
+// stage execution: each of its workers runs whole stages, so a launch's rows
+// stay on the worker that claimed the stage and reuse its thread-local
+// register file across launches.
+//
 // Programs the executor cannot prove equivalent return Unimplemented:
 // scratchpad staging (kLoadShared), texture/hardware boundary handling,
-// thread/block-index dependent values, or a halo exceeding the image (the
-// degenerate-region case). Callers fall back to the simulator.
+// thread/block-index dependent values, pixels-per-thread > 1, or a halo
+// exceeding the image (the degenerate-region case). These checks run before
+// any pixel is written, so callers fall back to the simulator cleanly.
 #pragma once
 
-#include "sim/bytecode.hpp"
 #include "sim/launch.hpp"
 #include "support/status.hpp"
 
 namespace hipacc::runtime {
-
-struct HostExecOptions {
-  /// Worker threads for the row loop (0 = hardware concurrency, 1 =
-  /// serial). Rows are data-parallel; any thread count is value-identical.
-  int threads = 0;
-};
 
 /// Executes `launch.programs` over the launch's iteration space, writing
 /// bound output buffers in place. `halo_x` / `halo_y` is the kernel's
@@ -42,12 +42,6 @@ struct HostExecOptions {
 /// region variants; ignored when the program set has a single variant.
 /// Returns Unimplemented for unsupported programs (see file comment) —
 /// the caller is expected to fall back to simulator execution.
-Status RunOnHost(const sim::Launch& launch, int halo_x, int halo_y,
-                 const HostExecOptions& options = {});
-
-/// True when RunOnHost would accept this program set (used by the graph
-/// scheduler to decide the execution path before launching).
-bool HostExecSupports(const sim::ProgramSet& programs, int width, int height,
-                      int halo_x, int halo_y);
+Status RunOnHost(const sim::Launch& launch, int halo_x, int halo_y);
 
 }  // namespace hipacc::runtime

@@ -38,7 +38,6 @@ Result<StreamOptions> StreamCliConfig::ToOptions() const {
   StreamOptions options;
   options.mode = parsed.value();
   options.in_flight = in_flight;
-  options.fps_target = fps_target;
   return options;
 }
 
@@ -65,24 +64,49 @@ double StreamStats::LatencyPercentile(double p) const {
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
+namespace {
+
 /// One in-flight frame: its FrameExec, its caller-provided bindings, and the
 /// per-frame scheduling state (remaining dependency counts).
-struct StreamExecutor::FrameState {
+struct FrameState {
   std::unique_ptr<FrameExec> exec;
   PipelineGraph::InputBindings inputs;
   PipelineGraph::OutputBindings outputs;
-  std::vector<int> deps;  ///< remaining unfinished producers, per node
-  int remaining = 0;      ///< nodes not yet executed
-  bool done = false;      ///< every node ran; eligible to retire
+  std::vector<int> deps;  ///< remaining unfinished producers, per stage
+  int remaining = 0;      ///< stages not yet executed
+  bool done = false;      ///< every stage ran; eligible to retire
   double admit_ms = 0.0;
 };
 
 /// The workers' shared scheduling state. One mutex guards everything; stage
-/// execution, binding, and retirement all happen with it released.
-struct StreamExecutor::Shared {
+/// execution, binding, and retirement all happen with it released. Fail,
+/// Execute, Admit and RetireInOrder are called with the mutex held.
+struct FrameLoop {
+  FrameLoop(const GraphPlan& plan, long long total, int window,
+            long long first_epoch, const FrameBinder& binder,
+            const FrameRetirer& retirer)
+      : plan(plan),
+        total(total),
+        window(window),
+        first_epoch(first_epoch),
+        binder(binder),
+        retirer(retirer) {}
+
+  void Work();
+  void Fail(const Status& status);
+  void Execute(std::unique_lock<std::mutex>& lock);
+  void Admit(std::unique_lock<std::mutex>& lock);
+  void RetireInOrder(std::unique_lock<std::mutex>& lock);
+
+  const GraphPlan& plan;
+  const long long total;
+  const int window;
+  const long long first_epoch;
+  const FrameBinder& binder;
+  const FrameRetirer& retirer;
+
   std::mutex mutex;
   std::condition_variable cv;
-  long long total = 0;
   long long admitted = 0;
   long long retired = 0;
   bool binding = false;   ///< a worker is inside the bind callback
@@ -90,15 +114,155 @@ struct StreamExecutor::Shared {
   int executing = 0;      ///< stages currently running
   Status error = Status::Ok();
   std::map<long long, FrameState> frames;
-  /// Ready nodes, keyed by frame: workers always drain the *oldest* frame
+  /// Ready stages, keyed by frame: workers always drain the *oldest* frame
   /// first so frames retire (and their buffers free) as early as possible.
   std::map<long long, std::vector<int>> ready;
-  const FrameBinder* binder = nullptr;
-  const FrameRetirer* retirer = nullptr;
   Stopwatch clock;
   std::vector<double> latencies;
   int max_in_flight = 0;
 };
+
+void FrameLoop::Work() {
+  std::unique_lock<std::mutex> lock(mutex);
+  for (;;) {
+    if (error.ok() && !ready.empty()) {
+      Execute(lock);
+    } else if (error.ok() && !binding && admitted < total &&
+               admitted - retired < window) {
+      // Binding is exclusive, so bind callbacks run one at a time, in frame
+      // order.
+      Admit(lock);
+    } else if (error.ok() ? retired == total
+                          : executing == 0 && !binding && !retiring) {
+      // Done — every frame retired, or a failure fully drained.
+      cv.notify_all();
+      return;
+    } else {
+      cv.wait(lock);
+      continue;
+    }
+    cv.notify_all();
+  }
+}
+
+void FrameLoop::Fail(const Status& status) {
+  if (error.ok()) error = status;
+  ready.clear();
+}
+
+void FrameLoop::Execute(std::unique_lock<std::mutex>& lock) {
+  auto oldest = ready.begin();
+  const long long frame = oldest->first;
+  const int stage = oldest->second.back();
+  oldest->second.pop_back();
+  if (oldest->second.empty()) ready.erase(oldest);
+  FrameState& state = frames.at(frame);
+  ++executing;
+  lock.unlock();
+  const Status status = state.exec->ExecStage(stage);
+  lock.lock();
+  --executing;
+  if (!status.ok()) return Fail(status);
+  if (!error.ok()) return;  // another stage failed meanwhile
+  for (int consumer : plan.dag.consumers[static_cast<std::size_t>(stage)])
+    if (--state.deps[static_cast<std::size_t>(consumer)] == 0)
+      ready[frame].push_back(consumer);
+  if (--state.remaining > 0) return;
+  state.done = true;
+  // Frames retire strictly in admission order; a frame that finished early
+  // waits for its elders. One worker drives the whole chain.
+  if (!retiring && frame == retired) RetireInOrder(lock);
+}
+
+void FrameLoop::Admit(std::unique_lock<std::mutex>& lock) {
+  const long long frame = admitted++;
+  binding = true;
+  FrameState state;
+  state.admit_ms = clock.ElapsedMs();
+  lock.unlock();
+  Status status = binder(frame, &state.inputs, &state.outputs);
+  if (status.ok()) status = plan.ValidateBindings(state.inputs, state.outputs);
+  if (status.ok()) {
+    state.exec = std::make_unique<FrameExec>(plan, first_epoch + frame);
+    state.deps = plan.dag.dependencies;
+    state.remaining = plan.dag.node_count();
+  }
+  lock.lock();
+  binding = false;
+  if (!status.ok()) return Fail(status);
+  if (!error.ok()) return;  // the run failed while this frame was binding
+  FrameState& placed = frames[frame] = std::move(state);
+  placed.exec->BindInputs(&placed.inputs);
+  std::vector<int>& queue = ready[frame];
+  for (int i = 0; i < plan.dag.node_count(); ++i)
+    if (plan.dag.dependencies[static_cast<std::size_t>(i)] == 0)
+      queue.push_back(i);
+  max_in_flight =
+      std::max(max_in_flight, static_cast<int>(admitted - retired));
+}
+
+void FrameLoop::RetireInOrder(std::unique_lock<std::mutex>& lock) {
+  retiring = true;
+  for (auto oldest = frames.find(retired);
+       error.ok() && oldest != frames.end() && oldest->second.done;
+       oldest = frames.find(retired)) {
+    FrameState& frame = oldest->second;
+    const long long index = retired;
+    lock.unlock();
+    Status status = frame.exec->CopyOutputs(frame.outputs);
+    std::vector<compiler::KeyedObservation> observations =
+        frame.exec->TakeObservations();
+    frame.exec->ReleaseRemaining();
+    // One batched flush per frame, off the per-launch hot path — the
+    // store's mutex (and, disk-backed, its FileLock) is taken once per
+    // epoch instead of once per kernel launch.
+    compiler::ProfileStore* profiles = plan.options->run.profiles;
+    if (status.ok() && profiles != nullptr && !observations.empty())
+      profiles->RecordBatch(observations);
+    const double latency = clock.ElapsedMs() - frame.admit_ms;
+    if (status.ok() && retirer) status = retirer(index);
+    lock.lock();
+    latencies.push_back(latency);
+    frames.erase(oldest);
+    ++retired;
+    if (!status.ok()) Fail(status);
+  }
+  retiring = false;
+}
+
+}  // namespace
+
+Status RunFrames(const GraphPlan& plan, long long frames, int window,
+                 long long first_epoch, const FrameBinder& binder,
+                 const FrameRetirer& retirer, StreamStats* stats) {
+  FrameLoop loop(plan, frames, window, first_epoch, binder, retirer);
+  const long long requested =
+      plan.options->workers > 0
+          ? plan.options->workers
+          : std::max(1u, std::thread::hardware_concurrency());
+  const long long workers = std::min<long long>(
+      requested, static_cast<long long>(plan.stages.size()) * window);
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(workers - 1));
+  for (long long i = 1; i < workers; ++i)
+    threads.emplace_back([&loop] { loop.Work(); });
+  loop.Work();
+  for (std::thread& thread : threads) thread.join();
+
+  // On failure, frames can be stranded mid-window: return their buffers.
+  for (auto& [frame, state] : loop.frames)
+    if (state.exec != nullptr) state.exec->ReleaseRemaining();
+
+  *stats = StreamStats{};
+  stats->frames = static_cast<long long>(loop.latencies.size());
+  stats->wall_ms = loop.clock.ElapsedMs();
+  stats->fps = stats->wall_ms > 0.0 ? static_cast<double>(stats->frames) /
+                                          (stats->wall_ms / 1000.0)
+                                    : 0.0;
+  stats->max_in_flight = loop.max_in_flight;
+  stats->latencies_ms = std::move(loop.latencies);
+  return loop.error;
+}
 
 StreamExecutor::StreamExecutor(PipelineGraph& graph,
                                GraphOptions graph_options, StreamOptions stream)
@@ -122,123 +286,6 @@ Status StreamExecutor::Prepare() {
   return Status::Ok();
 }
 
-void StreamExecutor::WorkerLoop(Shared* s) {
-  std::unique_lock<std::mutex> lock(s->mutex);
-  for (;;) {
-    // 1. Execute a ready stage, oldest admitted frame first.
-    if (!s->ready.empty()) {
-      auto it = s->ready.begin();
-      const long long frame = it->first;
-      const int node = it->second.back();
-      it->second.pop_back();
-      if (it->second.empty()) s->ready.erase(it);
-      FrameState& state = s->frames.at(frame);
-      ++s->executing;
-      lock.unlock();
-      Status status = state.exec->ExecStage(node);
-      lock.lock();
-      --s->executing;
-      if (!status.ok()) {
-        if (s->error.ok()) s->error = status;
-        s->ready.clear();
-        s->cv.notify_all();
-        continue;
-      }
-      for (int consumer :
-           plan_.dag.consumers[static_cast<std::size_t>(node)]) {
-        if (--state.deps[static_cast<std::size_t>(consumer)] == 0)
-          s->ready[frame].push_back(consumer);
-      }
-      if (--state.remaining == 0) {
-        state.done = true;
-        // Frames retire strictly in admission order; a frame that finished
-        // early waits for its elders. One worker drives the whole chain.
-        if (!s->retiring && frame == s->retired && s->error.ok()) {
-          s->retiring = true;
-          while (s->error.ok()) {
-            auto oldest = s->frames.find(s->retired);
-            if (oldest == s->frames.end() || !oldest->second.done) break;
-            FrameState& retire = oldest->second;
-            const long long epoch = s->retired;
-            lock.unlock();
-            Status retire_status = retire.exec->CopyOutputs(retire.outputs);
-            std::vector<compiler::KeyedObservation> observations =
-                retire.exec->TakeObservations();
-            retire.exec->ReleaseRemaining();
-            // One batched flush per frame, off the per-launch hot path —
-            // the store's mutex (and, disk-backed, its FileLock) is taken
-            // once per epoch instead of once per kernel launch.
-            if (retire_status.ok() &&
-                graph_options_.run.profiles != nullptr &&
-                !observations.empty())
-              graph_options_.run.profiles->RecordBatch(observations);
-            const double latency = s->clock.ElapsedMs() - retire.admit_ms;
-            if (retire_status.ok() && s->retirer != nullptr)
-              retire_status = (*s->retirer)(epoch);
-            if (graph_options_.run.trace != nullptr)
-              graph_options_.run.trace->IncrementCounter("stream.frames");
-            lock.lock();
-            s->latencies.push_back(latency);
-            s->frames.erase(oldest);
-            ++s->retired;
-            if (!retire_status.ok()) {
-              if (s->error.ok()) s->error = retire_status;
-              s->ready.clear();
-            }
-          }
-          s->retiring = false;
-        }
-      }
-      s->cv.notify_all();
-      continue;
-    }
-    // 2. Admit the next frame when the window has room. Binding is
-    // exclusive, so bind callbacks run one at a time, in frame order.
-    if (s->error.ok() && !s->binding && s->admitted < s->total &&
-        s->admitted - s->retired < window()) {
-      const long long frame = s->admitted++;
-      s->binding = true;
-      const double admit_ms = s->clock.ElapsedMs();
-      lock.unlock();
-      FrameState state;
-      state.admit_ms = admit_ms;
-      Status status = (*s->binder)(frame, &state.inputs, &state.outputs);
-      if (status.ok())
-        status = plan_.ValidateBindings(state.inputs, state.outputs);
-      if (status.ok()) {
-        // Epoch frame+1: epoch 0 is the one-shot Run() lane in traces.
-        state.exec = std::make_unique<FrameExec>(plan_, frame + 1);
-        state.deps = plan_.dag.dependencies;
-        state.remaining = plan_.dag.node_count();
-      }
-      lock.lock();
-      s->binding = false;
-      if (!status.ok()) {
-        if (s->error.ok()) s->error = status;
-        s->cv.notify_all();
-        continue;
-      }
-      FrameState& placed = s->frames[frame] = std::move(state);
-      placed.exec->BindInputs(&placed.inputs);
-      std::vector<int>& queue = s->ready[frame];
-      for (std::size_t i = 0; i < plan_.dag.dependencies.size(); ++i)
-        if (plan_.dag.dependencies[i] == 0)
-          queue.push_back(static_cast<int>(i));
-      s->max_in_flight =
-          std::max(s->max_in_flight, static_cast<int>(s->admitted - s->retired));
-      s->cv.notify_all();
-      continue;
-    }
-    // 3. Done — every frame retired, or a failure fully drained.
-    if ((s->error.ok() && s->retired == s->total) ||
-        (!s->error.ok() && s->executing == 0 && !s->binding && !s->retiring)) {
-      s->cv.notify_all();
-      return;
-    }
-    s->cv.wait(lock);
-  }
-}
-
 Status StreamExecutor::Run(long long frames, const FrameBinder& binder,
                            const FrameRetirer& retirer) {
   HIPACC_RETURN_IF_ERROR(Prepare());
@@ -247,36 +294,16 @@ Status StreamExecutor::Run(long long frames, const FrameBinder& binder,
   if (frames == 0) return Status::Ok();
   if (!binder) return Status::Invalid("stream run needs a frame binder");
 
-  Shared shared;
-  shared.total = frames;
-  shared.binder = &binder;
-  shared.retirer = retirer ? &retirer : nullptr;
-
-  int workers = graph_options_.workers;
-  if (workers <= 0)
-    workers = static_cast<int>(
-        std::max(1u, std::thread::hardware_concurrency()));
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i)
-    pool.emplace_back([this, &shared] { WorkerLoop(&shared); });
-  for (std::thread& worker : pool) worker.join();
-
-  // On failure, frames can be stranded mid-window: return their buffers.
-  for (auto& [frame, state] : shared.frames)
-    if (state.exec != nullptr) state.exec->ReleaseRemaining();
-
-  stats_.frames = static_cast<long long>(shared.latencies.size());
-  stats_.wall_ms = shared.clock.ElapsedMs();
-  stats_.fps = stats_.wall_ms > 0.0
-                   ? static_cast<double>(stats_.frames) /
-                         (stats_.wall_ms / 1000.0)
-                   : 0.0;
-  stats_.max_in_flight = shared.max_in_flight;
-  stats_.latencies_ms = std::move(shared.latencies);
-  if (graph_options_.run.trace != nullptr)
+  // Epoch frame+1: epoch 0 is the one-shot Run() lane in traces.
+  const Status status = RunFrames(plan_, frames, window(), /*first_epoch=*/1,
+                                  binder, retirer, &stats_);
+  if (graph_options_.run.trace != nullptr) {
+    if (stats_.frames > 0)
+      graph_options_.run.trace->IncrementCounter("stream.frames",
+                                                 stats_.frames);
     graph_options_.run.trace->IncrementCounter("stream.runs");
-  return shared.error;
+  }
+  return status;
 }
 
 namespace {
@@ -290,7 +317,9 @@ long long ImageBytes(const GraphPlan::Stage& stage) {
 
 Status StreamExecutor::MeasureStageCosts() {
   if (!stage_model_ms_.empty()) return Status::Ok();
-  stage_model_ms_.assign(plan_.stages.size(), 0.0);
+  // Kept only once every stage measured, so a failed Measure fails every
+  // later ModelThroughput call too instead of modelling that stage as free.
+  std::vector<double> costs(plan_.stages.size(), 0.0);
   for (std::size_t i = 0; i < plan_.stages.size(); ++i) {
     const GraphPlan::Stage& stage = plan_.stages[i];
     if (stage.name.empty()) continue;
@@ -301,7 +330,7 @@ Status StreamExecutor::MeasureStageCosts() {
       case GraphPlan::Node::Kind::kUpsample:
         // Host resampling loops are bandwidth-shaped; charge the output's
         // bytes at interconnect bandwidth as a stand-in compute cost.
-        stage_model_ms_[i] =
+        costs[i] =
             sim::ModelCopyMs(ImageBytes(stage), graph_options_.run.device);
         break;
       case GraphPlan::Node::Kind::kKernel: {
@@ -324,20 +353,22 @@ Status StreamExecutor::MeasureStageCosts() {
         const compiler::CompiledKernel& ck = stage.compiled;
         Result<LaunchHolder> holder =
             BuildLaunch(ck.device_ir, ck.config.config, bindings);
-        if (!holder.ok()) return holder.status();
-        holder.value().launch.programs = ck.bytecode.get();
-        sim::Simulator simulator(graph_options_.run.device,
-                                 graph_options_.run.sim_options());
-        Result<sim::LaunchStats> stats =
-            simulator.Measure(holder.value().launch);
-        if (!stats.ok()) return stats.status();
-        stage_model_ms_[i] = stats.value().timing.total_ms;
+        Result<sim::LaunchStats> stats = holder.status();
+        if (holder.ok()) {
+          holder.value().launch.programs = ck.bytecode.get();
+          sim::Simulator simulator(graph_options_.run.device,
+                                   graph_options_.run.sim_options());
+          stats = simulator.Measure(holder.value().launch);
+        }
         for (BufferPool::ImagePtr& image : held)
           plan_.pool->Release(std::move(image));
+        if (!stats.ok()) return stats.status();
+        costs[i] = stats.value().timing.total_ms;
         break;
       }
     }
   }
+  stage_model_ms_ = std::move(costs);
   return Status::Ok();
 }
 

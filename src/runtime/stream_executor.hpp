@@ -1,15 +1,23 @@
-// Streaming frame executor: runs one compiled GraphPlan over a sequence of
-// frames with up to N frames in flight. A camera pipeline at 30/60/120 fps
-// re-executes the identical graph every frame; planning, fusion, and
-// compilation are frame-invariant, so the executor builds the plan once and
-// software-pipelines per-frame execution — while frame k's late stages still
-// run, frame k+1's sources are already being bound and its early stages
-// scheduled on the same worker pool. Every in-flight frame owns a private
-// FrameExec (its own buffer map and refcounts over the shared BufferPool),
-// so overlapped frames can never alias each other's intermediates; outputs
-// are therefore bit-identical to running the frames one by one, and the
-// differential test suite (tests/runtime/stream_executor_test.cpp) holds the
-// executor to that.
+// The runtime's one scheduler, and the streaming executor built on it.
+//
+// RunFrames is the frame loop every graph execution goes through: it runs a
+// compiled GraphPlan over a sequence of frames with up to `window` frames in
+// flight. PipelineGraph::Run is one frame through it (window 1, epoch 0);
+// StreamExecutor builds the plan once and streams many frames — while frame
+// k's late stages still run, frame k+1's sources are already being bound
+// and its early stages scheduled on the same workers. Every in-flight frame
+// owns a private FrameExec (its own buffer map and refcounts over the shared
+// BufferPool), so overlapped frames can never alias each other's
+// intermediates; outputs are therefore bit-identical to running the frames
+// one by one, and the differential test suite
+// (tests/runtime/stream_executor_test.cpp) holds the executor to that.
+//
+// Workers: min(GraphOptions::workers, stages x window), where workers 0 means
+// hardware concurrency. The calling thread is one of them, so workers == 1
+// runs everything on the caller and starts no thread. A worker runs whole
+// stages (host stages execute their rows serially), preferring the oldest
+// frame's ready stages and otherwise admitting the next frame when the
+// window has room.
 //
 // Ordering contract: frames are *admitted* in order, *retire* in order
 // (outputs copied, buffers released, profile observations flushed as one
@@ -17,6 +25,11 @@
 // overlap. The retire callback for frame k runs before the one for frame
 // k+1, so a caller that reuses output images per in-flight slot reads each
 // frame's pixels before they can be overwritten.
+//
+// Failure contract: the first error (a stage, the binder, binding
+// validation, or the retirer) is recorded and returned. From then on no
+// stage is dispatched and no frame is admitted or retired; stages already
+// running finish, and every in-flight frame's buffers return to the pool.
 //
 // Serial mode (--stream-mode=serial) runs the identical machinery with the
 // window clamped to one frame — the baseline the overlap speedup is measured
@@ -56,8 +69,6 @@ struct StreamOptions {
   /// behaves as 1). Bounds buffer-pool footprint: the pool's widest cut
   /// grows linearly with the window.
   int in_flight = 2;
-  /// Informational target for reports (30/60/120); 0 = no target.
-  double fps_target = 0.0;
 };
 
 /// The streaming flags every streaming binary shares (--frames, --in-flight,
@@ -76,7 +87,7 @@ struct StreamCliConfig {
 
 void RegisterStreamFlags(support::CliParser* cli, StreamCliConfig* config);
 
-/// What one Run() observed, for reports and gates.
+/// What one run of the frame loop observed, for reports and gates.
 struct StreamStats {
   long long frames = 0;     ///< frames retired
   double wall_ms = 0.0;     ///< admission of frame 0 to last retire
@@ -101,19 +112,28 @@ struct StreamModel {
   double d2h_utilisation = 0.0;
 };
 
+/// Fills one frame's bindings. Called once per frame, in frame order, from
+/// a worker thread (thread-safe with respect to other frames' execution;
+/// never concurrently with itself). The bound images must stay valid until
+/// the frame retired.
+using FrameBinder =
+    std::function<Status(long long frame, PipelineGraph::InputBindings* in,
+                         PipelineGraph::OutputBindings* out)>;
+/// Runs after `frame`'s outputs were copied into its bound images, in strict
+/// frame order. Optional; a failure aborts the run.
+using FrameRetirer = std::function<Status(long long frame)>;
+
+/// The frame loop (see file comment): executes frames [0, frames) of `plan`
+/// with at most `window` (>= 1) admitted but not retired, frame f as
+/// FrameExec epoch `first_epoch + f`. Worker count and trace/profile sinks
+/// come from the plan's GraphOptions. Fills `stats` and returns the first
+/// error.
+Status RunFrames(const GraphPlan& plan, long long frames, int window,
+                 long long first_epoch, const FrameBinder& binder,
+                 const FrameRetirer& retirer, StreamStats* stats);
+
 class StreamExecutor {
  public:
-  /// Fills one frame's bindings. Called once per frame, in frame order, from
-  /// a worker thread (thread-safe with respect to other frames' execution;
-  /// never concurrently with itself). The bound images must stay valid until
-  /// the frame retired.
-  using FrameBinder =
-      std::function<Status(long long frame, PipelineGraph::InputBindings* in,
-                           PipelineGraph::OutputBindings* out)>;
-  /// Runs after `frame`'s outputs were copied into its bound images, in
-  /// strict frame order. Optional; a failure aborts the stream.
-  using FrameRetirer = std::function<Status(long long frame)>;
-
   /// The graph must outlive the executor; `graph_options` and `stream`
   /// are copied.
   StreamExecutor(PipelineGraph& graph, GraphOptions graph_options,
@@ -128,9 +148,9 @@ class StreamExecutor {
   /// cache misses) before the timed region.
   Status Prepare();
 
-  /// Executes `frames` frames through the window. On failure the first
-  /// error is returned, admission stops, and every in-flight frame's
-  /// buffers are returned to the pool.
+  /// Executes `frames` frames through the window (RunFrames, streamed frame
+  /// f on epoch f + 1). On failure the first error is returned, admission
+  /// stops, and every in-flight frame's buffers are returned to the pool.
   Status Run(long long frames, const FrameBinder& binder,
              const FrameRetirer& retirer = {});
 
@@ -150,11 +170,7 @@ class StreamExecutor {
   Result<StreamModel> ModelThroughput(long long frames);
 
  private:
-  struct FrameState;
-  struct Shared;
-
   Status MeasureStageCosts();
-  void WorkerLoop(Shared* shared);
 
   PipelineGraph& graph_;
   GraphOptions graph_options_;
@@ -163,7 +179,7 @@ class StreamExecutor {
   GraphPlan plan_;
   StreamStats stats_;
   /// Modelled per-stage compute cost (ms), by stage index; filled lazily by
-  /// ModelThroughput, empty until then.
+  /// ModelThroughput once every stage measured, empty until then.
   std::vector<double> stage_model_ms_;
 };
 

@@ -65,6 +65,10 @@ namespace {
 std::string FormatNumber(double value, bool integral) {
   if (integral) return StrFormat("%lld", static_cast<long long>(value));
   if (!std::isfinite(value)) return "null";  // JSON has no Inf/NaN
+  // Whole numbers print without an exponent (10, not 1e+01) below 1e21,
+  // where JavaScript's Number formatting switches to exponents too.
+  if (value == std::trunc(value) && std::fabs(value) < 1e21)
+    return StrFormat("%.0f", value);
   std::string s = StrFormat("%.17g", value);
   // Prefer the shortest representation that round-trips.
   for (int precision = 1; precision < 17; ++precision) {

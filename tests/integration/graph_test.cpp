@@ -285,6 +285,81 @@ TEST(PipelineGraphTest, SimulatorExecutorMatchesHostExecutor) {
   EXPECT_EQ(MaxAbsDiff(host_out, sim_out), 0.0);
 }
 
+/// in -> scaled (point) -> blur (3x3 window) -> out (point), unfused. With
+/// scratchpad staging the windowed stage is one the host executor rejects;
+/// the point stages stay on the host.
+void BuildScratchpadChain(PipelineGraph& graph) {
+  graph.Source("in", 64, 64)
+      .Kernel("scaled", ops::ScaleOffsetSource(), {{"Input", "in"}},
+              {{"scale", 2.0}, {"offset", 0.0}})
+      .Kernel("blur", Conv3(), {{"Input", "scaled"}})
+      .Kernel("out", ops::ScaleOffsetSource(), {{"Input", "blur"}},
+              {{"scale", 0.5}, {"offset", 1.0}})
+      .Output("out");
+}
+
+GraphOptions ScratchpadOptions(GraphOptions::Executor executor, int workers,
+                               sim::TraceSink* trace) {
+  GraphOptions options;
+  options.fuse = compiler::FusionMode::kOff;
+  options.executor = executor;
+  options.workers = workers;
+  options.run.with_scratchpad().with_trace(trace);
+  return options;
+}
+
+TEST(PipelineGraphTest, HostExecutorFailsNamingTheRejectedStage) {
+  PipelineGraph graph;
+  BuildScratchpadChain(graph);
+  const HostImage<float> in = MakeNoiseImage(64, 64, 5);
+  const HostImage<float> untouched(64, 64, -7.0f);
+  HostImage<float> out = untouched;
+  sim::TraceSink trace;
+  const Status run = graph.Run(
+      {{"in", &in}}, {{"out", &out}},
+      ScratchpadOptions(GraphOptions::Executor::kHost, 4, &trace));
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.code(), StatusCode::kUnimplemented);
+  EXPECT_NE(run.message().find("'blur'"), std::string::npos)
+      << run.message();
+  // The failed stage's consumer is never dispatched and the frame never
+  // retires: no output copy, no completed run.
+  EXPECT_EQ(trace.counter("graph.stages"), 2);
+  EXPECT_EQ(trace.counter("graph.runs"), 0);
+  EXPECT_EQ(out, untouched);
+
+  // Every buffer went back to the pool: the same run on one worker is
+  // served entirely from the free list.
+  const long long allocs = trace.counter("bufpool.alloc");
+  EXPECT_FALSE(graph
+                   .Run({{"in", &in}}, {{"out", &out}},
+                        ScratchpadOptions(GraphOptions::Executor::kHost, 1,
+                                          &trace))
+                   .ok());
+  EXPECT_EQ(trace.counter("bufpool.alloc"), allocs);
+}
+
+TEST(PipelineGraphTest, AutoExecutorRunsRejectedStageOnSimulator) {
+  const HostImage<float> in = MakeNoiseImage(64, 64, 5);
+  HostImage<float> auto_out(64, 64), sim_out(64, 64);
+  for (const auto executor :
+       {GraphOptions::Executor::kAuto, GraphOptions::Executor::kSimulator}) {
+    PipelineGraph graph;
+    BuildScratchpadChain(graph);
+    sim::TraceSink trace;
+    HostImage<float>& out =
+        executor == GraphOptions::Executor::kAuto ? auto_out : sim_out;
+    const Status run = graph.Run({{"in", &in}}, {{"out", &out}},
+                                 ScratchpadOptions(executor, 4, &trace));
+    ASSERT_TRUE(run.ok()) << run.ToString();
+    if (executor == GraphOptions::Executor::kAuto) {
+      EXPECT_EQ(trace.counter("graph.launches.sim"), 1);
+      EXPECT_EQ(trace.counter("graph.launches.host"), 2);
+    }
+  }
+  EXPECT_EQ(MaxAbsDiff(auto_out, sim_out), 0.0);
+}
+
 TEST(RunOptionsTest, ChainableSettersCompose) {
   sim::TraceSink trace;
   const runtime::RunOptions options =

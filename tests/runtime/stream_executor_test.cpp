@@ -1,8 +1,8 @@
 // Streaming frame executor: differential bit-identity against the one-shot
 // graph path (serial and overlap windows, every boundary mode), cross-frame
 // aliasing stress at full window depth, in-order retirement, per-epoch
-// profile batching, streaming CLI flags, and failure propagation from the
-// bind/retire callbacks.
+// profile batching, streaming CLI flags, failure propagation from the
+// bind/retire callbacks, and the throughput model's failure path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +13,7 @@
 #include "compiler/profile.hpp"
 #include "image/synthetic.hpp"
 #include "ops/isp.hpp"
+#include "ops/kernel_sources.hpp"
 #include "runtime/stream_executor.hpp"
 #include "sim/trace.hpp"
 
@@ -212,13 +213,16 @@ TEST(StreamExecutorTest, FramesRetireInOrderAndStatsCount) {
   runtime::StreamExecutor executor(graph, options, sopts);
 
   const int frames = 6;
-  HostImage<float> raw(kSize, kSize);
+  // One raw image per frame: bound images must stay valid (and unchanged)
+  // until their frame retires, and earlier frames are still in flight.
+  std::vector<HostImage<float>> raws(static_cast<std::size_t>(frames));
   IspOutputs out;
   std::vector<long long> order;
   const Status run = executor.Run(
       frames,
       [&](long long frame, runtime::PipelineGraph::InputBindings* in,
           runtime::PipelineGraph::OutputBindings* outputs) {
+        HostImage<float>& raw = raws[static_cast<std::size_t>(frame)];
         raw = FrameRaw(frame);
         in->assign({{"raw", &raw}, {"gain", &gain}});
         outputs->assign({{"y_dn", &out.y}, {"u", &out.u}, {"v", &out.v}});
@@ -347,6 +351,83 @@ TEST(StreamExecutorTest, BinderAndRetirerErrorsAbortTheStream) {
   }
 }
 
+// Binder failure at frame 2 with frames 0 and 1 possibly still in flight:
+// admission stops, nothing from frame 2 on retires, and every buffer of the
+// stranded frames returns to the pool.
+TEST(StreamExecutorTest, BinderFailureMidWindowStopsRetirement) {
+  const HostImage<float> gain = ops::MakeVignettingGain(kSize, kSize);
+  std::vector<HostImage<float>> raws;
+  for (int f = 0; f < 4; ++f) raws.push_back(FrameRaw(f));
+  std::vector<IspOutputs> outs(4);
+  runtime::PipelineGraph graph;
+  ops::BuildCameraIspGraph(graph, kSize, kSize, ast::BoundaryMode::kClamp);
+  runtime::StreamOptions sopts;
+  sopts.mode = runtime::StreamMode::kOverlap;
+  sopts.in_flight = 2;
+  sim::TraceSink trace;
+
+  long long allocs = 0;
+  for (const int workers : {4, 1}) {
+    runtime::GraphOptions options = StreamGraphOptions();
+    options.workers = workers;
+    options.run.trace = &trace;
+    runtime::StreamExecutor executor(graph, options, sopts);
+    std::vector<long long> bound, retired;
+    const Status run = executor.Run(
+        4,
+        [&](long long frame, runtime::PipelineGraph::InputBindings* in,
+            runtime::PipelineGraph::OutputBindings* out) {
+          bound.push_back(frame);
+          if (frame == 2) return Status::Invalid("no frame 2");
+          const std::size_t f = static_cast<std::size_t>(frame);
+          in->assign({{"raw", &raws[f]}, {"gain", &gain}});
+          out->assign({{"y_dn", &outs[f].y}, {"u", &outs[f].u},
+                       {"v", &outs[f].v}});
+          return Status::Ok();
+        },
+        [&](long long frame) {
+          retired.push_back(frame);
+          return Status::Ok();
+        });
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.message(), "no frame 2");
+    EXPECT_EQ(bound, (std::vector<long long>{0, 1, 2}));
+    // Frame 2 was admitted, so frame 0 had retired; frame 1 only retires if
+    // it finished before the error was recorded (always, on one worker).
+    ASSERT_GE(retired.size(), 1u);
+    ASSERT_LE(retired.size(), 2u);
+    for (std::size_t i = 0; i < retired.size(); ++i)
+      EXPECT_EQ(retired[i], static_cast<long long>(i));
+    if (workers == 1) {
+      EXPECT_EQ(retired.size(), 2u);
+    }
+    EXPECT_EQ(executor.stats().frames,
+              static_cast<long long>(retired.size()));
+    // After the failure the same run on one worker allocates nothing new.
+    if (workers == 1) {
+      EXPECT_EQ(trace.counter("bufpool.alloc"), allocs);
+    }
+    allocs = trace.counter("bufpool.alloc");
+  }
+}
+
+// A stage whose simulated measurement fails must fail every
+// ModelThroughput call, not only the first one that measured it.
+TEST(StreamExecutorTest, FailedStageMeasureFailsEveryModelCall) {
+  runtime::PipelineGraph graph;
+  graph.Source("in", 16, 16)
+      .Kernel("blur", ops::GaussianSource(9, 2.0f, ast::BoundaryMode::kClamp),
+              {{"Input", "in"}})
+      .Output("blur");
+  runtime::StreamExecutor executor(graph, StreamGraphOptions(), {});
+  const Result<runtime::StreamModel> first = executor.ModelThroughput(4);
+  ASSERT_FALSE(first.ok());
+  EXPECT_NE(first.status().message().find("too small"), std::string::npos)
+      << first.status().ToString();
+  const Result<runtime::StreamModel> second = executor.ModelThroughput(4);
+  EXPECT_FALSE(second.ok());
+}
+
 TEST(StreamExecutorTest, StreamCliFlagsRoundTrip) {
   runtime::StreamCliConfig config;
   support::CliParser cli("stream_test", "streaming flag test");
@@ -359,7 +440,7 @@ TEST(StreamExecutorTest, StreamCliFlagsRoundTrip) {
   ASSERT_TRUE(options.ok());
   EXPECT_EQ(options.value().mode, runtime::StreamMode::kSerial);
   EXPECT_EQ(options.value().in_flight, 3);
-  EXPECT_EQ(options.value().fps_target, 60.0);
+  EXPECT_EQ(config.fps_target, 60);
   // Generated help mentions every streaming flag.
   const std::string help = cli.Help();
   for (const char* flag :

@@ -53,6 +53,10 @@ TEST(JsonTest, IntegralNumbersDumpWithoutDecimalPoint) {
   EXPECT_EQ(Json(0.5).Dump(), "0.5");
   EXPECT_EQ(Json(157.58).Dump(), "157.58");
   EXPECT_EQ(Json(1.0 / 3.0).Dump(), "0.3333333333333333");
+  // Whole doubles print as integers, not in exponent form, up to 1e21.
+  EXPECT_EQ(Json(10.0).Dump(), "10");
+  EXPECT_EQ(Json(100.0).Dump(), "100");
+  EXPECT_EQ(Json(1e21).Dump(), "1e+21");
 }
 
 TEST(JsonTest, NonFiniteNumbersSerialiseAsNull) {

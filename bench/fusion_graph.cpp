@@ -8,11 +8,11 @@
 //   multires       end-to-end — the paper's multiresolution filter with the
 //                  full planner vs fusion off
 //
-// The gate compares *modelled* device time (the graph.modelled_us counter,
-// summed over simulated launches), not host wall-clock: the simulator
-// executes halo recompute on the host at full cost, but the device model is
-// what the planner's profitability decision is about. Outputs must stay
-// bit-identical between the fused and unfused runs, or the bench fails.
+// The gate compares *modelled* device time (the graph.modelled_ns counter,
+// summed over simulated launches, reported in µs), not host wall-clock: the
+// simulator executes halo recompute on the host at full cost, but the device
+// model is what the planner's profitability decision is about. Outputs must
+// stay bit-identical between the fused and unfused runs, or the bench fails.
 // --check enforces the CI floors (sobel_pair >= 1.3x, gauss_laplace >=
 // 1.2x); --fuse / --explain-fusion work as in every graph bench.
 #include <cstdio>
@@ -84,7 +84,8 @@ Result<RunResult> RunScenario(const Scenario& scenario, int size,
   HIPACC_RETURN_IF_ERROR(
       graph.Run({{scenario.outputs.front() == "r0" ? "g0" : "in", &input}},
                 bindings, gopts));
-  result.modelled_us = static_cast<double>(trace.counter("graph.modelled_us"));
+  result.modelled_us =
+      static_cast<double>(trace.counter("graph.modelled_ns")) / 1000.0;
   result.fused_edges = trace.counter("graph.fused_edges");
   return result;
 }

@@ -6,7 +6,8 @@
 //  * executed: every frame really runs (host bytecode executor for the
 //    point/convolution stages), per-frame outputs are FNV-hashed, and the
 //    overlap run must reproduce the serial run's hashes bit for bit;
-//    sustained wall fps and p99 frame latency come from these runs.
+//    sustained wall fps and p99 frame latency come from these runs, and the
+//    30/60/120 fps targets are judged on that wall fps.
 //  * modelled: the simulated device's per-queue timeline (compute + H2D +
 //    D2H copy queues, sim::StreamTimeline) replays the same stages with
 //    PCIe-modelled copies. This is the device the repository benchmarks
@@ -204,10 +205,12 @@ int main(int argc, char** argv) {
   std::printf("modelled sustained fps: serial %.1f, overlap %.1f (%.2fx)\n",
               serial.value().model.fps, overlap.value().model.fps,
               model_speedup);
+  std::printf("wall fps: serial %.1f, overlap %.1f\n",
+              serial.value().stats.fps, overlap.value().stats.fps);
   for (const double target : {30.0, 60.0, 120.0}) {
-    std::printf("  %3.0f fps target: serial %s, overlap %s\n", target,
-                serial.value().model.fps >= target ? "met" : "missed",
-                overlap.value().model.fps >= target ? "met" : "missed");
+    std::printf("  %3.0f fps target (wall): serial %s, overlap %s\n", target,
+                serial.value().stats.fps >= target ? "met" : "missed",
+                overlap.value().stats.fps >= target ? "met" : "missed");
   }
   std::printf(
       "stream counters: frames %lld, runs %lld, host launches %lld, pool "

@@ -13,6 +13,7 @@ BufferPool::ImagePtr BufferPool::Acquire(int width, int height,
       ImagePtr image = std::move(it->second.back());
       it->second.pop_back();
       ++reuses_;
+      ++live_;
       if (trace != nullptr) trace->IncrementCounter("bufpool.reuse");
       return image;
     }
@@ -23,6 +24,7 @@ BufferPool::ImagePtr BufferPool::Acquire(int width, int height,
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++allocs_;
+    ++live_;
     peak_bytes_ += bytes;
   }
   if (trace != nullptr) {
@@ -36,6 +38,7 @@ void BufferPool::Release(ImagePtr image) {
   if (!image) return;
   const std::pair<int, int> key{image->width(), image->height()};
   std::lock_guard<std::mutex> lock(mutex_);
+  --live_;
   free_[key].push_back(std::move(image));
 }
 
@@ -47,6 +50,11 @@ long long BufferPool::alloc_count() const {
 long long BufferPool::reuse_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return reuses_;
+}
+
+long long BufferPool::live_count() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return live_;
 }
 
 long long BufferPool::peak_bytes() const {

@@ -40,6 +40,8 @@ class BufferPool {
   /// Buffers created / handed out from the free list since construction.
   long long alloc_count() const;
   long long reuse_count() const;
+  /// Buffers handed out and not yet returned: 0 once every owner released.
+  long long live_count() const;
   /// High-water memory footprint in bytes. The pool never shrinks, so this
   /// equals the padded bytes of every image ever allocated — what a pool-less
   /// runtime would hold live simultaneously at its peak.
@@ -50,6 +52,7 @@ class BufferPool {
   std::map<std::pair<int, int>, std::vector<ImagePtr>> free_;
   long long allocs_ = 0;
   long long reuses_ = 0;
+  long long live_ = 0;
   long long peak_bytes_ = 0;
 };
 

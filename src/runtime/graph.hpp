@@ -72,11 +72,11 @@ struct GraphOptions {
   /// the direct kernel only up to factorization rounding (~1e-6 relative),
   /// not bit-exactly.
   bool separate = false;
-  /// Bounds every thread that runs stages, and so their rows: the frame loop
-  /// uses min(workers, stages x window) workers, the calling thread among
-  /// them (0 = hardware concurrency). 1 means the caller's thread only, for
-  /// every stage and row of a one-shot run too. Results are identical for
-  /// any worker count.
+  /// Bounds every thread that runs stages and their row bands: the frame
+  /// loop uses at most this many workers, the calling thread among them
+  /// (0 = hardware concurrency), and cuts each host stage into at most this
+  /// many bands. 1 means the caller's thread only, for every stage and row
+  /// of a one-shot run too. Results are identical for any worker count.
   int workers = 0;
   Executor executor = Executor::kAuto;
 };

@@ -1,11 +1,10 @@
 #include "runtime/graph_plan.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "compiler/cache.hpp"
 #include "compiler/separate.hpp"
-#include "runtime/bindings.hpp"
-#include "runtime/host_exec.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 #include "support/parallel_for.hpp"
@@ -394,13 +393,17 @@ Status GraphPlan::ValidateBindings(
 }
 
 FrameExec::FrameExec(const GraphPlan& plan, long long epoch)
-    : plan_(plan), epoch_(epoch), refcount_(plan.base_refcount) {}
+    : plan_(plan),
+      epoch_(epoch),
+      runs_(plan.stages.size()),
+      refcount_(plan.base_refcount) {}
 
 void FrameExec::BindInputs(const PipelineGraph::InputBindings* inputs) {
   inputs_ = inputs;
 }
 
-Status FrameExec::RunKernelStage(const GraphPlan::Stage& stage) {
+Status FrameExec::BeginKernelStage(const GraphPlan::Stage& stage,
+                                   StageRun* run) {
   const GraphOptions& options = *plan_.options;
   BindingSet bindings;
   for (const auto& [accessor, image] : stage.inputs) {
@@ -431,36 +434,38 @@ Status FrameExec::RunKernelStage(const GraphPlan::Stage& stage) {
   Result<LaunchHolder> holder =
       BuildLaunch(ck.device_ir, ck.config.config, bindings);
   if (!holder.ok()) return holder.status();
-  sim::Launch& launch = holder.value().launch;
+  run->launch = std::move(holder).take();
+  sim::Launch& launch = run->launch.launch;
   launch.programs = ck.bytecode.get();
   launch.epoch = epoch_;
 
   if (options.executor != GraphOptions::Executor::kSimulator) {
-    const Status host = RunOnHost(launch, ck.device_ir.bh_window.half_x,
-                                  ck.device_ir.bh_window.half_y);
+    Result<HostLaunch> host = HostLaunch::Prepare(
+        launch, ck.device_ir.bh_window.half_x, ck.device_ir.bh_window.half_y);
     if (host.ok()) {
-      if (plan_.trace != nullptr)
-        plan_.trace->IncrementCounter("graph.launches.host");
+      run->host = std::move(host).take();
       return Status::Ok();
     }
-    if (host.code() != StatusCode::kUnimplemented) return host;
+    if (host.status().code() != StatusCode::kUnimplemented)
+      return host.status();
     if (options.executor == GraphOptions::Executor::kHost)
       return Status::Unimplemented(
           "stage '" + stage.name +
           "' is not supported by the host executor (GraphOptions::Executor::"
-          "kHost): " + host.message());
+          "kHost): " + host.status().message());
   }
   sim::Simulator simulator(options.run.device, options.run.sim_options());
   Result<sim::LaunchStats> stats = simulator.Execute(launch);
   if (!stats.ok()) return stats.status();
   if (plan_.trace != nullptr) {
     plan_.trace->IncrementCounter("graph.launches.sim");
-    // Modelled device time of the whole graph, in microseconds — what the
-    // fusion benches gate on (host wall-clock would mis-charge the halo
-    // recompute the device model absorbs in its memory bounds).
+    // Modelled device time of the whole graph, in nanoseconds rounded per
+    // launch — what the fusion benches gate on (host wall-clock would
+    // mis-charge the halo recompute the device model absorbs in its memory
+    // bounds).
     plan_.trace->IncrementCounter(
-        "graph.modelled_us",
-        static_cast<long long>(stats.value().timing.total_ms * 1000.0));
+        "graph.modelled_ns",
+        std::llround(stats.value().timing.total_ms * 1e6));
   }
   if (options.run.profiles != nullptr && !ck.source_fingerprint.empty()) {
     // Collected locally, flushed as one ProfileStore batch when the frame
@@ -492,12 +497,20 @@ void FrameExec::ReleaseConsumed(const GraphPlan::Stage& stage) {
   }
 }
 
-Status FrameExec::ExecStage(int index) {
+void FrameExec::FileStageSpan(const GraphPlan::Stage& stage,
+                              const StageRun& run) {
+  if (plan_.trace == nullptr) return;
+  plan_.trace->AddSpan("stage " + stage.name, "graph", run.start_ms,
+                       plan_.trace->NowMs() - run.start_ms, support::Json(),
+                       static_cast<int>(epoch_));
+}
+
+Result<int> FrameExec::BeginStage(int index) {
   const GraphPlan::Stage& stage =
       plan_.stages[static_cast<std::size_t>(index)];
-  if (stage.name.empty()) return Status::Ok();  // retired fusion producer
-  sim::TraceSpan span(plan_.trace, "stage " + stage.name, "graph",
-                      static_cast<int>(epoch_));
+  if (stage.name.empty()) return 0;  // retired fusion producer
+  StageRun& run = runs_[static_cast<std::size_t>(index)];
+  if (plan_.trace != nullptr) run.start_ms = plan_.trace->NowMs();
 
   BufferPool::ImagePtr out =
       plan_.pool->Acquire(stage.width, stage.height, plan_.trace);
@@ -556,13 +569,31 @@ Status FrameExec::ExecStage(int index) {
       break;
     }
     case Node::Kind::kKernel:
-      status = RunKernelStage(stage);
+      status = BeginKernelStage(stage, &run);
       break;
   }
-  if (!status.ok()) return status;
-  if (plan_.trace != nullptr) plan_.trace->IncrementCounter("graph.stages");
+  if (!status.ok()) {
+    FileStageSpan(stage, run);
+    return status;
+  }
+  return run.host ? stage.height : 0;
+}
+
+void FrameExec::RunBand(int index, int y0, int y1) const {
+  runs_[static_cast<std::size_t>(index)].host->RunRows(y0, y1);
+}
+
+void FrameExec::EndStage(int index) {
+  const GraphPlan::Stage& stage =
+      plan_.stages[static_cast<std::size_t>(index)];
+  if (stage.name.empty()) return;  // retired fusion producer
+  StageRun& run = runs_[static_cast<std::size_t>(index)];
+  if (plan_.trace != nullptr) {
+    if (run.host) plan_.trace->IncrementCounter("graph.launches.host");
+    plan_.trace->IncrementCounter("graph.stages");
+  }
   ReleaseConsumed(stage);
-  return Status::Ok();
+  FileStageSpan(stage, run);
 }
 
 Status FrameExec::CopyOutputs(const PipelineGraph::OutputBindings& outputs) {

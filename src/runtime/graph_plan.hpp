@@ -10,6 +10,7 @@
 //                 concurrently.
 //   FrameExec   — one frame's mutable state over a plan: the live buffer
 //                 map, the remaining-consumer refcounts, the bound inputs,
+//                 each begun stage's launch (what its row bands read),
 //                 and the profile observations the frame's launches
 //                 produced. Each in-flight frame owns its own FrameExec, so
 //                 overlapped frames can never alias each other's buffers —
@@ -25,13 +26,16 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "compiler/driver.hpp"
 #include "compiler/profile.hpp"
+#include "runtime/bindings.hpp"
 #include "runtime/graph.hpp"
+#include "runtime/host_exec.hpp"
 
 namespace hipacc::runtime {
 
@@ -101,9 +105,11 @@ struct GraphPlan {
   std::map<std::string, int> base_refcount;
 };
 
-/// Mutable state of one frame's execution over a GraphPlan. ExecStage is
-/// thread-safe across *distinct* stages of the same frame (the frame loop's
-/// contract); distinct frames are fully independent.
+/// Mutable state of one frame's execution over a GraphPlan. A stage runs in
+/// three steps: BeginStage, then RunBand over every band of the rows it
+/// returned, then EndStage. Begin and End are thread-safe across *distinct*
+/// stages of the same frame, RunBand across disjoint bands of one begun
+/// stage (the frame loop's contract); distinct frames are fully independent.
 class FrameExec {
  public:
   /// `epoch` is 0 for one-shot Run() and frame index + 1 in a streaming run;
@@ -114,10 +120,20 @@ class FrameExec {
   /// until the frame completed. Call once before executing stages.
   void BindInputs(const PipelineGraph::InputBindings* inputs);
 
-  /// Executes one stage: acquires its output buffers from the pool, runs
-  /// the kernel (host bytecode executor when supported, simulated device
-  /// otherwise), and releases inputs whose last consumer this was.
-  Status ExecStage(int index);
+  /// Begins stage `index`: acquires its output buffers from the pool and
+  /// builds its launch. A kernel stage the host bytecode executor accepts is
+  /// prepared for RunBand, and its row count is returned. Every other stage
+  /// (source, resampler, simulated launch) runs whole here, and 0 is
+  /// returned. Either way EndStage completes it.
+  Result<int> BeginStage(int index);
+
+  /// Runs rows [y0, y1) of a host stage BeginStage prepared. Infallible.
+  void RunBand(int index, int y0, int y1) const;
+
+  /// Completes stage `index` after its last row ran: counts it, releases
+  /// inputs whose last consumer this was, and files its "stage" span, which
+  /// runs from BeginStage to now.
+  void EndStage(int index);
 
   /// Copies every bound output's pixels out. Call after all stages ran.
   Status CopyOutputs(const PipelineGraph::OutputBindings& outputs);
@@ -134,11 +150,22 @@ class FrameExec {
   long long epoch() const noexcept { return epoch_; }
 
  private:
-  Status RunKernelStage(const GraphPlan::Stage& stage);
+  /// One stage between BeginStage and EndStage.
+  struct StageRun {
+    double start_ms = 0.0;  ///< BeginStage time, where the stage span starts
+    LaunchHolder launch;    ///< the launch a prepared host run reads
+    std::optional<HostLaunch> host;  ///< set when the host runs the rows
+  };
+
+  Status BeginKernelStage(const GraphPlan::Stage& stage, StageRun* run);
+  void FileStageSpan(const GraphPlan::Stage& stage, const StageRun& run);
   void ReleaseConsumed(const GraphPlan::Stage& stage);
 
   const GraphPlan& plan_;
   long long epoch_ = 0;
+  /// By stage index. Sized once, so workers on distinct stages never touch
+  /// the same element.
+  std::vector<StageRun> runs_;
   std::mutex mutex_;
   std::map<std::string, BufferPool::ImagePtr> buffers_;
   std::map<std::string, int> refcount_;

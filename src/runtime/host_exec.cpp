@@ -622,20 +622,32 @@ void ExecRow(const ExecPlan& plan, int y) {
 
 }  // namespace
 
-Status RunOnHost(const sim::Launch& launch, int halo_x, int halo_y) {
+struct HostLaunch::Plan : ExecPlan {};
+
+HostLaunch::HostLaunch(std::unique_ptr<const Plan> plan)
+    : plan_(std::move(plan)) {}
+HostLaunch::HostLaunch(HostLaunch&&) noexcept = default;
+HostLaunch& HostLaunch::operator=(HostLaunch&&) noexcept = default;
+HostLaunch::~HostLaunch() = default;
+
+Result<HostLaunch> HostLaunch::Prepare(const sim::Launch& launch, int halo_x,
+                                       int halo_y) {
   if (launch.programs == nullptr || launch.programs->programs.empty())
     return Status::Unimplemented(
         "host executor: launch carries no bytecode programs");
   const ProgramSet& ps = *launch.programs;
-  ExecPlan plan;
-  plan.ps = &ps;
-  plan.width = launch.width;
-  plan.height = launch.height;
-  HIPACC_RETURN_IF_ERROR(
-      PlanRegions(ps, launch.width, launch.height, halo_x, halo_y, &plan));
-  HIPACC_RETURN_IF_ERROR(BindLaunch(launch, ps, &plan));
-  for (int y = 0; y < launch.height; ++y) ExecRow(plan, y);
-  return Status::Ok();
+  auto plan = std::make_unique<Plan>();
+  plan->ps = &ps;
+  plan->width = launch.width;
+  plan->height = launch.height;
+  HIPACC_RETURN_IF_ERROR(PlanRegions(ps, launch.width, launch.height, halo_x,
+                                     halo_y, plan.get()));
+  HIPACC_RETURN_IF_ERROR(BindLaunch(launch, ps, plan.get()));
+  return HostLaunch(std::move(plan));
+}
+
+void HostLaunch::RunRows(int y0, int y1) const {
+  for (int y = y0; y < y1; ++y) ExecRow(*plan_, y);
 }
 
 }  // namespace hipacc::runtime

@@ -18,30 +18,56 @@
 // outputs are bit-identical to both simulator engines and to the DSL's
 // functional path.
 //
-// Rows run serially on the calling thread. The graph runtime's frame loop
-// (runtime/stream_executor.hpp) is the only place that starts threads for
-// stage execution: each of its workers runs whole stages, so a launch's rows
-// stay on the worker that claimed the stage and reuse its thread-local
-// register file across launches.
+// A launch runs in two steps. HostLaunch::Prepare plans the nine-region
+// partition and binds the launch's buffers, masks and scalars; it is the
+// only step that can fail. RunRows then writes any band of output rows, and
+// is infallible. The region is picked per row, so every cut of the rows
+// into bands gives the same values, and disjoint bands may run on different
+// threads at once: the graph runtime's frame loop
+// (runtime/stream_executor.hpp) spreads one stage's bands over its idle
+// workers. Each thread keeps its own register file across bands and
+// launches.
 //
-// Programs the executor cannot prove equivalent return Unimplemented:
-// scratchpad staging (kLoadShared), texture/hardware boundary handling,
-// thread/block-index dependent values, pixels-per-thread > 1, or a halo
-// exceeding the image (the degenerate-region case). These checks run before
-// any pixel is written, so callers fall back to the simulator cleanly.
+// Programs the executor cannot prove equivalent make Prepare return
+// Unimplemented: scratchpad staging (kLoadShared), texture/hardware
+// boundary handling, thread/block-index dependent values, pixels-per-thread
+// > 1, or a halo exceeding the image (the degenerate-region case). No pixel
+// has been written at that point, so callers fall back to the simulator
+// cleanly.
 #pragma once
+
+#include <memory>
 
 #include "sim/launch.hpp"
 #include "support/status.hpp"
 
 namespace hipacc::runtime {
 
-/// Executes `launch.programs` over the launch's iteration space, writing
-/// bound output buffers in place. `halo_x` / `halo_y` is the kernel's
-/// boundary-handling window (DeviceKernel::bh_window) that sized the nine
-/// region variants; ignored when the program set has a single variant.
-/// Returns Unimplemented for unsupported programs (see file comment) —
-/// the caller is expected to fall back to simulator execution.
-Status RunOnHost(const sim::Launch& launch, int halo_x, int halo_y);
+/// A kernel launch prepared for the host executor, run in row bands.
+class HostLaunch {
+ public:
+  /// Prepares `launch.programs` over the launch's iteration space. `halo_x`
+  /// / `halo_y` is the kernel's boundary-handling window
+  /// (DeviceKernel::bh_window) that sized the nine region variants; ignored
+  /// when the program set has a single variant. Buffers are bound by
+  /// pointer, so `launch` must outlive the HostLaunch. Returns
+  /// Unimplemented for unsupported programs (see file comment) — the caller
+  /// is expected to fall back to simulator execution.
+  static Result<HostLaunch> Prepare(const sim::Launch& launch, int halo_x,
+                                    int halo_y);
+
+  /// Writes output rows [y0, y1) of the bound output buffers in place.
+  void RunRows(int y0, int y1) const;
+
+  HostLaunch(HostLaunch&&) noexcept;
+  HostLaunch& operator=(HostLaunch&&) noexcept;
+  ~HostLaunch();
+
+ private:
+  struct Plan;
+  explicit HostLaunch(std::unique_ptr<const Plan> plan);
+
+  std::unique_ptr<const Plan> plan_;
+};
 
 }  // namespace hipacc::runtime

@@ -66,35 +66,68 @@ double StreamStats::LatencyPercentile(double p) const {
 
 namespace {
 
+/// A band holds at least this many rows: a host stage of `rows` rows is cut
+/// into max(1, min(workers, rows / kMinBandRows)) bands.
+constexpr int kMinBandRows = 16;
+
+/// One unit of work: begin a stage, or run its rows [y0, y1).
+struct Task {
+  int stage = 0;
+  int y0 = 0;
+  int y1 = -1;  ///< -1: the stage's begin step
+
+  bool begin() const { return y1 < 0; }
+};
+
 /// One in-flight frame: its FrameExec, its caller-provided bindings, and the
 /// per-frame scheduling state (remaining dependency counts).
 struct FrameState {
   std::unique_ptr<FrameExec> exec;
   PipelineGraph::InputBindings inputs;
   PipelineGraph::OutputBindings outputs;
-  std::vector<int> deps;  ///< remaining unfinished producers, per stage
-  int remaining = 0;      ///< stages not yet executed
-  bool done = false;      ///< every stage ran; eligible to retire
+  std::vector<int> deps;        ///< remaining unfinished producers, per stage
+  std::vector<int> bands_left;  ///< row bands still running, per stage
+  int remaining = 0;            ///< stages not yet completed
+  bool done = false;            ///< every stage ran; eligible to retire
   double admit_ms = 0.0;
 };
 
+/// The most tasks one frame of `plan` can have ready at once: a band per
+/// kMinBandRows rows of each kernel stage the host executor may run, one
+/// task for every other stage.
+long long MaxTasksPerFrame(const GraphPlan& plan) {
+  const bool host = plan.options->executor !=
+                    GraphOptions::Executor::kSimulator;
+  long long tasks = 0;
+  for (const GraphPlan::Stage& stage : plan.stages)
+    tasks += host && stage.kind == GraphPlan::Node::Kind::kKernel
+                 ? std::max(1, stage.height / kMinBandRows)
+                 : 1;
+  return tasks;
+}
+
 /// The workers' shared scheduling state. One mutex guards everything; stage
-/// execution, binding, and retirement all happen with it released. Fail,
-/// Execute, Admit and RetireInOrder are called with the mutex held.
+/// and band execution, binding, and retirement all happen with it released.
+/// Fail, Execute, QueueBands, Complete, Admit and RetireInOrder are called
+/// with the mutex held.
 struct FrameLoop {
   FrameLoop(const GraphPlan& plan, long long total, int window,
-            long long first_epoch, const FrameBinder& binder,
+            long long first_epoch, int workers, const FrameBinder& binder,
             const FrameRetirer& retirer)
       : plan(plan),
         total(total),
         window(window),
         first_epoch(first_epoch),
+        workers(workers),
         binder(binder),
         retirer(retirer) {}
 
   void Work();
   void Fail(const Status& status);
   void Execute(std::unique_lock<std::mutex>& lock);
+  void QueueBands(long long frame, int stage, int rows);
+  void Complete(std::unique_lock<std::mutex>& lock, long long frame,
+                int stage);
   void Admit(std::unique_lock<std::mutex>& lock);
   void RetireInOrder(std::unique_lock<std::mutex>& lock);
 
@@ -102,6 +135,7 @@ struct FrameLoop {
   const long long total;
   const int window;
   const long long first_epoch;
+  const int workers;
   const FrameBinder& binder;
   const FrameRetirer& retirer;
 
@@ -111,12 +145,12 @@ struct FrameLoop {
   long long retired = 0;
   bool binding = false;   ///< a worker is inside the bind callback
   bool retiring = false;  ///< a worker is driving the in-order retire chain
-  int executing = 0;      ///< stages currently running
+  int executing = 0;      ///< tasks (and stage ends) currently running
   Status error = Status::Ok();
   std::map<long long, FrameState> frames;
-  /// Ready stages, keyed by frame: workers always drain the *oldest* frame
+  /// Ready tasks, keyed by frame: workers always drain the *oldest* frame
   /// first so frames retire (and their buffers free) as early as possible.
-  std::map<long long, std::vector<int>> ready;
+  std::map<long long, std::vector<Task>> ready;
   Stopwatch clock;
   std::vector<double> latencies;
   int max_in_flight = 0;
@@ -153,20 +187,51 @@ void FrameLoop::Fail(const Status& status) {
 void FrameLoop::Execute(std::unique_lock<std::mutex>& lock) {
   auto oldest = ready.begin();
   const long long frame = oldest->first;
-  const int stage = oldest->second.back();
+  const Task task = oldest->second.back();
   oldest->second.pop_back();
   if (oldest->second.empty()) ready.erase(oldest);
   FrameState& state = frames.at(frame);
   ++executing;
   lock.unlock();
-  const Status status = state.exec->ExecStage(stage);
+  // A begin step returns the rows it left for bands (0: it ran whole).
+  Result<int> rows = 0;
+  if (task.begin())
+    rows = state.exec->BeginStage(task.stage);
+  else
+    state.exec->RunBand(task.stage, task.y0, task.y1);
   lock.lock();
   --executing;
-  if (!status.ok()) return Fail(status);
-  if (!error.ok()) return;  // another stage failed meanwhile
+  if (!rows.ok()) return Fail(rows.status());
+  if (!error.ok()) return;  // another task failed meanwhile
+  if (rows.value() > 0) return QueueBands(frame, task.stage, rows.value());
+  // Whichever worker finishes a stage's last band completes the stage.
+  if (!task.begin() &&
+      --state.bands_left[static_cast<std::size_t>(task.stage)] > 0)
+    return;
+  ++executing;
+  lock.unlock();
+  state.exec->EndStage(task.stage);
+  lock.lock();
+  --executing;
+  if (!error.ok()) return;
+  Complete(lock, frame, task.stage);
+}
+
+void FrameLoop::QueueBands(long long frame, int stage, int rows) {
+  const int bands = std::max(1, std::min(workers, rows / kMinBandRows));
+  frames.at(frame).bands_left[static_cast<std::size_t>(stage)] = bands;
+  std::vector<Task>& queue = ready[frame];
+  for (int b = 0; b < bands; ++b)
+    queue.push_back(Task{stage, static_cast<int>(1LL * rows * b / bands),
+                         static_cast<int>(1LL * rows * (b + 1) / bands)});
+}
+
+void FrameLoop::Complete(std::unique_lock<std::mutex>& lock, long long frame,
+                         int stage) {
+  FrameState& state = frames.at(frame);
   for (int consumer : plan.dag.consumers[static_cast<std::size_t>(stage)])
     if (--state.deps[static_cast<std::size_t>(consumer)] == 0)
-      ready[frame].push_back(consumer);
+      ready[frame].push_back(Task{consumer});
   if (--state.remaining > 0) return;
   state.done = true;
   // Frames retire strictly in admission order; a frame that finished early
@@ -185,6 +250,7 @@ void FrameLoop::Admit(std::unique_lock<std::mutex>& lock) {
   if (status.ok()) {
     state.exec = std::make_unique<FrameExec>(plan, first_epoch + frame);
     state.deps = plan.dag.dependencies;
+    state.bands_left.assign(plan.stages.size(), 0);
     state.remaining = plan.dag.node_count();
   }
   lock.lock();
@@ -193,10 +259,10 @@ void FrameLoop::Admit(std::unique_lock<std::mutex>& lock) {
   if (!error.ok()) return;  // the run failed while this frame was binding
   FrameState& placed = frames[frame] = std::move(state);
   placed.exec->BindInputs(&placed.inputs);
-  std::vector<int>& queue = ready[frame];
+  std::vector<Task>& queue = ready[frame];
   for (int i = 0; i < plan.dag.node_count(); ++i)
     if (plan.dag.dependencies[static_cast<std::size_t>(i)] == 0)
-      queue.push_back(i);
+      queue.push_back(Task{i});
   max_in_flight =
       std::max(max_in_flight, static_cast<int>(admitted - retired));
 }
@@ -235,16 +301,16 @@ void FrameLoop::RetireInOrder(std::unique_lock<std::mutex>& lock) {
 Status RunFrames(const GraphPlan& plan, long long frames, int window,
                  long long first_epoch, const FrameBinder& binder,
                  const FrameRetirer& retirer, StreamStats* stats) {
-  FrameLoop loop(plan, frames, window, first_epoch, binder, retirer);
   const long long requested =
       plan.options->workers > 0
           ? plan.options->workers
           : std::max(1u, std::thread::hardware_concurrency());
-  const long long workers = std::min<long long>(
-      requested, static_cast<long long>(plan.stages.size()) * window);
+  const int workers = static_cast<int>(
+      std::min<long long>(requested, MaxTasksPerFrame(plan) * window));
+  FrameLoop loop(plan, frames, window, first_epoch, workers, binder, retirer);
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(workers - 1));
-  for (long long i = 1; i < workers; ++i)
+  for (int i = 1; i < workers; ++i)
     threads.emplace_back([&loop] { loop.Work(); });
   loop.Work();
   for (std::thread& thread : threads) thread.join();

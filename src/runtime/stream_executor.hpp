@@ -12,12 +12,20 @@
 // one by one, and the differential test suite
 // (tests/runtime/stream_executor_test.cpp) holds the executor to that.
 //
-// Workers: min(GraphOptions::workers, stages x window), where workers 0 means
-// hardware concurrency. The calling thread is one of them, so workers == 1
-// runs everything on the caller and starts no thread. A worker runs whole
-// stages (host stages execute their rows serially), preferring the oldest
-// frame's ready stages and otherwise admitting the next frame when the
-// window has room.
+// Tasks: a stage runs as a begin step, then row bands, then an end step
+// (FrameExec::BeginStage / RunBand / EndStage). Begin acquires the stage's
+// buffers and prepares its host launch; sources, resamplers and simulated
+// launches run whole there. A prepared host stage of `rows` rows is cut into
+// max(1, min(workers, rows / 16)) bands that any idle worker may run, and
+// whichever worker finishes the last band ends the stage. The ready queue
+// holds begin and band tasks, keyed by frame.
+//
+// Workers: min(GraphOptions::workers, the tasks window frames can have ready
+// at once), where workers 0 means hardware concurrency, so a one-kernel
+// graph still uses every worker. The calling thread is one of them, so
+// workers == 1 runs everything on the caller and starts no thread. A worker
+// takes the oldest frame's ready tasks first and otherwise admits the next
+// frame when the window has room.
 //
 // Ordering contract: frames are *admitted* in order, *retire* in order
 // (outputs copied, buffers released, profile observations flushed as one
@@ -28,8 +36,9 @@
 //
 // Failure contract: the first error (a stage, the binder, binding
 // validation, or the retirer) is recorded and returned. From then on no
-// stage is dispatched and no frame is admitted or retired; stages already
-// running finish, and every in-flight frame's buffers return to the pool.
+// stage or band is dispatched and no frame is admitted or retired; tasks
+// already running finish, and every in-flight frame's buffers return to the
+// pool.
 //
 // Serial mode (--stream-mode=serial) runs the identical machinery with the
 // window clamped to one frame — the baseline the overlap speedup is measured

@@ -327,6 +327,7 @@ TEST(PipelineGraphTest, HostExecutorFailsNamingTheRejectedStage) {
   EXPECT_EQ(trace.counter("graph.stages"), 2);
   EXPECT_EQ(trace.counter("graph.runs"), 0);
   EXPECT_EQ(out, untouched);
+  EXPECT_EQ(graph.pool().live_count(), 0);
 
   // Every buffer went back to the pool: the same run on one worker is
   // served entirely from the free list.
@@ -337,6 +338,7 @@ TEST(PipelineGraphTest, HostExecutorFailsNamingTheRejectedStage) {
                                           &trace))
                    .ok());
   EXPECT_EQ(trace.counter("bufpool.alloc"), allocs);
+  EXPECT_EQ(graph.pool().live_count(), 0);
 }
 
 TEST(PipelineGraphTest, AutoExecutorRunsRejectedStageOnSimulator) {

@@ -95,46 +95,66 @@ TEST(BufferPoolTest, ConcurrentChurnNeverDoubleHandsOutABuffer) {
 }
 
 TEST(PipelineGraphConcurrencyTest, WorkerPoolRunsBitIdenticalToSerial) {
-  // A wide fan-out/fan-in DAG: eight independent blur branches feeding a
-  // reduction chain. With workers > 1 the branches execute concurrently on
-  // the scheduler's pool threads, releasing intermediates back to the
-  // shared BufferPool from different threads; pixels must still match the
-  // serial run bit for bit.
-  const HostImage<float> in = MakeNoiseImage(48, 40, 21);
-  HostImage<float> serial(48, 40), parallel(48, 40);
-  for (const int workers : {1, 8}) {
-    PipelineGraph graph;
-    graph.Source("in", 48, 40);
-    std::vector<std::pair<std::string, std::string>> last;
-    for (int b = 0; b < 8; ++b) {
-      const std::string name = "blur" + std::to_string(b);
-      graph.Kernel(name,
-                   ops::GaussianSource(3, 1.0f + 0.1f * b,
-                                       ast::BoundaryMode::kClamp),
-                   {{"Input", "in"}});
-    }
-    std::string acc = "blur0";
-    for (int b = 1; b < 8; ++b) {
-      const std::string merged = "merge" + std::to_string(b);
-      graph.Kernel(merged, ops::PyramidDetailSource(),
-                   {{"U", acc}, {"Fine", "blur" + std::to_string(b)}});
-      acc = merged;
-    }
-    graph.Output(acc);
-    sim::TraceSink trace;
-    GraphOptions options;
-    options.workers = workers;
-    options.run.trace = &trace;
-    HostImage<float>& out = workers == 1 ? serial : parallel;
-    ASSERT_TRUE(graph.Run({{"in", &in}}, {{acc, &out}}, options).ok());
-    // Rerun on the same graph: the pool must serve every intermediate from
-    // the free list regardless of which worker released it.
-    const long long allocs = trace.counter("bufpool.alloc");
-    ASSERT_TRUE(graph.Run({{"in", &in}}, {{acc, &out}}, options).ok());
-    EXPECT_EQ(trace.counter("bufpool.alloc"), allocs);
-    EXPECT_GT(graph.pool().reuse_count(), 0);
+  // A wide fan-out/fan-in DAG: eight independent blur branches (3x3 and 5x5
+  // clamp Gaussians, so halo 1 and 2 with nine region programs each)
+  // feeding a reduction chain of point stages. With workers > 1 the branches
+  // execute concurrently and each host stage's rows run as bands on several
+  // workers, releasing intermediates back to the shared BufferPool from
+  // different threads; pixels must still match the serial run and the
+  // simulator bit for bit. Bands cut 67x45 unevenly, and 64x9 has fewer rows
+  // than one band.
+  struct Extent {
+    int width, height;
+  };
+  for (const Extent extent : {Extent{48, 40}, Extent{67, 45}, Extent{64, 9}}) {
+    const int w = extent.width, h = extent.height;
+    const HostImage<float> in = MakeNoiseImage(w, h, 21);
+    const auto run = [&](int workers, GraphOptions::Executor executor) {
+      PipelineGraph graph;
+      graph.Source("in", w, h);
+      for (int b = 0; b < 8; ++b) {
+        const std::string name = "blur" + std::to_string(b);
+        graph.Kernel(name,
+                     ops::GaussianSource(b % 2 == 0 ? 3 : 5, 1.0f + 0.1f * b,
+                                         ast::BoundaryMode::kClamp),
+                     {{"Input", "in"}});
+      }
+      std::string acc = "blur0";
+      for (int b = 1; b < 8; ++b) {
+        const std::string merged = "merge" + std::to_string(b);
+        graph.Kernel(merged, ops::PyramidDetailSource(),
+                     {{"U", acc}, {"Fine", "blur" + std::to_string(b)}});
+        acc = merged;
+      }
+      graph.Output(acc);
+      sim::TraceSink trace;
+      GraphOptions options;
+      options.workers = workers;
+      options.executor = executor;
+      options.run.trace = &trace;
+      HostImage<float> out(w, h);
+      EXPECT_TRUE(graph.Run({{"in", &in}}, {{acc, &out}}, options).ok());
+      // Rerun on the same graph: the pool must serve every intermediate from
+      // the free list regardless of which worker released it.
+      const long long allocs = trace.counter("bufpool.alloc");
+      EXPECT_TRUE(graph.Run({{"in", &in}}, {{acc, &out}}, options).ok());
+      EXPECT_EQ(trace.counter("bufpool.alloc"), allocs);
+      EXPECT_GT(graph.pool().reuse_count(), 0);
+      EXPECT_EQ(graph.pool().live_count(), 0);
+      if (executor == GraphOptions::Executor::kAuto) {
+        EXPECT_EQ(trace.counter("graph.launches.sim"), 0);
+      }
+      return out;
+    };
+    const HostImage<float> serial = run(1, GraphOptions::Executor::kAuto);
+    EXPECT_EQ(MaxAbsDiff(serial, run(4, GraphOptions::Executor::kSimulator)),
+              0.0)
+        << w << "x" << h << " on the simulator";
+    for (const int workers : {2, 3, 4, 7, 8})
+      EXPECT_EQ(MaxAbsDiff(serial, run(workers, GraphOptions::Executor::kAuto)),
+                0.0)
+          << w << "x" << h << " on " << workers << " workers";
   }
-  EXPECT_EQ(MaxAbsDiff(serial, parallel), 0.0);
 }
 
 }  // namespace

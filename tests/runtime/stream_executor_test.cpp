@@ -2,7 +2,8 @@
 // graph path (serial and overlap windows, every boundary mode), cross-frame
 // aliasing stress at full window depth, in-order retirement, per-epoch
 // profile batching, streaming CLI flags, failure propagation from the
-// bind/retire callbacks, and the throughput model's failure path.
+// bind/retire callbacks and from a stage failing beside running row bands,
+// and the throughput model's failure path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -408,6 +409,59 @@ TEST(StreamExecutorTest, BinderFailureMidWindowStopsRetirement) {
       EXPECT_EQ(trace.counter("bufpool.alloc"), allocs);
     }
     allocs = trace.counter("bufpool.alloc");
+    EXPECT_EQ(graph.pool().live_count(), 0);
+  }
+}
+
+// A stage the host executor rejects (scratchpad staging) fails while a
+// sibling host stage's row bands run on other workers, with two frames in
+// flight. The run fails naming the rejected stage, no frame retires after
+// the error, and the bands that were running finish and return every buffer.
+TEST(StreamExecutorTest, StageFailureBesideRunningBandsReturnsEveryBuffer) {
+  constexpr int kWidth = 64, kHeight = 512;
+  runtime::PipelineGraph graph;
+  graph.Source("in", kWidth, kHeight)
+      .Kernel("scaled", ops::ScaleOffsetSource(), {{"Input", "in"}},
+              {{"scale", 2.0}, {"offset", 0.0}})
+      .Kernel("shifted", ops::ScaleOffsetSource(), {{"Input", "in"}},
+              {{"scale", 1.0}, {"offset", 1.0}})
+      .Kernel("blur", ops::GaussianSource(3, 1.0f, ast::BoundaryMode::kClamp),
+              {{"Input", "shifted"}})
+      .Output("scaled")
+      .Output("blur");
+  runtime::GraphOptions options = StreamGraphOptions();
+  options.fuse = compiler::FusionMode::kOff;
+  options.executor = runtime::GraphOptions::Executor::kHost;
+  options.run.with_scratchpad();
+  runtime::StreamOptions sopts;
+  sopts.mode = runtime::StreamMode::kOverlap;
+  sopts.in_flight = 2;
+
+  const HostImage<float> in = MakeNoiseImage(kWidth, kHeight, 3);
+  HostImage<float> scaled(kWidth, kHeight), blur(kWidth, kHeight);
+  // The interleaving of the failure with the bands varies run to run.
+  for (int round = 0; round < 5; ++round) {
+    runtime::StreamExecutor executor(graph, options, sopts);
+    std::vector<long long> retired;
+    const Status run = executor.Run(
+        4,
+        [&](long long, runtime::PipelineGraph::InputBindings* inputs,
+            runtime::PipelineGraph::OutputBindings* outputs) {
+          inputs->assign({{"in", &in}});
+          outputs->assign({{"scaled", &scaled}, {"blur", &blur}});
+          return Status::Ok();
+        },
+        [&](long long frame) {
+          retired.push_back(frame);
+          return Status::Ok();
+        });
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.code(), StatusCode::kUnimplemented);
+    EXPECT_NE(run.message().find("'blur'"), std::string::npos)
+        << run.message();
+    EXPECT_TRUE(retired.empty());
+    EXPECT_EQ(executor.stats().frames, 0);
+    EXPECT_EQ(graph.pool().live_count(), 0);
   }
 }
 

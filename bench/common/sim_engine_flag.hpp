@@ -14,7 +14,8 @@ namespace hipacc::bench {
 inline support::CliParser& RegisterSimEngineFlag(support::CliParser& cli) {
   return cli.Value("sim-engine", "ENGINE",
                    "simulator engine: bytecode (default), ast, or native "
-                   "(jit-compiled host code, threaded-VM fallback)",
+                   "(jit-compiled host code for kernels that fuse, VM "
+                   "otherwise)",
                    [](const std::string& value) -> Status {
                      Result<sim::ExecEngine> engine =
                          sim::ParseExecEngine(value);

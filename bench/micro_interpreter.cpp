@@ -4,8 +4,10 @@
 // kernels. Reports ns/pixel (wall-clock of the simulator itself, not
 // modelled device time) so the engines' dispatch overhead is directly
 // comparable; the bytecode rows should be well under half the AST rows and
-// the native rows well under the bytecode rows. Native rows tier up during
-// a warm-up launch, so the measured loop never includes the toolchain.
+// the native rows well under the bytecode rows, except Bilateral9: its
+// runtime-bounded loops do not fuse, so its native row runs the VM. Native
+// rows tier up during a warm-up launch, so the measured loop never
+// includes the toolchain.
 // Run with --benchmark_filter=Engine to see just the comparison.
 #include <benchmark/benchmark.h>
 

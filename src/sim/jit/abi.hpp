@@ -18,7 +18,7 @@ namespace hipacc::sim::jit {
 /// only the device's warp_size are live (trailing mask lanes stay zero).
 inline constexpr int kJitMaxWarp = 64;
 
-inline constexpr int kJitAbiVersion = 1;
+inline constexpr int kJitAbiVersion = 2;
 
 /// Memory-instruction kinds reported through JitWarpCtx::mem_access.
 inline constexpr int kJitMemGlobalRead = 0;
@@ -60,10 +60,10 @@ using JitMemAccessFn = void (*)(void* host, int kind,
                                 const unsigned long long* addrs, int count);
 
 /// Warp-call context. The generated function executes one warp of one
-/// region program: registers and masks live in host-owned arrays of
-/// kJitMaxWarp lanes per slot, metric deltas are accumulated into the
-/// pointed-to counters, and every memory instruction reports its coalesced
-/// address list through mem_access.
+/// region program: the parameter registers and the active mask live in
+/// host-owned arrays of kJitMaxWarp lanes, metric deltas are accumulated
+/// into the pointed-to counters, and every memory instruction reports its
+/// coalesced address list through mem_access.
 struct JitWarpCtx {
   int warp_size = 0;
 
@@ -87,13 +87,12 @@ struct JitWarpCtx {
   double image_w = 0.0;
   double image_h = 0.0;
 
-  // Register file: num_regs slots of kJitMaxWarp doubles; reg_types holds
-  // the runtime ScalarType tag per slot (raw enum value).
-  double* regs = nullptr;
-  unsigned char* reg_types = nullptr;
-  // Mask file: num_masks slots of kJitMaxWarp bytes; slot 0 is the warp
-  // active mask.
-  unsigned char* masks = nullptr;
+  // Register file: num_regs slots of kJitMaxWarp doubles, of which the
+  // generated code reads only the scalar parameter slots (every other
+  // value lives in locals of the lane loop).
+  const double* regs = nullptr;
+  // The warp active mask: kJitMaxWarp bytes.
+  const unsigned char* masks = nullptr;
 
   // Scratchpad tile of the current block.
   const float* tile = nullptr;

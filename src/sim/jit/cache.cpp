@@ -23,7 +23,9 @@ void JitCache::ResetForTesting() {
 
 JitCache::Outcome JitCache::GetOrCompile(const ProgramSet& ps) {
   Outcome out;
-  EmittedSource emitted = EmitNativeSource(ps);
+  std::optional<EmittedSource> fused = EmitNativeSource(ps);
+  if (!fused) return out;
+  const EmittedSource& emitted = *fused;
 
   support::Fnv1a key;
   key.Mix(emitted.source);
@@ -32,7 +34,6 @@ JitCache::Outcome JitCache::GetOrCompile(const ProgramSet& ps) {
   const std::uint64_t digest = key.digest();
 
   std::shared_ptr<Entry> entry;
-  bool owner = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
     auto& bucket = map_[digest];
@@ -42,7 +43,6 @@ JitCache::Outcome JitCache::GetOrCompile(const ProgramSet& ps) {
       entry = std::make_shared<Entry>();
       entry->source = emitted.source;
       bucket.push_back(entry);
-      owner = true;
     } else {
       // In-flight deduplication: wait for the compiling thread.
       cv_.wait(lock, [&] { return entry->done; });
@@ -72,7 +72,6 @@ JitCache::Outcome JitCache::GetOrCompile(const ProgramSet& ps) {
     for (const auto& si : emitted.symbols) {
       NativeProgram::Entry e;
       e.region = si.region;
-      e.fused = si.fused;
       e.fn = reinterpret_cast<JitWarpFn>(
           native->module->Sym(si.symbol.c_str()));
       if (!e.fn) {
@@ -121,7 +120,6 @@ JitCache::Outcome JitCache::GetOrCompile(const ProgramSet& ps) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     entry->done = true;
-    entry->failed = !error.empty();
     entry->error = error;
     entry->program = program;
   }
@@ -142,14 +140,14 @@ const NativeProgram* AcquireNative(const ProgramSet& ps, int threshold,
     return fast;
   }
   if (ts->phase.load(std::memory_order_relaxed) == 2) {
-    if (trace) trace->IncrementCounter("jit.threaded");
+    if (trace) trace->IncrementCounter("jit.vm");
     return nullptr;
   }
 
   const std::uint64_t launch =
       ts->launches.fetch_add(1, std::memory_order_relaxed) + 1;
   if (launch < static_cast<std::uint64_t>(threshold > 0 ? threshold : 1)) {
-    if (trace) trace->IncrementCounter("jit.threaded");
+    if (trace) trace->IncrementCounter("jit.vm");
     return nullptr;
   }
 
@@ -159,7 +157,7 @@ const NativeProgram* AcquireNative(const ProgramSet& ps, int threshold,
     return fast;
   }
   if (ts->phase.load(std::memory_order_relaxed) == 2) {
-    if (trace) trace->IncrementCounter("jit.threaded");
+    if (trace) trace->IncrementCounter("jit.vm");
     return nullptr;
   }
 
@@ -170,13 +168,15 @@ const NativeProgram* AcquireNative(const ProgramSet& ps, int threshold,
     if (outcome.disk_stored) trace->IncrementCounter("cache.disk.store");
   }
   if (!outcome.program) {
+    // Latched either way. An empty error means the set does not fuse, which
+    // is not a failure: the VM is simply its executor.
     ts->phase.store(2, std::memory_order_release);
-    if (trace) {
-      trace->IncrementCounter("jit.error");
-      trace->IncrementCounter("jit.threaded");
+    if (trace) trace->IncrementCounter("jit.vm");
+    if (!outcome.error.empty()) {
+      if (trace) trace->IncrementCounter("jit.error");
+      LogWarn("native tier unavailable for " + ps.kernel_name + ": " +
+              outcome.error + " — staying on the VM");
     }
-    LogWarn("native tier unavailable for " + ps.kernel_name + ": " +
-            outcome.error + " — staying on the threaded VM");
     return nullptr;
   }
   ts->program = outcome.program;

@@ -10,9 +10,10 @@
 //    under the same identity, so a warm second process pays a dlopen
 //    instead of a toolchain run ("cache.disk.*" counters).
 //  - TierState: per-ProgramSet tiering (hung off ProgramSet::jit_state, so
-//    the PR 2 target-level compilation cache shares it for free). Counts
+//    the target-level compilation cache shares it for free). Counts
 //    launches, flips to the native program at the configured threshold, and
-//    latches failure so a broken toolchain is probed exactly once.
+//    latches the VM when the set does not fuse or the toolchain fails, so a
+//    broken toolchain is probed exactly once.
 #pragma once
 
 #include <atomic>
@@ -42,10 +43,6 @@ struct NativeProgram {
   struct Entry {
     ast::Region region = ast::Region::kInterior;
     JitWarpFn fn = nullptr;
-    /// Lane-fused emission: binding checks hoisted ahead of all side
-    /// effects — the runner pre-checks bindings and falls back to the VM
-    /// for launches that would error mid-program (see native_runner.cpp).
-    bool fused = false;
   };
   std::vector<Entry> fns;
 
@@ -60,7 +57,8 @@ struct NativeProgram {
 /// every Simulator (and exploration lane) holding the same ProgramSet.
 struct TierState {
   std::atomic<std::uint64_t> launches{0};
-  /// 0 = cold (VM), 1 = native ready, 2 = failed (VM forever).
+  /// 0 = cold (VM), 1 = native ready, 2 = latched to the VM (the set does
+  /// not fuse, or the toolchain failed).
   std::atomic<int> phase{0};
   std::mutex mu;
   std::shared_ptr<const NativeProgram> program;  // guarded by mu
@@ -76,6 +74,9 @@ class JitCache {
  public:
   static JitCache& Instance();
 
+  /// `program` is null either on failure (`error` set) or, with an empty
+  /// `error`, when some region program of the set does not fuse: then
+  /// nothing was emitted, compiled or cached.
   struct Outcome {
     std::shared_ptr<const NativeProgram> program;
     bool compiled = false;  ///< this call invoked the toolchain
@@ -88,7 +89,8 @@ class JitCache {
   };
 
   /// Returns the cached module for `ps` or compiles it (deduplicating
-  /// concurrent requests for the same key).
+  /// concurrent requests for the same key). A set that does not fuse never
+  /// reaches the toolchain.
   Outcome GetOrCompile(const ProgramSet& ps);
 
   /// Toolchain invocations since process start / last reset (tests).
@@ -99,7 +101,6 @@ class JitCache {
   struct Entry {
     std::string source;  // canonical identity (collision guard)
     bool done = false;
-    bool failed = false;
     std::string error;
     std::shared_ptr<const NativeProgram> program;
   };
@@ -113,9 +114,10 @@ class JitCache {
 
 /// The tiering decision for one launch with engine == kNative. Counts the
 /// launch, compiles through JitCache once the threshold is reached, and
-/// returns the native program when ready (else nullptr: run the threaded
-/// VM). Emits jit.hit / jit.compile / jit.cache_hit / jit.threaded /
-/// jit.error trace counters on `trace` when attached.
+/// returns the native program when ready (else nullptr: run the VM). A set
+/// that does not fuse is latched to the VM without an error or a warning.
+/// Emits jit.hit / jit.compile / jit.cache_hit / jit.vm / jit.error trace
+/// counters on `trace` when attached.
 const NativeProgram* AcquireNative(const ProgramSet& ps, int threshold,
                                    TraceSink* trace);
 

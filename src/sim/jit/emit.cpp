@@ -41,8 +41,8 @@ std::string FLit(float v) {
 }
 
 /// The self-contained prelude shared by every generated TU: bit-literal
-/// constructors, the runtime type conversion, mask scan, boundary
-/// resolution (textually equivalent to dsl::ResolveBoundaryIndex +
+/// constructors, the runtime type conversion, boundary resolution
+/// (textually equivalent to dsl::ResolveBoundaryIndex +
 /// vm.cpp::ResolveCoord), and the RAII metric flusher. ScalarType /
 /// BoundaryMode enum values are baked as integers; the fingerprint pins
 // the encoding so an enum reorder invalidates cached objects.
@@ -66,12 +66,6 @@ static inline double jit_conv(double v, int to) {
     case 1: return v != 0.0 ? 1.0 : 0.0;
     default: return 0.0;
   }
-}
-static inline double jit_as_f(double v) { return (double)(float)v; }
-static inline int jit_any(const unsigned char* m) {
-  for (int i = 0; i < 64; ++i)
-    if (m[i]) return 1;
-  return 0;
 }
 // dsl::ResolveBoundaryIndex with BoundaryMode baked:
 // 0=undefined 1=repeat 2=clamp 3=mirror 4=constant.
@@ -120,8 +114,6 @@ struct JitFlush {
     *c->insns += n;
   }
 };
-#define JR(k) (regs + (k) * 64)
-#define JM(k) (mks + (k) * 64)
 )jit";
 
 /// Emits the body of one region program as one extern "C" function.
@@ -130,30 +122,20 @@ class FnEmitter {
   FnEmitter(const ProgramSet& ps, const Program& prog, std::string& out)
       : ps_(ps), prog_(prog), out_(out) {}
 
-  void Emit(const std::string& symbol) {
-    CollectLabels();
-    AnalyzeFusion();
+  /// Appends the region program as one extern "C" function and returns
+  /// true, or appends nothing and returns false when the program does not
+  /// fuse (AnalyzeFusion).
+  bool Emit(const std::string& symbol) {
+    if (!AnalyzeFusion()) return false;
     out_ += StrFormat(
         "\nextern \"C\" int %s(hipacc::sim::jit::JitWarpCtx* ctx) {\n",
         symbol.c_str());
-    if (fused_)
-      EmitFusedBody();
-    else
-      EmitVectorBody();
+    EmitFusedBody();
     out_ += "}\n";
+    return true;
   }
-
-  bool fused() const { return fused_; }
 
  private:
-  void CollectLabels() {
-    for (const Insn& I : prog_.code)
-      if ((I.op == Op::kJumpIfNone || I.op == Op::kLoopHead ||
-           I.op == Op::kLoopInc) &&
-          I.jump >= 0)
-        labels_.insert(I.jump);
-  }
-
   /// Lane fusion requires the executed instruction sequence to be the same
   /// for every warp, so the emitter can replay it statically. Divergent
   /// jumps (kJumpIfNone) are rejected outright. Counted loops are admitted
@@ -166,16 +148,15 @@ class FnEmitter {
   /// order, which would reorder a read-after-write through global memory
   /// within one warp (stores themselves are deferred to program order, so
   /// store/store is safe).
-  void AnalyzeFusion() {
-    fused_ = false;
+  bool AnalyzeFusion() {
     std::set<int> loaded, stored;
     for (const Insn& I : prog_.code) {
-      if (I.op == Op::kJumpIfNone) return;
+      if (I.op == Op::kJumpIfNone) return false;
       if (I.op == Op::kLoadImage) loaded.insert(I.buffer);
       if (I.op == Op::kStore) stored.insert(I.buffer);
     }
     for (int b : loaded)
-      if (stored.count(b)) return;
+      if (stored.count(b)) return false;
 
     // Static walk. `known` tracks registers whose double value is fully
     // determined at emit time (constants and copies/increments thereof);
@@ -193,10 +174,8 @@ class FnEmitter {
     std::int32_t pc = 0;
     while (pc != n) {
       if (pc < 0 || pc > n ||
-          static_cast<int>(schedule_.size()) >= kMaxFusedSteps) {
-        schedule_.clear();
-        return;
-      }
+          static_cast<int>(schedule_.size()) >= kMaxFusedSteps)
+        return false;
       const Insn& I = prog_.code[static_cast<std::size_t>(pc)];
       switch (I.op) {
         case Op::kConst:
@@ -215,10 +194,8 @@ class FnEmitter {
           // (the runner skips them, as does the VM), so a uniform-true
           // condition chain rooted at slot 0 guarantees `any` is set and
           // the VM takes the same branch the walk takes here.
-          if (!uniform.count(I.mask) || !known[I.a].ok || !known[I.b].ok) {
-            schedule_.clear();
-            return;
-          }
+          if (!uniform.count(I.mask) || !known[I.a].ok || !known[I.b].ok)
+            return false;
           const bool live = known[I.a].v <= known[I.b].v;
           schedule_.push_back({pc, !live});
           if (live) {
@@ -256,578 +233,7 @@ class FnEmitter {
           break;
       }
     }
-    fused_ = true;
-  }
-
-  void EmitVectorBody() {
-    // The register/mask/type files are function-local: unlike the VM's
-    // persistent scratch they never escape this frame (only addrs arrays
-    // and stored pixels do), so the optimizer can keep whole def-use
-    // chains in machine registers and vectorize across instructions. This
-    // is sound because compiled programs write every register/mask slot
-    // before reading it (the same invariant the VM's reused thread-local
-    // scratch depends on); only the externally seeded state — the warp
-    // active mask (slot 0) and the scalar parameter registers — is copied
-    // in from the host context.
-    const int num_regs = prog_.num_regs > 0 ? prog_.num_regs : 1;
-    const int num_masks = prog_.num_masks > 0 ? prog_.num_masks : 1;
-    out_ += StrFormat(
-        "  const int W = ctx->warp_size;\n"
-        "  double regs[%d * 64];\n"
-        "  unsigned char rt[%d];\n"
-        "  unsigned char mks[%d * 64];\n"
-        "  std::memset(rt, 4, sizeof(rt));\n"
-        "  std::memset(mks, 0, sizeof(mks));\n"
-        "  std::memcpy(mks, ctx->masks, 64);\n",
-        num_regs, num_regs, num_masks);
-    for (const ParamSeed& p : prog_.params)
-      out_ += StrFormat(
-          "  std::memcpy(regs + %d * 64, ctx->regs + %d * 64,"
-          " 64 * sizeof(double));"
-          " rt[%d] = %d;\n",
-          static_cast<int>(p.reg), static_cast<int>(p.reg),
-          static_cast<int>(p.reg), static_cast<int>(p.type));
-    out_ +=
-        "  JitFlush fl(ctx);\n"
-        "  (void)W; (void)regs; (void)rt; (void)mks;\n";
-    const std::int32_t n = static_cast<std::int32_t>(prog_.code.size());
-    for (std::int32_t pc = 0; pc < n; ++pc) {
-      if (labels_.count(pc)) out_ += StrFormat("L%d:;\n", pc);
-      EmitInsn(pc, prog_.code[static_cast<std::size_t>(pc)]);
-    }
-    if (labels_.count(n)) out_ += StrFormat("L%d:;\n", n);
-    out_ += "  return 0;\n";
-  }
-
-  /// One coordinate operand materialised into a stack array, dispatch baked
-  /// (vm.cpp CoordLanes). `mk` must be in scope for register coordinates.
-  void EmitCoord(const Coord& c, const char* arr) {
-    switch (c.kind) {
-      case CoordKind::kReg:
-        out_ += StrFormat(
-            "  { const double* rv = JR(%u);\n"
-            "    for (int l = 0; l < W; ++l) %s[l] = mk[l] ? (int)rv[l] : 0; "
-            "}\n",
-            c.reg, arr);
-        break;
-      case CoordKind::kGidX:
-      case CoordKind::kGidY:
-      case CoordKind::kTidX:
-      case CoordKind::kTidY: {
-        const char* src = c.kind == CoordKind::kGidX   ? "gid_xi"
-                          : c.kind == CoordKind::kGidY ? "gid_yi"
-                          : c.kind == CoordKind::kTidX ? "tid_xi"
-                                                       : "tid_yi";
-        out_ += StrFormat(
-            "  for (int l = 0; l < W; ++l) %s[l] = ctx->%s[l] + (%d);\n", arr,
-            src, c.off);
-        break;
-      }
-      case CoordKind::kImm:
-        out_ += StrFormat("  for (int l = 0; l < W; ++l) %s[l] = %d;\n", arr,
-                          c.off);
-        break;
-    }
-  }
-
-  void EmitInsn(std::int32_t pc, const Insn& I) {
-    out_ += StrFormat("  // [%d]\n", pc);
-    out_ += "  ++fl.n;";
-    if (I.alu_cost) out_ += StrFormat(" fl.alu += %uu;", I.alu_cost);
-    if (I.sfu_cost) out_ += StrFormat(" fl.sfu += %uu;", I.sfu_cost);
-    out_ += "\n";
-    const int T = TypeCode(I.type);
-    switch (I.op) {
-      case Op::kConst:
-        out_ += StrFormat(
-            "  { double* d = JR(%u); rt[%u] = %d;\n"
-            "    for (int l = 0; l < W; ++l) d[l] = %s; }\n",
-            I.dst, I.dst, T, DLit(I.imm).c_str());
-        break;
-      case Op::kCopy:
-        if (I.dst == I.a) {
-          out_ += StrFormat("  rt[%u] = rt[%u];\n", I.dst, I.a);
-        } else {
-          out_ += StrFormat(
-              "  { const double* s = JR(%u); double* d = JR(%u); rt[%u] = "
-              "rt[%u];\n"
-              "    for (int l = 0; l < W; ++l) d[l] = s[l]; }\n",
-              I.a, I.dst, I.dst, I.a);
-        }
-        break;
-      case Op::kConvert:
-        if (I.dst == I.a) {
-          out_ += StrFormat(
-              "  { double* d = JR(%u);\n"
-              "    if (rt[%u] != %d)\n"
-              "      for (int l = 0; l < W; ++l) d[l] = jit_conv(d[l], %d);\n"
-              "    rt[%u] = %d; }\n",
-              I.dst, I.a, T, T, I.dst, T);
-        } else {
-          out_ += StrFormat(
-              "  { const double* s = JR(%u); double* d = JR(%u);\n"
-              "    if (rt[%u] == %d) {\n"
-              "      for (int l = 0; l < W; ++l) d[l] = s[l];\n"
-              "    } else {\n"
-              "      for (int l = 0; l < W; ++l) d[l] = jit_conv(s[l], %d);\n"
-              "    }\n"
-              "    rt[%u] = %d; }\n",
-              I.a, I.dst, I.a, T, T, I.dst, T);
-        }
-        break;
-      case Op::kUnary: {
-        const char* body =
-            static_cast<UnaryOp>(I.sub) == UnaryOp::kNot
-                ? "d[l] = s[l] == 0.0 ? 1.0 : 0.0;"
-                : (I.type == ScalarType::kFloat
-                       ? "d[l] = (double)(-(float)s[l]);"
-                       : "d[l] = -s[l];");
-        out_ += StrFormat(
-            "  { const double* s = JR(%u); double* d = JR(%u);\n"
-            "    for (int l = 0; l < W; ++l) %s\n"
-            "    rt[%u] = %d; }\n",
-            I.a, I.dst, body, I.dst, T);
-        break;
-      }
-      case Op::kBinary:
-        EmitBinary(I);
-        break;
-      case Op::kSelect:
-        out_ += StrFormat(
-            "  { const double* c = JR(%u); const double* t = JR(%u);\n"
-            "    const double* f = JR(%u); double* d = JR(%u);\n"
-            "    for (int l = 0; l < W; ++l) {\n"
-            "      const double cv = c[l]; const double tv = t[l];\n"
-            "      const double fv = f[l];\n"
-            "      d[l] = cv != 0.0 ? tv : fv;\n"
-            "    }\n"
-            "    rt[%u] = %d; }\n",
-            I.a, I.b, I.c, I.dst, I.dst, T);
-        break;
-      case Op::kCall:
-        EmitCall(I);
-        break;
-      case Op::kThreadIdx:
-        EmitThreadIdx(I);
-        break;
-      case Op::kAssign:
-        EmitAssign(I);
-        break;
-      case Op::kLoadImage:
-        EmitLoadImage(I);
-        break;
-      case Op::kLoadShared:
-        out_ += StrFormat(
-            "  { double* d = JR(%u); const unsigned char* mk = JM(%u);\n"
-            "  int cxs[64]; int cys[64];\n",
-            I.dst, I.mask);
-        EmitCoord(I.cx, "cxs");
-        EmitCoord(I.cy, "cys");
-        out_ += StrFormat(
-            "  const float* tile = ctx->tile;\n"
-            "  const int tw = ctx->tile_w; const int th = ctx->tile_h;\n"
-            "  unsigned long long addrs[64]; int na = 0;\n"
-            "  for (int l = 0; l < W; ++l) {\n"
-            "    if (!mk[l]) { d[l] = 0.0; continue; }\n"
-            "    const int sx = cxs[l]; const int sy = cys[l];\n"
-            "    if (sx < 0 || sx >= tw || sy < 0 || sy >= th) {\n"
-            "      ++fl.oob; d[l] = 0.0; continue;\n"
-            "    }\n"
-            "    const unsigned long long addr =\n"
-            "        (unsigned long long)sy * tw + sx;\n"
-            "    d[l] = (double)tile[addr]; addrs[na++] = addr;\n"
-            "  }\n"
-            "  rt[%u] = 4;\n"
-            "  if (na) ctx->mem_access(ctx->host, 2, addrs, na); }\n",
-            I.dst);
-        break;
-      case Op::kLoadConst: {
-        const int width =
-            ps_.const_masks[static_cast<std::size_t>(I.buffer)].width;
-        out_ += StrFormat(
-            "  { const hipacc::sim::jit::JitMaskTable* mt = "
-            "&ctx->mask_tables[%d];\n"
-            "  if (!mt->bound) return (3 << 16) | %d;\n"
-            "  double* d = JR(%u); const unsigned char* mk = JM(%u);\n"
-            "  int cxs[64]; int cys[64];\n",
-            I.buffer, I.buffer, I.dst, I.mask);
-        EmitCoord(I.cx, "cxs");
-        EmitCoord(I.cy, "cys");
-        out_ += StrFormat(
-            "  const float* mdata = mt->data;\n"
-            "  const unsigned long long msize = mt->size;\n"
-            "  unsigned long long addrs[64]; int na = 0;\n"
-            "  for (int l = 0; l < W; ++l) {\n"
-            "    if (!mk[l]) { d[l] = 0.0; continue; }\n"
-            "    const unsigned long long addr =\n"
-            "        (unsigned long long)cys[l] * %d + cxs[l];\n"
-            "    if (addr >= msize) { ++fl.oob; d[l] = 0.0; continue; }\n"
-            "    d[l] = (double)mdata[addr]; addrs[na++] = addr;\n"
-            "  }\n"
-            "  rt[%u] = 4;\n"
-            "  if (na) ctx->mem_access(ctx->host, 3, addrs, na); }\n",
-            width, I.dst);
-        break;
-      }
-      case Op::kStore:
-        out_ += StrFormat(
-            "  { const hipacc::sim::jit::JitBuffer* buf = &ctx->buffers[%d];\n"
-            "  if (!buf->bound || !buf->writable) return (2 << 16) | %d;\n"
-            "  const double* v = JR(%u); const unsigned char* mk = JM(%u);\n"
-            "  int cxs[64]; int cys[64];\n",
-            I.buffer, I.buffer, I.a, I.mask);
-        EmitCoord(I.cx, "cxs");
-        EmitCoord(I.cy, "cys");
-        out_ +=
-            "  const int bw = buf->width; const int bh = buf->height;\n"
-            "  const int stride = buf->stride; float* data = buf->data;\n"
-            "  unsigned long long addrs[64]; int na = 0;\n"
-            "  for (int l = 0; l < W; ++l) {\n"
-            "    if (!mk[l]) continue;\n"
-            "    const int px = cxs[l]; const int py = cys[l];\n"
-            "    if (px < 0 || px >= bw || py < 0 || py >= bh) {\n"
-            "      ++fl.oob; continue;\n"
-            "    }\n"
-            "    const unsigned long long addr =\n"
-            "        (unsigned long long)py * stride + px;\n"
-            "    data[addr] = (float)v[l]; addrs[na++] = addr;\n"
-            "  }\n"
-            "  if (na) ctx->mem_access(ctx->host, 1, addrs, na); }\n";
-        break;
-      case Op::kBarrier:
-      case Op::kAccount:
-        out_ += "  ;\n";
-        break;
-      case Op::kMaskIf:
-        out_ += StrFormat(
-            "  { const double* c = JR(%u);\n"
-            "    unsigned char in[64];\n"
-            "    std::memcpy(in, JM(%u), 64);\n"
-            "    unsigned char* tm = JM(%u); unsigned char* em = JM(%u);\n"
-            "    std::memcpy(tm, in, 64); std::memcpy(em, in, 64);\n"
-            "    for (int l = 0; l < W; ++l) {\n"
-            "      const int taken = in[l] && c[l] != 0.0;\n"
-            "      tm[l] = (unsigned char)taken;\n"
-            "      em[l] = (unsigned char)(in[l] && !taken);\n"
-            "    } }\n",
-            I.a, I.mask, I.dst, I.b);
-        break;
-      case Op::kJumpIfNone:
-        out_ += StrFormat("  if (!jit_any(JM(%u))) goto L%d;\n", I.mask,
-                          I.jump);
-        break;
-      case Op::kLoopInit:
-        if (I.dst == I.a) {
-          out_ += StrFormat("  rt[%u] = 2;\n", I.dst);
-        } else {
-          out_ += StrFormat(
-              "  std::memcpy(JR(%u), JR(%u), 64 * sizeof(double)); rt[%u] = "
-              "2;\n",
-              I.dst, I.a, I.dst);
-        }
-        break;
-      case Op::kLoopHead:
-        out_ += StrFormat(
-            "  { const double* var = JR(%u); const double* hi = JR(%u);\n"
-            "    const unsigned char* in = JM(%u); unsigned char* im = "
-            "JM(%u);\n",
-            I.a, I.b, I.mask, I.dst);
-        if (I.dst != I.mask) out_ += "    std::memcpy(im, in, 64);\n";
-        out_ += StrFormat(
-            "    int any = 0;\n"
-            "    for (int l = 0; l < W; ++l) {\n"
-            "      const int live = in[l] && var[l] <= hi[l];\n"
-            "      im[l] = (unsigned char)live;\n"
-            "      any = any || live;\n"
-            "    }\n"
-            "    if (!any) goto L%d; }\n",
-            I.jump);
-        break;
-      case Op::kLoopInc:
-        out_ += StrFormat(
-            "  { double* d = JR(%u); const unsigned char* mk = JM(%u);\n"
-            "    for (int l = 0; l < W; ++l)\n"
-            "      if (mk[l]) d[l] += %s;\n"
-            "    goto L%d; }\n",
-            I.dst, I.mask, DLit(I.imm).c_str(), I.jump);
-        break;
-    }
-  }
-
-  void EmitBinary(const Insn& I) {
-    const BinaryOp op = static_cast<BinaryOp>(I.sub);
-    const int T = TypeCode(I.type);
-    out_ += StrFormat(
-        "  { const double* A = JR(%u); const double* B = JR(%u);\n"
-        "    double* D = JR(%u);\n",
-        I.a, I.b, I.dst);
-    // Promote(a, b) == kFloat iff either operand type is kFloat. Only the
-    // four arithmetic ops (and the div cost) depend on it.
-    const bool needs_fm = op == BinaryOp::kAdd || op == BinaryOp::kSub ||
-                          op == BinaryOp::kMul || op == BinaryOp::kDiv;
-    if (needs_fm)
-      out_ += StrFormat("    const int fm = rt[%u] == 4 || rt[%u] == 4;\n",
-                        I.a, I.b);
-    if (op == BinaryOp::kDiv) out_ += "    fl.alu += fm ? 5u : 16u;\n";
-    auto lanes = [&](const char* body) {
-      out_ += StrFormat(
-          "    for (int l = 0; l < W; ++l) {\n"
-          "      const double x = A[l]; const double y = B[l]; (void)y;\n"
-          "      %s\n"
-          "    }\n",
-          body);
-    };
-    switch (op) {
-      case BinaryOp::kAdd:
-      case BinaryOp::kSub:
-      case BinaryOp::kMul: {
-        const char sym = op == BinaryOp::kAdd ? '+'
-                         : op == BinaryOp::kSub ? '-'
-                                                : '*';
-        out_ += "    if (fm) {\n";
-        lanes(StrFormat("D[l] = (double)((float)x %c (float)y);", sym).c_str());
-        out_ += "    } else {\n";
-        lanes(StrFormat("D[l] = x %c y;", sym).c_str());
-        out_ += "    }\n";
-        break;
-      }
-      case BinaryOp::kDiv:
-        out_ += "    if (fm) {\n";
-        lanes("D[l] = (double)((float)x / (float)y);");
-        out_ += "    } else {\n";
-        lanes(
-            "const long long yi = (long long)y;\n"
-            "      D[l] = yi == 0 ? 0.0 : (double)((long long)x / yi);");
-        out_ += "    }\n";
-        break;
-      case BinaryOp::kMod:
-        lanes(
-            "const long long yi = (long long)y;\n"
-            "      D[l] = yi == 0 ? 0.0 : (double)((long long)x % yi);");
-        break;
-      case BinaryOp::kLt:
-        lanes("D[l] = x < y ? 1.0 : 0.0;");
-        break;
-      case BinaryOp::kLe:
-        lanes("D[l] = x <= y ? 1.0 : 0.0;");
-        break;
-      case BinaryOp::kGt:
-        lanes("D[l] = x > y ? 1.0 : 0.0;");
-        break;
-      case BinaryOp::kGe:
-        lanes("D[l] = x >= y ? 1.0 : 0.0;");
-        break;
-      case BinaryOp::kEq:
-        lanes("D[l] = x == y ? 1.0 : 0.0;");
-        break;
-      case BinaryOp::kNe:
-        lanes("D[l] = x != y ? 1.0 : 0.0;");
-        break;
-      case BinaryOp::kAnd:
-        lanes("D[l] = (x != 0.0 && y != 0.0) ? 1.0 : 0.0;");
-        break;
-      case BinaryOp::kOr:
-        lanes("D[l] = (x != 0.0 || y != 0.0) ? 1.0 : 0.0;");
-        break;
-    }
-    out_ += StrFormat("    rt[%u] = %d; }\n", I.dst, T);
-  }
-
-  // EvalBuiltinLane: float builtins compute on (float)x via the float
-  // std:: overloads (same libm entry points as the VM); min/max/abs
-  // operate on the raw double lanes.
-  static const char* BuiltinExpr(VmBuiltin fn, bool* two_out) {
-    const char* expr = "0.0";
-    bool two = false;
-    switch (fn) {
-      case VmBuiltin::kExp: expr = "(double)std::exp((float)x)"; break;
-      case VmBuiltin::kExp2: expr = "(double)std::exp2((float)x)"; break;
-      case VmBuiltin::kLog: expr = "(double)std::log((float)x)"; break;
-      case VmBuiltin::kLog2: expr = "(double)std::log2((float)x)"; break;
-      case VmBuiltin::kSqrt: expr = "(double)std::sqrt((float)x)"; break;
-      case VmBuiltin::kRsqrt:
-        expr = "(double)(1.0f / std::sqrt((float)x))";
-        break;
-      case VmBuiltin::kSin: expr = "(double)std::sin((float)x)"; break;
-      case VmBuiltin::kCos: expr = "(double)std::cos((float)x)"; break;
-      case VmBuiltin::kTan: expr = "(double)std::tan((float)x)"; break;
-      case VmBuiltin::kAtan: expr = "(double)std::atan((float)x)"; break;
-      case VmBuiltin::kAtan2:
-        expr = "(double)std::atan2((float)x, (float)y)";
-        two = true;
-        break;
-      case VmBuiltin::kPow:
-        expr = "(double)std::pow((float)x, (float)y)";
-        two = true;
-        break;
-      case VmBuiltin::kFmod:
-        expr = "(double)std::fmod((float)x, (float)y)";
-        two = true;
-        break;
-      case VmBuiltin::kFabs: expr = "(double)std::fabs((float)x)"; break;
-      case VmBuiltin::kFmin:
-        expr = "(double)std::fmin((float)x, (float)y)";
-        two = true;
-        break;
-      case VmBuiltin::kFmax:
-        expr = "(double)std::fmax((float)x, (float)y)";
-        two = true;
-        break;
-      case VmBuiltin::kFloor: expr = "(double)std::floor((float)x)"; break;
-      case VmBuiltin::kCeil: expr = "(double)std::ceil((float)x)"; break;
-      case VmBuiltin::kRound: expr = "(double)std::round((float)x)"; break;
-      case VmBuiltin::kMin:
-        expr = "std::min(x, y)";
-        two = true;
-        break;
-      case VmBuiltin::kMax:
-        expr = "std::max(x, y)";
-        two = true;
-        break;
-      case VmBuiltin::kAbs: expr = "std::fabs(x)"; break;
-    }
-    *two_out = two;
-    return expr;
-  }
-
-  void EmitCall(const Insn& I) {
-    bool two = false;
-    const char* expr = BuiltinExpr(static_cast<VmBuiltin>(I.sub), &two);
-    out_ += StrFormat(
-        "  { const double* A = JR(%u); const double* B = JR(%u);\n"
-        "    double* D = JR(%u); (void)B;\n"
-        "    for (int l = 0; l < W; ++l) {\n",
-        I.a, I.b, I.dst);
-    out_ += "      const double x = A[l];";
-    if (two) out_ += " const double y = B[l];";
-    out_ += "\n";
-    out_ += StrFormat("      D[l] = %s;\n    }\n    rt[%u] = %d; }\n", expr,
-                      I.dst, TypeCode(I.type));
-  }
-
-  void EmitThreadIdx(const Insn& I) {
-    const ThreadIndexKind kind = static_cast<ThreadIndexKind>(I.sub);
-    const char* lane_src = nullptr;
-    const char* scalar_src = nullptr;
-    switch (kind) {
-      case ThreadIndexKind::kThreadIdxX: lane_src = "tid_x"; break;
-      case ThreadIndexKind::kThreadIdxY: lane_src = "tid_y"; break;
-      case ThreadIndexKind::kGlobalIdX: lane_src = "gid_x"; break;
-      case ThreadIndexKind::kGlobalIdY: lane_src = "gid_y"; break;
-      case ThreadIndexKind::kBlockIdxX: scalar_src = "bix"; break;
-      case ThreadIndexKind::kBlockIdxY: scalar_src = "biy"; break;
-      case ThreadIndexKind::kBlockDimX: scalar_src = "block_dim_x"; break;
-      case ThreadIndexKind::kBlockDimY: scalar_src = "block_dim_y"; break;
-      case ThreadIndexKind::kGridDimX: scalar_src = "grid_dim_x"; break;
-      case ThreadIndexKind::kGridDimY: scalar_src = "grid_dim_y"; break;
-      case ThreadIndexKind::kImageW: scalar_src = "image_w"; break;
-      case ThreadIndexKind::kImageH: scalar_src = "image_h"; break;
-    }
-    if (lane_src) {
-      out_ += StrFormat(
-          "  { double* d = JR(%u);\n"
-          "    for (int l = 0; l < W; ++l) d[l] = ctx->%s[l];\n"
-          "    rt[%u] = 2; }\n",
-          I.dst, lane_src, I.dst);
-    } else {
-      out_ += StrFormat(
-          "  { double* d = JR(%u); const double v = ctx->%s;\n"
-          "    for (int l = 0; l < W; ++l) d[l] = v;\n"
-          "    rt[%u] = 2; }\n",
-          I.dst, scalar_src, I.dst);
-    }
-  }
-
-  void EmitAssign(const Insn& I) {
-    const AssignOp op = static_cast<AssignOp>(I.sub);
-    const int T = TypeCode(I.type);
-    // CombineLane's folded type: float iff the declared type is float,
-    // otherwise the integer paths (AssignLanes' kFolded).
-    const bool fm = I.type == ScalarType::kFloat;
-    const char* combine = "d[l] = rhs;";
-    switch (op) {
-      case AssignOp::kAssign:
-        break;
-      case AssignOp::kAddAssign:
-        combine = fm ? "d[l] = jit_as_f(jit_as_f(d[l]) + jit_as_f(rhs));"
-                     : "d[l] = d[l] + rhs;";
-        break;
-      case AssignOp::kSubAssign:
-        combine = fm ? "d[l] = jit_as_f(jit_as_f(d[l]) - jit_as_f(rhs));"
-                     : "d[l] = d[l] - rhs;";
-        break;
-      case AssignOp::kMulAssign:
-        combine = fm ? "d[l] = jit_as_f(jit_as_f(d[l]) * jit_as_f(rhs));"
-                     : "d[l] = d[l] * rhs;";
-        break;
-      case AssignOp::kDivAssign:
-        combine = fm ? "d[l] = jit_as_f(jit_as_f(d[l]) / jit_as_f(rhs));"
-                     : "d[l] = rhs != 0.0 ? (double)((long long)d[l] / "
-                       "(long long)rhs) : 0.0;";
-        break;
-    }
-    out_ += StrFormat(
-        "  { const double* s = JR(%u); double* d = JR(%u);\n"
-        "    const unsigned char* mk = JM(%u);\n"
-        "    const int cvt = rt[%u] != %d;\n"
-        "    for (int l = 0; l < W; ++l) {\n"
-        "      if (!mk[l]) continue;\n"
-        "      const double rhs = cvt ? jit_conv(s[l], %d) : s[l];\n"
-        "      %s\n"
-        "    } }\n",
-        I.a, I.dst, I.mask, I.a, T, T, combine);
-  }
-
-  void EmitLoadImage(const Insn& I) {
-    const bool tex = I.sub == 1;
-    const bool hw = I.hw_bh || tex;
-    const int mode = static_cast<int>(I.boundary);
-    out_ += StrFormat(
-        "  { const hipacc::sim::jit::JitBuffer* buf = &ctx->buffers[%d];\n"
-        "  if (!buf->bound) return (1 << 16) | %d;\n"
-        "  double* d = JR(%u); const unsigned char* mk = JM(%u);\n"
-        "  int cxs[64]; int cys[64];\n",
-        I.buffer, I.buffer, I.dst, I.mask);
-    EmitCoord(I.cx, "cxs");
-    EmitCoord(I.cy, "cys");
-    out_ +=
-        "  const int bw = buf->width; const int bh = buf->height;\n"
-        "  const int stride = buf->stride; const float* data = buf->data;\n"
-        "  unsigned long long addrs[64]; int na = 0;\n"
-        "  for (int l = 0; l < W; ++l) {\n"
-        "    if (!mk[l]) { d[l] = 0.0; continue; }\n"
-        "    const int cx = cxs[l]; const int cy = cys[l];\n"
-        "    if ((unsigned)cx < (unsigned)bw && (unsigned)cy < (unsigned)bh) "
-        "{\n"
-        "      const unsigned long long addr =\n"
-        "          (unsigned long long)cy * stride + cx;\n"
-        "      d[l] = (double)data[addr]; addrs[na++] = addr; continue;\n"
-        "    }\n";
-    if (I.boundary == BoundaryMode::kConstant && !I.hw_bh) {
-      out_ += StrFormat(
-          "    {\n"
-          "      const int oob_x = (cx < 0 && %d) || (cx >= bw && %d);\n"
-          "      const int oob_y = (cy < 0 && %d) || (cy >= bh && %d);\n"
-          "      if (oob_x || oob_y) { d[l] = (double)%s; continue; }\n"
-          "    }\n",
-          I.checks.lo_x ? 1 : 0, I.checks.hi_x ? 1 : 0, I.checks.lo_y ? 1 : 0,
-          I.checks.hi_y ? 1 : 0, FLit(I.cvalue).c_str());
-    }
-    out_ += StrFormat(
-        "    int violation = 0;\n"
-        "    const int rx = jit_resolve(cx, bw, %d, %d, %d, %d, &violation);\n"
-        "    const int ry = jit_resolve(cy, bh, %d, %d, %d, %d, &violation);\n"
-        "    if (violation) ++fl.oob;\n"
-        "    if (rx < 0 || ry < 0) { d[l] = (double)%s; continue; }\n"
-        "    const unsigned long long addr =\n"
-        "        (unsigned long long)ry * stride + rx;\n"
-        "    d[l] = (double)data[addr]; addrs[na++] = addr;\n"
-        "  }\n"
-        "  rt[%u] = 4;\n"
-        "  if (na) ctx->mem_access(ctx->host, %d, addrs, na); }\n",
-        mode, I.checks.lo_x ? 1 : 0, I.checks.hi_x ? 1 : 0, hw ? 1 : 0, mode,
-        I.checks.lo_y ? 1 : 0, I.checks.hi_y ? 1 : 0, hw ? 1 : 0,
-        FLit(I.cvalue).c_str(), I.dst, tex ? 4 : 0);
+    return true;
   }
 
   // ---- lane-fused emission ------------------------------------------------
@@ -1494,17 +900,15 @@ class FnEmitter {
   const ProgramSet& ps_;
   const Program& prog_;
   std::string& out_;
-  std::set<std::int32_t> labels_;
-  bool fused_ = true;
   /// One executed instruction in the fused schedule; `exit` marks the
   /// final (condition-false) evaluation of a kLoopHead.
   struct Step {
     std::int32_t pc;
     bool exit;
   };
-  /// Unroll budget: programs whose executed sequence exceeds this fall back
-  /// to the per-insn vector body (keeps generated TUs and host-compile
-  /// times bounded).
+  /// Unroll budget: programs whose executed sequence exceeds this do not
+  /// fuse, so their set stays on the VM (keeps generated TUs and
+  /// host-compile times bounded).
   static constexpr int kMaxFusedSteps = 8192;
   std::vector<Step> schedule_;
   std::vector<int> ty_;
@@ -1569,7 +973,7 @@ unsigned long long ProgramFingerprint(const ProgramSet& ps) {
   return h.digest();
 }
 
-EmittedSource EmitNativeSource(const ProgramSet& ps) {
+std::optional<EmittedSource> EmitNativeSource(const ProgramSet& ps) {
   EmittedSource out;
   support::Fnv1a h;
   h.Mix(static_cast<std::uint64_t>(ProgramFingerprint(ps)));
@@ -1588,9 +992,8 @@ EmittedSource EmitNativeSource(const ProgramSet& ps) {
   for (const Program& prog : ps.programs) {
     const std::string symbol =
         StrFormat("hipacc_jit_%s_r%d", tag.c_str(), static_cast<int>(prog.region));
-    FnEmitter fe(ps, prog, out.source);
-    fe.Emit(symbol);
-    out.symbols.push_back({prog.region, symbol, fe.fused()});
+    if (!FnEmitter(ps, prog, out.source).Emit(symbol)) return std::nullopt;
+    out.symbols.push_back({prog.region, symbol});
   }
   return out;
 }

@@ -1,22 +1,24 @@
 // C++ source emitter for the native tier: partial evaluation of the
-// bytecode VM over one ProgramSet. Every instruction's handler body is
-// emitted with its fields (opcode, sub-op, types, coordinates, boundary
-// mode, guard set, costs, immediates) baked in as constants.
+// bytecode VM over one ProgramSet, with every instruction's fields (opcode,
+// sub-op, types, coordinates, boundary mode, guard set, costs, immediates)
+// baked in as constants.
 //
-// Two emission modes per region program:
-//  - Fused (label-free programs whose loaded and stored buffers are
-//    disjoint): one loop over lanes executes the whole instruction chain in
-//    scalar locals, with register *types* resolved statically at emit time
-//    (type tags are data-independent in straight-line code). Memory-model
-//    address lists are buffered per instruction during the lane loop and
-//    replayed after it in program order; stores are deferred the same way,
-//    so global-memory writes and model calls happen in exactly the VM's
-//    order and the results stay bit-identical.
-//  - Per-insn (programs with control flow): each instruction becomes a
-//    64-lane loop over the ABI register file, types tracked through the
-//    same runtime tag array the VM uses — textually parallel to vm.cpp.
+// Each region program becomes one lane-fused function: one loop over lanes
+// executes the whole instruction chain in scalar locals, with register
+// *types* resolved statically at emit time (type tags are data-independent
+// in straight-line code). Memory-model address lists are buffered per
+// instruction during the lane loop and replayed after it in program order;
+// stores are deferred the same way, so global-memory writes and model calls
+// happen in exactly the VM's order and the results stay bit-identical.
+//
+// Fusion needs a program whose executed sequence is the same for every warp
+// (no divergent jumps, loops with emit-time trip counts) and whose loaded
+// and stored buffers are disjoint. A set moves to native code all or
+// nothing: when any region program does not fuse, nothing is emitted and
+// the set stays on the VM.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,10 +34,6 @@ struct EmittedSource {
   struct SymbolInfo {
     ast::Region region = ast::Region::kInterior;
     std::string symbol;
-    /// Lane-fused emission: binding checks are hoisted ahead of all side
-    /// effects, so the runner must pre-check bindings and fall back to the
-    /// VM for launches that would error mid-program.
-    bool fused = false;
   };
   std::string source;
   std::vector<SymbolInfo> symbols;
@@ -46,8 +44,8 @@ struct EmittedSource {
 /// naming and as the shared-object cache identity.
 unsigned long long ProgramFingerprint(const ProgramSet& ps);
 
-/// Emits the translation unit. `symbol_prefix` scopes the exported symbol
-/// names (callers pass the fingerprint hex).
-EmittedSource EmitNativeSource(const ProgramSet& ps);
+/// Emits the translation unit, or nullopt when some region program of `ps`
+/// does not fuse. Symbol names are scoped by the program fingerprint.
+std::optional<EmittedSource> EmitNativeSource(const ProgramSet& ps);
 
 }  // namespace hipacc::sim::jit

@@ -1,12 +1,11 @@
 #include "sim/jit/native_runner.hpp"
 
+#include <algorithm>
 #include <array>
-#include <cstring>
 #include <vector>
 
 #include "sim/block_state.hpp"
 #include "sim/jit/abi.hpp"
-#include "sim/vm.hpp"
 
 namespace hipacc::sim::jit {
 namespace {
@@ -14,12 +13,9 @@ namespace {
 using ast::ScalarType;
 
 /// Per-thread scratch reused across blocks, like the VM's VmScratch: the
-/// register/mask/type files persist so the generated code sees the same
-/// write-before-read discipline the VM's thread-local register file has.
+/// parameter register file and the binding tables of the current block.
 struct NativeScratch {
   std::vector<double> regs;
-  std::vector<unsigned char> reg_types;
-  std::vector<unsigned char> masks;
   std::vector<JitBuffer> buffers;
   std::vector<JitMaskTable> mask_tables;
 };
@@ -78,41 +74,25 @@ Status MapError(const ProgramSet& ps, int rc) {
   return Status::Internal("native tier returned unknown error code");
 }
 
-/// Fused functions hoist every binding check ahead of all side effects, so
-/// a launch that would fail mid-program on the VM (partial metrics and
-/// model calls, then an error) must never reach them. Bindings are
-/// launch-level constants: either every block passes or the very first one
-/// falls back, so the conservative walk over all fused programs costs
-/// nothing on the happy path.
-bool FusedPreconditionsHold(const ProgramSet& ps, const NativeProgram& native,
-                            const Launch& launch) {
-  std::vector<std::uint8_t> buf_bound, buf_writable, mask_bound;
-  buf_bound.reserve(ps.buffer_names.size());
-  buf_writable.reserve(ps.buffer_names.size());
-  for (const auto& name : ps.buffer_names) {
-    const BufferBinding* b = launch.FindBuffer(name);
-    buf_bound.push_back(b != nullptr);
-    buf_writable.push_back(b && b->writable);
-  }
-  mask_bound.reserve(ps.const_masks.size());
-  for (const auto& ref : ps.const_masks)
-    mask_bound.push_back(launch.const_masks.count(ref.name) != 0);
+}  // namespace
 
-  for (const NativeProgram::Entry& e : native.fns) {
-    if (!e.fused) continue;
-    const Program* prog = ps.Find(e.region);
-    if (!prog) continue;
-    for (const Insn& I : prog->code) {
+bool NativeBindingsHold(const ProgramSet& ps, const Launch& launch) {
+  std::vector<const BufferBinding*> buffers;
+  buffers.reserve(ps.buffer_names.size());
+  for (const auto& name : ps.buffer_names)
+    buffers.push_back(launch.FindBuffer(name));
+  for (const Program& prog : ps.programs) {
+    for (const Insn& I : prog.code) {
       const std::size_t b = static_cast<std::size_t>(I.buffer);
       switch (I.op) {
         case Op::kLoadImage:
-          if (!buf_bound[b]) return false;
+          if (!buffers[b]) return false;
           break;
         case Op::kStore:
-          if (!buf_bound[b] || !buf_writable[b]) return false;
+          if (!buffers[b] || !buffers[b]->writable) return false;
           break;
         case Op::kLoadConst:
-          if (!mask_bound[b]) return false;
+          if (!launch.const_masks.count(ps.const_masks[b].name)) return false;
           break;
         default:
           break;
@@ -122,17 +102,12 @@ bool FusedPreconditionsHold(const ProgramSet& ps, const NativeProgram& native,
   return true;
 }
 
-}  // namespace
-
 Status RunBlockNative(const Launch& launch, const ProgramSet& ps,
                       const NativeProgram& native,
                       const hw::DeviceSpec& device, int block_x_idx,
                       int block_y_idx, Metrics* metrics,
                       std::uint64_t* executed_insns) {
   HIPACC_CHECK(launch.kernel != nullptr && metrics != nullptr);
-  if (!FusedPreconditionsHold(ps, native, launch))
-    return RunBlockBytecode(launch, ps, device, block_x_idx, block_y_idx,
-                            metrics, executed_insns, VmDispatch::kThreaded);
   BlockState st(launch, device, block_x_idx, block_y_idx, metrics);
   Result<BlockState::Plan> begun = st.Begin();
   if (!begun.ok()) return begun.status();
@@ -171,32 +146,22 @@ Status RunBlockNative(const Launch& launch, const ProgramSet& ps,
     scratch.mask_tables.push_back(mt);
   }
 
-  struct ParamFill {
-    std::uint16_t reg = 0;
-    ScalarType type = ScalarType::kFloat;
-    double value = 0.0;
-  };
-  std::vector<ParamFill> seeds;
-  seeds.reserve(prog->params.size());
+  // The generated code only reads the parameter registers, so they are
+  // seeded once per block rather than once per warp as in the VM.
+  scratch.regs.resize(static_cast<std::size_t>(prog->num_regs) * kJitMaxWarp);
   for (const auto& p : prog->params) {
     const auto it = launch.scalar_args.find(p.name);
     const double v = it != launch.scalar_args.end() ? it->second : 0.0;
-    seeds.push_back(ParamFill{
-        p.reg, p.type,
-        p.type == ScalarType::kFloat
-            ? static_cast<double>(static_cast<float>(v))
-            : v});
+    double* r = scratch.regs.data() +
+                static_cast<std::size_t>(p.reg) * kJitMaxWarp;
+    std::fill(r, r + kJitMaxWarp,
+              p.type == ScalarType::kFloat
+                  ? static_cast<double>(static_cast<float>(v))
+                  : v);
   }
 
   const hw::GridDim grid = hw::ComputeGrid(launch.config, launch.width,
                                            launch.height, launch.kernel->ppt);
-  const std::size_t reg_slots = static_cast<std::size_t>(prog->num_regs);
-  scratch.regs.resize(reg_slots * kJitMaxWarp);
-  // Fresh slots default to the VM's WarpVal type tag (kFloat); existing
-  // tags persist across warps/blocks exactly like the VM's register file.
-  scratch.reg_types.resize(reg_slots, static_cast<unsigned char>(4));
-  scratch.masks.resize(static_cast<std::size_t>(prog->num_masks) *
-                       kJitMaxWarp);
 
   std::array<int, kMaxWarpWidth> tid_xi{}, tid_yi{}, gid_xi{}, gid_yi{};
 
@@ -220,8 +185,8 @@ Status RunBlockNative(const Launch& launch, const ProgramSet& ps,
   ctx.image_w = launch.width;
   ctx.image_h = launch.height;
   ctx.regs = scratch.regs.data();
-  ctx.reg_types = scratch.reg_types.data();
-  ctx.masks = scratch.masks.data();
+  static_assert(sizeof(LaneMask) == kJitMaxWarp);
+  ctx.masks = st.active.data();
   ctx.tile = st.tile.data();
   ctx.tile_w = st.tile_w;
   ctx.tile_h = st.tile_h;
@@ -257,15 +222,6 @@ Status RunBlockNative(const Launch& launch, const ProgramSet& ps,
       tid_yi[i] = static_cast<int>(st.tid_y[i]);
       gid_xi[i] = static_cast<int>(st.gid_x[i]);
       gid_yi[i] = static_cast<int>(st.gid_y[i]);
-    }
-    static_assert(sizeof(LaneMask) == kJitMaxWarp);
-    std::memcpy(scratch.masks.data(), st.active.data(), kJitMaxWarp);
-    for (const ParamFill& seed : seeds) {
-      double* r = scratch.regs.data() +
-                  static_cast<std::size_t>(seed.reg) * kJitMaxWarp;
-      scratch.reg_types[seed.reg] =
-          static_cast<unsigned char>(static_cast<int>(seed.type));
-      for (int l = 0; l < kJitMaxWarp; ++l) r[l] = seed.value;
     }
     const int rc = fn(&ctx);
     if (rc != 0) return MapError(ps, rc);

@@ -14,8 +14,17 @@
 
 namespace hipacc::sim::jit {
 
-/// Executes one thread block through the native warp functions.
-/// `executed_insns` accumulates dispatched instruction counts like the VM.
+/// True when `launch` binds every buffer and constant mask that an
+/// instruction of `ps` touches, and every stored buffer is writable. The
+/// warp functions check bindings before any side effect, while the VM
+/// fails mid-program after partial metrics and model calls, so a launch
+/// that fails this check must run on the VM to fail the same way. Bindings
+/// are launch-level: check once per launch, before the block loop.
+bool NativeBindingsHold(const ProgramSet& ps, const Launch& launch);
+
+/// Executes one thread block through the native warp functions of a launch
+/// that passed NativeBindingsHold. `executed_insns` accumulates dispatched
+/// instruction counts like the VM.
 Status RunBlockNative(const Launch& launch, const ProgramSet& programs,
                       const NativeProgram& native,
                       const hw::DeviceSpec& device, int block_x_idx,

@@ -1,6 +1,7 @@
 #include "sim/jit/toolchain.hpp"
 
 #include <dlfcn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -43,6 +44,15 @@ bool& OverrideActive() {
 std::mutex& OverrideMutex() {
   static std::mutex mu;
   return mu;
+}
+
+/// std::system returns a wait status, not an exit code: "exit 1" for a
+/// compiler that failed, "signal 9" for one that was killed.
+std::string DescribeWaitStatus(int status) {
+  if (status == -1) return "could not start the shell";
+  if (WIFEXITED(status)) return StrFormat("exit %d", WEXITSTATUS(status));
+  if (WIFSIGNALED(status)) return StrFormat("signal %d", WTERMSIG(status));
+  return StrFormat("wait status %d", status);
 }
 
 bool Runnable(const std::string& compiler) {
@@ -136,9 +146,9 @@ Result<std::shared_ptr<NativeModule>> CompileSharedObject(
       if (diag.size() > 2000) diag.resize(2000);
     }
     cleanup();
-    return Status::Internal(
-        StrFormat("jit compile failed (rc=%d) with %s: %s", rc,
-                           compiler.c_str(), diag.c_str()));
+    return Status::Internal(StrFormat("jit compile failed (%s) with %s: %s",
+                                      DescribeWaitStatus(rc).c_str(),
+                                      compiler.c_str(), diag.c_str()));
   }
 
   if (so_bytes_out != nullptr) {

@@ -3,7 +3,7 @@
 // shared object, and dlopens it. Discovery order: $HIPACC_JIT_CXX, the
 // compiler the simulator itself was built with (baked in by CMake), then
 // PATH fallbacks. A missing or failing toolchain is a soft condition —
-// callers degrade to the threaded-dispatch VM, never crash.
+// callers degrade to the bytecode VM, never crash.
 #pragma once
 
 #include <memory>

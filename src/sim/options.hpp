@@ -6,9 +6,10 @@
 // reference semantics, the fallback for programs the bytecode compiler
 // rejects, and the `--sim-engine=ast` escape hatch for differential
 // debugging. `native` layers tiering on top of the VM: launches run on the
-// threaded-dispatch VM until the invocation count reaches `jit_threshold`,
-// then switch to the compiled shared object (or stay on the VM forever when
-// no host toolchain is available).
+// VM until the invocation count reaches `jit_threshold`, then switch to the
+// compiled shared object when every region program of the kernel fuses into
+// a native lane loop, and stay on the VM otherwise (also when no host
+// toolchain is available).
 #pragma once
 
 #include <string>
@@ -32,7 +33,7 @@ struct SimulatorOptions {
   ExecEngine engine = ExecEngine::kBytecode;
   /// Native tier trigger: a kernel's program set is compiled to host code
   /// once it has been launched this many times (engine == kNative only).
-  /// 1 compiles on first launch; a huge value pins the threaded VM.
+  /// 1 compiles on first launch; a huge value pins the VM.
   int jit_threshold = 2;
 };
 

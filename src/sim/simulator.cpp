@@ -14,6 +14,48 @@
 #include "support/string_utils.hpp"
 
 namespace hipacc::sim {
+namespace {
+
+/// The executor one launch runs on, resolved once per launch: native warp
+/// functions, the bytecode VM, or (without programs) the AST interpreter.
+struct BlockExecutor {
+  const ProgramSet* programs = nullptr;
+  const jit::NativeProgram* native = nullptr;
+
+  Status Run(const Launch& launch, const hw::DeviceSpec& device, int bx,
+             int by, Metrics* metrics, std::uint64_t* executed_insns) const {
+    if (native)
+      return jit::RunBlockNative(launch, *programs, *native, device, bx, by,
+                                 metrics, executed_insns);
+    if (programs)
+      return RunBlockBytecode(launch, *programs, device, bx, by, metrics,
+                              executed_insns);
+    return RunBlock(launch, device, bx, by, metrics);
+  }
+};
+
+/// With engine == kNative, a launch runs native code once the tier is hot
+/// and the launch's bindings pass the warp functions' check; otherwise it
+/// runs on the VM (counted as jit.vm).
+BlockExecutor ResolveExecutor(const Launch& launch, const ProgramSet* programs,
+                              const SimulatorOptions& options,
+                              TraceSink* trace) {
+  BlockExecutor exec;
+  exec.programs = programs;
+  if (programs && options.engine == ExecEngine::kNative) {
+    if (jit::NativeBindingsHold(*programs, launch))
+      exec.native = jit::AcquireNative(*programs, options.jit_threshold, trace);
+    else if (trace)
+      trace->IncrementCounter("jit.vm");
+  }
+  if (trace)
+    trace->IncrementCounter(exec.native ? "sim.launch.native"
+                            : programs  ? "sim.launch.bytecode"
+                                        : "sim.launch.ast");
+  return exec;
+}
+
+}  // namespace
 
 const ProgramSet* Simulator::PreparePrograms(const Launch& launch) const {
   if (options_.engine == ExecEngine::kAst) return nullptr;
@@ -112,20 +154,8 @@ Result<LaunchStats> Simulator::Execute(const Launch& launch) const {
       launch.config, launch.width, launch.height, launch.kernel->bh_window,
       launch.kernel->ppt);
 
-  const ProgramSet* programs = PreparePrograms(launch);
-  const jit::NativeProgram* native =
-      programs && options_.engine == ExecEngine::kNative
-          ? jit::AcquireNative(*programs, options_.jit_threshold, trace_)
-          : nullptr;
-  // With engine=native but the tier still cold (or failed), blocks run on
-  // the VM's threaded dispatcher instead of the portable switch.
-  const VmDispatch dispatch = options_.engine == ExecEngine::kNative
-                                  ? VmDispatch::kThreaded
-                                  : VmDispatch::kSwitch;
-  if (trace_)
-    trace_->IncrementCounter(native     ? "sim.launch.native"
-                             : programs ? "sim.launch.bytecode"
-                                        : "sim.launch.ast");
+  const BlockExecutor exec =
+      ResolveExecutor(launch, PreparePrograms(launch), options_, trace_);
   const hw::GridDim grid = stats.region_grid.grid;
   std::mutex merge_mutex;
   Metrics total;
@@ -137,12 +167,7 @@ Result<LaunchStats> Simulator::Execute(const Launch& launch) const {
     Status row_status = Status::Ok();
     for (int bx = 0; bx < grid.blocks_x && row_status.ok(); ++bx)
       row_status =
-          native ? jit::RunBlockNative(launch, *programs, *native, device_,
-                                       bx, by, &row_metrics, &row_insns)
-          : programs
-              ? RunBlockBytecode(launch, *programs, device_, bx, by,
-                                 &row_metrics, &row_insns, dispatch)
-              : RunBlock(launch, device_, bx, by, &row_metrics);
+          exec.Run(launch, device_, bx, by, &row_metrics, &row_insns);
     const std::lock_guard<std::mutex> lock(merge_mutex);
     total += row_metrics;
     executed_insns += row_insns;
@@ -238,18 +263,8 @@ Result<LaunchStats> Simulator::Measure(const Launch& launch,
     }
   }
 
-  const ProgramSet* programs = PreparePrograms(launch);
-  const jit::NativeProgram* native =
-      programs && options_.engine == ExecEngine::kNative
-          ? jit::AcquireNative(*programs, options_.jit_threshold, trace_)
-          : nullptr;
-  const VmDispatch dispatch = options_.engine == ExecEngine::kNative
-                                  ? VmDispatch::kThreaded
-                                  : VmDispatch::kSwitch;
-  if (trace_)
-    trace_->IncrementCounter(native     ? "sim.launch.native"
-                             : programs ? "sim.launch.bytecode"
-                                        : "sim.launch.ast");
+  const BlockExecutor exec =
+      ResolveExecutor(launch, PreparePrograms(launch), options_, trace_);
   std::uint64_t executed_insns = 0;
   Metrics total;
   for (auto& [region, rs] : regions) {
@@ -257,14 +272,8 @@ Result<LaunchStats> Simulator::Measure(const Launch& launch,
     if (rs.samples.empty() || rs.population == 0) continue;
     Metrics region_metrics;
     for (const auto& [bx, by] : rs.samples)
-      HIPACC_RETURN_IF_ERROR(
-          native ? jit::RunBlockNative(launch, *programs, *native, device_,
-                                       bx, by, &region_metrics,
-                                       &executed_insns)
-          : programs
-              ? RunBlockBytecode(launch, *programs, device_, bx, by,
-                                 &region_metrics, &executed_insns, dispatch)
-              : RunBlock(launch, device_, bx, by, &region_metrics));
+      HIPACC_RETURN_IF_ERROR(exec.Run(launch, device_, bx, by,
+                                      &region_metrics, &executed_insns));
     const double scale = static_cast<double>(rs.population) /
                          static_cast<double>(rs.samples.size());
     total += region_metrics.Scaled(scale);

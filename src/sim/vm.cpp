@@ -107,11 +107,9 @@ VmScratch& ThreadScratch() {
 class VmRunner {
  public:
   VmRunner(const Launch& launch, const ProgramSet& ps,
-           const hw::DeviceSpec& device, int bx, int by, Metrics* metrics,
-           VmDispatch dispatch)
+           const hw::DeviceSpec& device, int bx, int by, Metrics* metrics)
       : st_(launch, device, bx, by, metrics),
         ps_(ps),
-        dispatch_(dispatch),
         regs_(ThreadScratch().regs),
         masks_(ThreadScratch().masks) {}
 
@@ -171,9 +169,7 @@ class VmRunner {
         r.type = seed.type;
         r.lanes.fill(seed.value);
       }
-      HIPACC_RETURN_IF_ERROR(dispatch_ == VmDispatch::kThreaded
-                                 ? ExecWarpThreaded(*prog, executed_insns)
-                                 : ExecWarpSwitch(*prog, executed_insns));
+      HIPACC_RETURN_IF_ERROR(ExecWarp(*prog, executed_insns));
     }
     return Status::Ok();
   }
@@ -217,26 +213,9 @@ class VmRunner {
     }
   }
 
-  // Both dispatchers share the handler bodies in vm_exec.inc; only the
-  // dispatch glue differs, so they cannot diverge semantically.
-  Status ExecWarpSwitch(const Program& prog, std::uint64_t* executed_insns) {
-#define HIPACC_VM_THREADED 0
+  Status ExecWarp(const Program& prog, std::uint64_t* executed_insns) {
 #include "sim/vm_exec.inc"
-#undef HIPACC_VM_THREADED
   }
-
-#if defined(__GNUC__) || defined(__clang__)
-  Status ExecWarpThreaded(const Program& prog, std::uint64_t* executed_insns) {
-#define HIPACC_VM_THREADED 1
-#include "sim/vm_exec.inc"
-#undef HIPACC_VM_THREADED
-  }
-#else
-  // Computed goto is a GNU extension; other compilers run the switch.
-  Status ExecWarpThreaded(const Program& prog, std::uint64_t* executed_insns) {
-    return ExecWarpSwitch(prog, executed_insns);
-  }
-#endif
 
   Status LoadImage(const Insn& I, int warp) {
     const BufferBinding* buf = bind_.buffers[static_cast<std::size_t>(I.buffer)];
@@ -324,7 +303,6 @@ class VmRunner {
 
   BlockState st_;
   const ProgramSet& ps_;
-  VmDispatch dispatch_;
   BindCtx bind_;
   hw::GridDim grid_;
   // Register/mask files live in thread-local scratch reused across blocks
@@ -344,10 +322,9 @@ class VmRunner {
 Status RunBlockBytecode(const Launch& launch, const ProgramSet& programs,
                         const hw::DeviceSpec& device, int block_x_idx,
                         int block_y_idx, Metrics* metrics,
-                        std::uint64_t* executed_insns, VmDispatch dispatch) {
+                        std::uint64_t* executed_insns) {
   HIPACC_CHECK(launch.kernel != nullptr && metrics != nullptr);
-  return VmRunner(launch, programs, device, block_x_idx, block_y_idx, metrics,
-                  dispatch)
+  return VmRunner(launch, programs, device, block_x_idx, block_y_idx, metrics)
       .Run(executed_insns);
 }
 

@@ -12,23 +12,12 @@
 
 namespace hipacc::sim {
 
-/// Inner-loop dispatch strategy of the VM. Both strategies execute the
-/// exact same handler bodies (vm_exec.inc); kThreaded replaces the switch
-/// with GCC computed-goto threading (one indirect branch per handler, so
-/// the predictor learns per-opcode successor patterns). On compilers
-/// without the extension kThreaded silently runs the switch.
-enum class VmDispatch {
-  kSwitch,    ///< portable switch dispatch (default)
-  kThreaded,  ///< computed-goto threaded dispatch (native-tier fallback)
-};
-
 /// Executes one thread block through the region-specialised bytecode
 /// program. `executed_insns`, when non-null, accumulates the number of
 /// instructions dispatched (across all warps of the block).
 Status RunBlockBytecode(const Launch& launch, const ProgramSet& programs,
                         const hw::DeviceSpec& device, int block_x_idx,
                         int block_y_idx, Metrics* metrics,
-                        std::uint64_t* executed_insns,
-                        VmDispatch dispatch = VmDispatch::kSwitch);
+                        std::uint64_t* executed_insns);
 
 }  // namespace hipacc::sim

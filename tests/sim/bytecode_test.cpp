@@ -143,8 +143,8 @@ void ExpectEnginesAgree(const frontend::KernelSource& source, int w, int h,
 }
 
 /// Same differential contract, but for the native tier: the jitted host
-/// code (or its threaded-VM fallback when a program is not jittable) must
-/// be observably indistinguishable from the AST interpreter.
+/// code (or the VM, for a kernel whose programs do not all fuse) must be
+/// observably indistinguishable from the AST interpreter.
 void ExpectNativeAgrees(const frontend::KernelSource& source, int w, int h,
                         const runtime::BindingSet& scalars, Rng& rng,
                         codegen::CodegenOptions codegen = {}) {
@@ -264,9 +264,11 @@ TEST(BytecodeDifferentialTest, ConvolveUnrolledFormulation) {
 // --- Native tier ---------------------------------------------------------
 // The same differential contract, with the native tier as the engine under
 // test. Each run tiers up on its first launch (threshold 1), so the
-// generated host code — not the threaded VM — produces the compared
-// pixels whenever a toolchain is present. Without a toolchain the engine
-// must degrade to the threaded VM and still agree, which is exactly what
+// generated host code — not the VM — produces the compared pixels whenever
+// a toolchain is present and the kernel's programs fuse; kernels that do
+// not fuse (the scalar-sigma bilateral's runtime-bounded loops) run on the
+// VM and never reach the toolchain. Without a toolchain the engine must
+// degrade to the VM and still agree, which is exactly what
 // MissingToolchainStillAgrees pins down.
 
 TEST(NativeDifferentialTest, GaussianAllModesAllExtents) {
@@ -388,7 +390,7 @@ TEST(NativeDifferentialTest, SpecialisedSourcesAllModes) {
 
 TEST(NativeDifferentialTest, MissingToolchainStillAgrees) {
   // On a machine with no host compiler the native engine must silently
-  // degrade to the threaded VM and remain bit-identical to the AST
+  // degrade to the VM and remain bit-identical to the AST
   // interpreter — same pixels, metrics, and modelled time.
   sim::jit::JitCache::Instance().ResetForTesting();
   sim::jit::SetToolchainOverrideForTesting("");

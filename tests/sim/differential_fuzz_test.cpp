@@ -3,13 +3,14 @@
 // generator emits random DSL kernels — convolution masks of random shapes
 // and values (including rank-1 masks that trigger the separable
 // decomposition), static-bound stencil loops with random arithmetic bodies
-// (the native tier's unrolled-fusion path), runtime-bound loops (the
-// per-insn fallback path), divergent if/else bodies, and point-operator
-// chains — across all five boundary modes, odd extents, random codegen
-// variants (pixels-per-thread 1/2/4/8, scratchpad staging, texture paths,
-// constant vs global masks, both backends), then runs every case on all
-// three engines and requires them to be observably indistinguishable:
-// output pixels bit for bit, every metric counter, and the modelled time.
+// (the native tier's unrolled-fusion path), runtime-bound loops (which do
+// not fuse, so the native engine runs them on the VM), divergent if/else
+// bodies, and point-operator chains — across all five boundary modes, odd
+// extents, random codegen variants (pixels-per-thread 1/2/4/8, scratchpad
+// staging, texture paths, constant vs global masks, both backends), then
+// runs every case on all three engines and requires them to be observably
+// indistinguishable: output pixels bit for bit, every metric counter, and
+// the modelled time.
 //
 // Two entry points: a pinned sweep that always runs under ctest (fixed
 // seed, every generator kind), and an env-scaled sweep for CI fuzz jobs —
@@ -64,7 +65,7 @@ struct FuzzCase {
 enum class FuzzKind {
   kConvolution,   ///< random mask shape/values via ConvolutionSource
   kStaticLoop,    ///< literal-bound loop nest, random arithmetic body
-  kRuntimeLoop,   ///< parameter-bound loop nest (native per-insn path)
+  kRuntimeLoop,   ///< parameter-bound loop nest (native engine's VM fallback)
   kPointChain,    ///< straight-line point-operator chain
 };
 constexpr FuzzKind kAllKinds[] = {FuzzKind::kConvolution, FuzzKind::kStaticLoop,

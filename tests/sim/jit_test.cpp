@@ -1,14 +1,16 @@
-// Native-tier behaviour tests: tiering thresholds, the process-wide module
-// cache (including concurrent exploration lanes sharing one compile),
-// graceful degradation when the host toolchain is missing or broken, and
-// the threaded-VM fallback dispatcher. Output parity across the whole
-// kernel matrix lives in bytecode_test.cpp and differential_fuzz_test.cpp;
-// here the subject is the tiering machinery itself.
+// Native-tier behaviour tests: tiering thresholds, the all-or-nothing move
+// of a program set to native code, the per-launch binding check, the
+// process-wide module cache (including concurrent exploration lanes sharing
+// one compile), and graceful degradation to the VM when the host toolchain
+// is missing or broken. Output parity across the whole kernel matrix lives
+// in bytecode_test.cpp and differential_fuzz_test.cpp; here the subject is
+// the tiering machinery itself.
 #include <gtest/gtest.h>
 
 #include <climits>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -58,29 +60,56 @@ compiler::CompiledKernel CompileGaussian(int w, int h) {
   return std::move(compiled).take();
 }
 
+/// The scalar-sigma bilateral: its runtime-bounded loops fuse in none of
+/// its region programs.
+compiler::CompiledKernel CompileBilateral(int w, int h) {
+  compiler::CompileOptions options;
+  options.device = hw::TeslaC2050();
+  options.image_width = w;
+  options.image_height = h;
+  options.forced_config = hw::KernelConfig{32, 2};
+  Result<compiler::CompiledKernel> compiled = compiler::Compile(
+      ops::BilateralMaskSource(1, BoundaryMode::kClamp), options);
+  HIPACC_CHECK(compiled.ok());
+  HIPACC_CHECK(compiled.value().bytecode != nullptr);
+  return std::move(compiled).take();
+}
+
+runtime::BindingSet BilateralScalars() {
+  runtime::BindingSet scalars;
+  scalars.Scalar("sigma_d", 1).Scalar("sigma_r", 5);
+  return scalars;
+}
+
 struct RunResult {
   Status status = Status::Ok();
   std::vector<float> output;
   sim::LaunchStats stats;
 };
 
-/// One Execute through a fresh launch of `kernel` on `input`. The tier
-/// state lives in kernel.bytecode, so repeated calls with the same kernel
-/// exercise the tiering counters.
+/// One Execute through a fresh launch of `kernel` on `input`, with
+/// `bindings` supplying the scalars. The tier state lives in
+/// kernel.bytecode, so repeated calls with the same kernel exercise the
+/// tiering counters. `read_only_output` binds every written buffer
+/// read-only, which Simulator::Validate does not catch.
 RunResult RunOnce(const compiler::CompiledKernel& kernel,
                   const HostImage<float>& input,
                   const sim::SimulatorOptions& options,
-                  sim::TraceSink* trace = nullptr) {
+                  sim::TraceSink* trace = nullptr,
+                  runtime::BindingSet bindings = {},
+                  bool read_only_output = false) {
   RunResult run;
   dsl::Image<float> in(input.width(), input.height());
   dsl::Image<float> out(input.width(), input.height());
   in.CopyFrom(input);
-  runtime::BindingSet bindings;
   bindings.Input("Input", in).Output(out);
   Result<runtime::LaunchHolder> holder =
       runtime::BuildLaunch(kernel.device_ir, kernel.config.config, bindings);
   HIPACC_CHECK(holder.ok());
   holder.value().launch.programs = kernel.bytecode.get();
+  if (read_only_output)
+    for (sim::BufferBinding& buf : holder.value().launch.buffers)
+      buf.writable = false;
   sim::Simulator simulator(hw::TeslaC2050(), options);
   if (trace) simulator.set_trace(trace);
   Result<sim::LaunchStats> stats = simulator.Execute(holder.value().launch);
@@ -109,20 +138,37 @@ void ExpectSameOutput(const RunResult& a, const RunResult& b) {
                         a.output.size() * sizeof(float)),
             0)
       << "output pixels differ";
-  EXPECT_EQ(a.stats.metrics.alu_ops, b.stats.metrics.alu_ops);
-  EXPECT_EQ(a.stats.metrics.oob_violations, b.stats.metrics.oob_violations);
+  const sim::Metrics& ma = a.stats.metrics;
+  const sim::Metrics& mb = b.stats.metrics;
+  EXPECT_EQ(ma.alu_ops, mb.alu_ops);
+  EXPECT_EQ(ma.sfu_calls, mb.sfu_calls);
+  EXPECT_EQ(ma.global_read_instrs, mb.global_read_instrs);
+  EXPECT_EQ(ma.global_write_instrs, mb.global_write_instrs);
+  EXPECT_EQ(ma.global_transactions, mb.global_transactions);
+  EXPECT_EQ(ma.l1_hits, mb.l1_hits);
+  EXPECT_EQ(ma.tex_read_instrs, mb.tex_read_instrs);
+  EXPECT_EQ(ma.tex_hits, mb.tex_hits);
+  EXPECT_EQ(ma.tex_transactions, mb.tex_transactions);
+  EXPECT_EQ(ma.const_broadcasts, mb.const_broadcasts);
+  EXPECT_EQ(ma.const_serialized, mb.const_serialized);
+  EXPECT_EQ(ma.smem_accesses, mb.smem_accesses);
+  EXPECT_EQ(ma.smem_conflict_cycles, mb.smem_conflict_cycles);
+  EXPECT_EQ(ma.oob_violations, mb.oob_violations);
   EXPECT_EQ(a.stats.timing.total_ms, b.stats.timing.total_ms);
 }
 
 TEST(JitEmitTest, EmittedSourceIsDeterministic) {
   const compiler::CompiledKernel kernel = CompileGaussian(73, 41);
-  const sim::jit::EmittedSource a = sim::jit::EmitNativeSource(*kernel.bytecode);
-  const sim::jit::EmittedSource b = sim::jit::EmitNativeSource(*kernel.bytecode);
-  EXPECT_EQ(a.source, b.source);
-  ASSERT_EQ(a.symbols.size(), kernel.bytecode->programs.size());
+  const std::optional<sim::jit::EmittedSource> a =
+      sim::jit::EmitNativeSource(*kernel.bytecode);
+  const std::optional<sim::jit::EmittedSource> b =
+      sim::jit::EmitNativeSource(*kernel.bytecode);
+  ASSERT_TRUE(a.has_value() && b.has_value());
+  EXPECT_EQ(a->source, b->source);
+  ASSERT_EQ(a->symbols.size(), kernel.bytecode->programs.size());
   // Every region-specialised program gets its own extern "C" symbol.
-  for (const auto& si : a.symbols) {
-    EXPECT_NE(a.source.find("int " + si.symbol + "("), std::string::npos)
+  for (const auto& si : a->symbols) {
+    EXPECT_NE(a->source.find("int " + si.symbol + "("), std::string::npos)
         << si.symbol;
   }
   EXPECT_EQ(sim::jit::ProgramFingerprint(*kernel.bytecode),
@@ -155,11 +201,11 @@ TEST(JitTierTest, ThresholdCountsLaunchesBeforeCompiling) {
   const HostImage<float> input = RandomInput(73, 41, rng);
   sim::TraceSink trace;
   const sim::SimulatorOptions options = NativeOptions(3);
-  // Launches 1 and 2 stay on the threaded VM; launch 3 reaches the
-  // threshold and compiles; launch 4 hits the installed fast path.
+  // Launches 1 and 2 stay on the VM; launch 3 reaches the threshold and
+  // compiles; launch 4 hits the installed fast path.
   RunOnce(kernel, input, options, &trace);
   RunOnce(kernel, input, options, &trace);
-  EXPECT_EQ(trace.counter("jit.threaded"), 2);
+  EXPECT_EQ(trace.counter("jit.vm"), 2);
   EXPECT_EQ(trace.counter("jit.compile"), 0);
   RunOnce(kernel, input, options, &trace);
   EXPECT_EQ(trace.counter("jit.compile"), 1);
@@ -170,22 +216,75 @@ TEST(JitTierTest, ThresholdCountsLaunchesBeforeCompiling) {
   EXPECT_EQ(trace.counter("sim.launch.bytecode"), 2);
 }
 
-TEST(JitTierTest, ThreadedVmMatchesSwitchVm) {
-  // A huge threshold pins the computed-goto VM: no toolchain involved, so
-  // this holds in every environment.
+TEST(JitTierTest, ColdNativeTierRunsTheVm) {
+  // A huge threshold keeps the tier cold: the launch runs on the VM with no
+  // toolchain involved, so this holds in every environment.
   const compiler::CompiledKernel kernel = CompileGaussian(73, 41);
   Rng rng(0x33u);
   const HostImage<float> input = RandomInput(73, 41, rng);
   const RunResult vm = RunOnce(kernel, input, sim::SimulatorOptions{});
   sim::TraceSink trace;
-  const RunResult threaded =
+  const RunResult cold =
       RunOnce(kernel, input, NativeOptions(INT_MAX), &trace);
-  ExpectSameOutput(vm, threaded);
-  EXPECT_EQ(trace.counter("jit.threaded"), 1);
+  ExpectSameOutput(vm, cold);
+  EXPECT_EQ(trace.counter("jit.vm"), 1);
   EXPECT_EQ(trace.counter("jit.compile"), 0);
+  EXPECT_EQ(trace.counter("sim.launch.bytecode"), 1);
+  EXPECT_EQ(trace.counter("sim.launch.native"), 0);
 }
 
-TEST(JitDegradationTest, MissingToolchainFallsBackToThreadedVm) {
+TEST(JitTierTest, UnfusedSetNeverRunsTheToolchain) {
+  // A set moves to native code all or nothing. None of the bilateral's
+  // region programs fuse, so the hot tier latches it to the VM without
+  // emitting or compiling anything: the failing compiler is never called,
+  // and no error is counted.
+  sim::jit::JitCache::Instance().ResetForTesting();
+  const compiler::CompiledKernel kernel = CompileBilateral(49, 27);
+  EXPECT_FALSE(sim::jit::EmitNativeSource(*kernel.bytecode).has_value());
+  Rng rng(0x88u);
+  const HostImage<float> input = RandomInput(49, 27, rng);
+  const RunResult vm = RunOnce(kernel, input, sim::SimulatorOptions{},
+                               nullptr, BilateralScalars());
+  ToolchainGuard guard("/bin/false");
+  sim::TraceSink trace;
+  for (int launch = 0; launch < 2; ++launch) {
+    const RunResult native = RunOnce(kernel, input, NativeOptions(1), &trace,
+                                     BilateralScalars());
+    ExpectSameOutput(vm, native);
+  }
+  EXPECT_EQ(sim::jit::JitCache::Instance().compiles(), 0u);
+  EXPECT_EQ(trace.counter("jit.compile"), 0);
+  EXPECT_EQ(trace.counter("jit.error"), 0);
+  EXPECT_EQ(trace.counter("jit.vm"), 2);
+  EXPECT_EQ(trace.counter("sim.launch.native"), 0);
+}
+
+TEST(JitTierTest, ReadOnlyOutputFailsLikeTheVm) {
+  // Validate only checks that buffers are bound, so a read-only output
+  // reaches the engines. The native tier checks bindings once per launch
+  // and runs a launch that fails the check on the VM, which reports the
+  // failing store; the tier is not touched, so nothing compiles.
+  sim::jit::JitCache::Instance().ResetForTesting();
+  const compiler::CompiledKernel kernel = CompileGaussian(73, 41);
+  Rng rng(0x99u);
+  const HostImage<float> input = RandomInput(73, 41, rng);
+  const RunResult vm = RunOnce(kernel, input, sim::SimulatorOptions{},
+                               nullptr, {}, /*read_only_output=*/true);
+  ASSERT_FALSE(vm.status.ok());
+  EXPECT_NE(vm.status.message().find("write to unbound or read-only buffer"),
+            std::string::npos)
+      << vm.status.ToString();
+  sim::TraceSink trace;
+  const RunResult native = RunOnce(kernel, input, NativeOptions(1), &trace,
+                                   {}, /*read_only_output=*/true);
+  EXPECT_EQ(native.status.ToString(), vm.status.ToString());
+  EXPECT_EQ(trace.counter("jit.vm"), 1);
+  EXPECT_EQ(trace.counter("jit.compile"), 0);
+  EXPECT_EQ(trace.counter("sim.launch.bytecode"), 1);
+  EXPECT_EQ(sim::jit::JitCache::Instance().compiles(), 0u);
+}
+
+TEST(JitDegradationTest, MissingToolchainFallsBackToVm) {
   sim::jit::JitCache::Instance().ResetForTesting();
   const compiler::CompiledKernel kernel = CompileGaussian(73, 41);
   Rng rng(0x44u);
@@ -197,18 +296,18 @@ TEST(JitDegradationTest, MissingToolchainFallsBackToThreadedVm) {
   const RunResult first = RunOnce(kernel, input, NativeOptions(1), &trace);
   ExpectSameOutput(vm, first);
   EXPECT_EQ(trace.counter("jit.error"), 1);
-  EXPECT_EQ(trace.counter("jit.threaded"), 1);
+  EXPECT_EQ(trace.counter("jit.vm"), 1);
   EXPECT_EQ(trace.counter("sim.launch.native"), 0);
   // Failure is latched: the second launch does not probe the toolchain
   // again and still produces identical output.
   const RunResult second = RunOnce(kernel, input, NativeOptions(1), &trace);
   ExpectSameOutput(vm, second);
   EXPECT_EQ(trace.counter("jit.error"), 1);
-  EXPECT_EQ(trace.counter("jit.threaded"), 2);
+  EXPECT_EQ(trace.counter("jit.vm"), 2);
   EXPECT_EQ(sim::jit::JitCache::Instance().compiles(), 0u);
 }
 
-TEST(JitDegradationTest, BrokenCompilerFallsBackToThreadedVm) {
+TEST(JitDegradationTest, BrokenCompilerFallsBackToVm) {
   sim::jit::JitCache::Instance().ResetForTesting();
   const compiler::CompiledKernel kernel = CompileGaussian(73, 41);
   Rng rng(0x55u);
@@ -220,6 +319,19 @@ TEST(JitDegradationTest, BrokenCompilerFallsBackToThreadedVm) {
   ExpectSameOutput(vm, native);
   EXPECT_EQ(trace.counter("jit.error"), 1);
   EXPECT_EQ(trace.counter("sim.launch.native"), 0);
+}
+
+TEST(JitDegradationTest, CompileFailureReportsTheExitCode) {
+  // std::system returns a wait status; the error must decode it rather
+  // than print the raw value (256 for exit code 1).
+  ToolchainGuard guard("/bin/false");
+  const Result<std::shared_ptr<sim::jit::NativeModule>> module =
+      sim::jit::CompileSharedObject("int x;\n", "exit_code_probe");
+  ASSERT_FALSE(module.ok());
+  const std::string message = module.status().message();
+  EXPECT_NE(message.find("jit compile failed (exit 1)"), std::string::npos)
+      << message;
+  EXPECT_EQ(message.find("256"), std::string::npos) << message;
 }
 
 TEST(JitCacheTest, IdenticalProgramsShareOneModule) {

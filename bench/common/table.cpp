@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "common/sim_engine_flag.hpp"
 #include "support/cache_dir_flag.hpp"
 #include "support/string_utils.hpp"
 
@@ -16,7 +15,6 @@ BenchTuning& Tuning() {
 
 support::CliParser MakeBenchCli(std::string program, std::string summary) {
   support::CliParser cli(std::move(program), std::move(summary));
-  RegisterSimEngineFlag(cli);
   support::RegisterCacheDirFlag(cli);
   cli.Value("ppt", "N|auto",
             "pixels per thread for generated kernels (auto = heuristic "

@@ -22,7 +22,6 @@
 //                      measured optimum is <= the heuristic's gap
 //   --json-out=FILE    BENCH_*.json report path (default BENCH_fig4.json)
 //   --trace-out=FILE   Chrome trace_event timeline (chrome://tracing)
-//   --sim-engine=E     simulator engine: bytecode (default) or ast
 #include <cstdio>
 #include <string>
 

@@ -1,8 +1,9 @@
-// Native-tier speedup report: wall-clock of the simulator's three
-// execution engines on the interpreter workloads, plus the jit trace
-// counters, written to BENCH_jit.json. The native rows tier up during an
-// untimed warm launch (threshold 1), so the measured loop sees only the
-// dlopen'd code; the one-off host-compile cost is reported separately.
+// Native-tier speedup report: wall-clock of the simulator's two execution
+// engines (the bytecode VM and the native tier) on the interpreter
+// workloads, plus the jit trace counters, written to BENCH_jit.json. The
+// native rows tier up during an untimed warm launch (threshold 1), so the
+// measured loop sees only the dlopen'd code; the one-off host-compile cost
+// is reported separately.
 //
 // The ratios this records are bounded by what the engines share: the
 // memory/timing model and libm calls are identical across engines, so
@@ -47,7 +48,6 @@ struct Case {
 };
 
 struct Timed {
-  double ast_ms = 0.0;
   double bytecode_ms = 0.0;
   double native_ms = 0.0;
   double compile_ms = 0.0;  // first native launch incl. toolchain run
@@ -95,8 +95,7 @@ Result<Timed> MeasureCase(const Case& c, int repeats) {
   sim::SimulatorOptions so;
   so.jit_threshold = 1;
   for (const sim::ExecEngine engine :
-       {sim::ExecEngine::kAst, sim::ExecEngine::kBytecode,
-        sim::ExecEngine::kNative}) {
+       {sim::ExecEngine::kBytecode, sim::ExecEngine::kNative}) {
     so.engine = engine;
     sim::Simulator simulator(hw::TeslaC2050(), so);
     sim::TraceSink trace;
@@ -111,9 +110,7 @@ Result<Timed> MeasureCase(const Case& c, int repeats) {
       timed.jit_compiles = trace.counter("jit.compile");
     }
     const double ms = TimeLaunches(simulator, holder.value().launch, repeats);
-    if (engine == sim::ExecEngine::kAst)
-      timed.ast_ms = ms;
-    else if (engine == sim::ExecEngine::kBytecode)
+    if (engine == sim::ExecEngine::kBytecode)
       timed.bytecode_ms = ms;
     else
       timed.native_ms = ms;
@@ -128,7 +125,7 @@ int main(int argc, char** argv) {
   double min_ratio = 0.0;
   std::string json_out = "BENCH_jit.json";
   support::CliParser cli = bench::MakeBenchCli(
-      "jit_tiering", "native-tier vs bytecode-VM vs AST wall-clock");
+      "jit_tiering", "native-tier vs bytecode-VM wall-clock");
   cli.Int("repeats", &repeats, "N", "timed launches per engine (default 5)");
   cli.Value("min-ratio", "R",
             "fail unless every fused kernel's native speedup >= R",
@@ -173,7 +170,7 @@ int main(int argc, char** argv) {
   };
 
   bench::Table table(
-      {"ast_ms", "bytecode_ms", "native_ms", "native_vs_bytecode", "fused"});
+      {"bytecode_ms", "native_ms", "native_vs_bytecode", "fused"});
   support::Json kernels = support::Json::Array();
   bool ok = true;
   for (const Case& c : cases) {
@@ -188,7 +185,6 @@ int main(int argc, char** argv) {
                                    timed.value().native_ms
                              : 0.0;
     table.Row(c.label);
-    table.Cell(timed.value().ast_ms);
     table.Cell(timed.value().bytecode_ms);
     table.Cell(timed.value().native_ms);
     table.Cell(StrFormat("%.2fx", ratio));
@@ -196,7 +192,6 @@ int main(int argc, char** argv) {
     support::Json k = support::Json::Object();
     k["kernel"] = c.label;
     k["fused"] = timed.value().fused;
-    k["ast_ms"] = timed.value().ast_ms;
     k["bytecode_ms"] = timed.value().bytecode_ms;
     k["native_ms"] = timed.value().native_ms;
     k["native_vs_bytecode"] = ratio;
@@ -210,8 +205,8 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("%s\n",
-              table.Render("Native tier vs bytecode VM vs AST (wall-clock, "
-                           "best of repeats)")
+              table.Render("Native tier vs bytecode VM (wall-clock, best "
+                           "of repeats)")
                   .c_str());
 
   if (!json_out.empty()) {

@@ -1,13 +1,11 @@
 // google-benchmark head-to-head of the simulator's execution engines: the
-// tree-walking AST interpreter, the compiled bytecode VM, and the native
-// tier (generated host code), on the Gaussian, Sobel, and bilateral
-// kernels. Reports ns/pixel (wall-clock of the simulator itself, not
-// modelled device time) so the engines' dispatch overhead is directly
-// comparable; the bytecode rows should be well under half the AST rows and
-// the native rows well under the bytecode rows, except Bilateral9: its
-// runtime-bounded loops do not fuse, so its native row runs the VM. Native
-// rows tier up during a warm-up launch, so the measured loop never
-// includes the toolchain.
+// compiled bytecode VM and the native tier (generated host code), on the
+// Gaussian, Sobel, bilateral and tone-curve kernels. Reports wall-clock of
+// the simulator itself, not modelled device time, so the engines' dispatch
+// overhead is directly comparable; the native rows should be well under the
+// bytecode rows, except Bilateral9: its runtime-bounded loops do not fuse,
+// so its native row runs the VM. Native rows tier up during a warm-up
+// launch, so the measured loop never includes the toolchain.
 // Run with --benchmark_filter=Engine to see just the comparison.
 #include <benchmark/benchmark.h>
 
@@ -116,17 +114,11 @@ Workload& ToneCurveWorkload() {
   return w;
 }
 
-void BM_EngineAst_Gaussian5(benchmark::State& state) {
-  RunEngineBench(state, GaussianWorkload(), sim::ExecEngine::kAst);
-}
 void BM_EngineNative_Gaussian5(benchmark::State& state) {
   RunEngineBench(state, GaussianWorkload(), sim::ExecEngine::kNative);
 }
 void BM_EngineBytecode_Gaussian5(benchmark::State& state) {
   RunEngineBench(state, GaussianWorkload(), sim::ExecEngine::kBytecode);
-}
-void BM_EngineAst_Sobel3(benchmark::State& state) {
-  RunEngineBench(state, SobelWorkload(), sim::ExecEngine::kAst);
 }
 void BM_EngineNative_Sobel3(benchmark::State& state) {
   RunEngineBench(state, SobelWorkload(), sim::ExecEngine::kNative);
@@ -134,17 +126,11 @@ void BM_EngineNative_Sobel3(benchmark::State& state) {
 void BM_EngineBytecode_Sobel3(benchmark::State& state) {
   RunEngineBench(state, SobelWorkload(), sim::ExecEngine::kBytecode);
 }
-void BM_EngineAst_Bilateral9(benchmark::State& state) {
-  RunEngineBench(state, BilateralWorkload(), sim::ExecEngine::kAst);
-}
 void BM_EngineNative_Bilateral9(benchmark::State& state) {
   RunEngineBench(state, BilateralWorkload(), sim::ExecEngine::kNative);
 }
 void BM_EngineBytecode_Bilateral9(benchmark::State& state) {
   RunEngineBench(state, BilateralWorkload(), sim::ExecEngine::kBytecode);
-}
-void BM_EngineAst_BilateralFixed9(benchmark::State& state) {
-  RunEngineBench(state, BilateralFixedWorkload(), sim::ExecEngine::kAst);
 }
 void BM_EngineNative_BilateralFixed9(benchmark::State& state) {
   RunEngineBench(state, BilateralFixedWorkload(), sim::ExecEngine::kNative);
@@ -153,9 +139,6 @@ void BM_EngineBytecode_BilateralFixed9(benchmark::State& state) {
   RunEngineBench(state, BilateralFixedWorkload(), sim::ExecEngine::kBytecode);
 }
 
-void BM_EngineAst_ToneCurve8(benchmark::State& state) {
-  RunEngineBench(state, ToneCurveWorkload(), sim::ExecEngine::kAst);
-}
 void BM_EngineNative_ToneCurve8(benchmark::State& state) {
   RunEngineBench(state, ToneCurveWorkload(), sim::ExecEngine::kNative);
 }
@@ -163,19 +146,14 @@ void BM_EngineBytecode_ToneCurve8(benchmark::State& state) {
   RunEngineBench(state, ToneCurveWorkload(), sim::ExecEngine::kBytecode);
 }
 
-BENCHMARK(BM_EngineAst_Gaussian5)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EngineBytecode_Gaussian5)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EngineNative_Gaussian5)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_EngineAst_Sobel3)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EngineBytecode_Sobel3)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EngineNative_Sobel3)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_EngineAst_Bilateral9)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EngineBytecode_Bilateral9)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EngineNative_Bilateral9)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_EngineAst_BilateralFixed9)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EngineBytecode_BilateralFixed9)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EngineNative_BilateralFixed9)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_EngineAst_ToneCurve8)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EngineBytecode_ToneCurve8)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EngineNative_ToneCurve8)->Unit(benchmark::kMillisecond);
 

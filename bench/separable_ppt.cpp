@@ -9,7 +9,6 @@
 //   --size=N           square image extent (default 1024)
 //   --window=N         Gaussian window (default 5)
 //   --json-out=FILE    BENCH_*.json report path (default BENCH_separable.json)
-//   --sim-engine=E     simulator engine: bytecode (default) or ast
 #include <cstdio>
 #include <string>
 

@@ -1,6 +1,9 @@
 #include "baselines/opencv_like.hpp"
 
+#include <memory>
+
 #include "dsl/image.hpp"
+#include "sim/bytecode.hpp"
 #include "support/string_utils.hpp"
 
 namespace hipacc::baselines {
@@ -142,13 +145,27 @@ namespace {
 
 int CeilDiv(int a, int b) { return (a + b - 1) / b; }
 
-sim::Launch MakeLaunch(const ast::DeviceKernel& kernel, bool horizontal,
-                       int ppt, dsl::Image<float>& src,
-                       dsl::Image<float>& dst,
+/// One pass's kernel and the register programs every launch carries.
+struct Pass {
+  ast::DeviceKernel kernel;
+  std::shared_ptr<const sim::ProgramSet> programs;
+};
+
+Result<Pass> BuildPass(int taps, ast::BoundaryMode mode, int ppt,
+                       bool horizontal, ast::Backend backend) {
+  Pass pass;
+  pass.kernel = BuildSeparableKernel(taps, mode, ppt, horizontal, backend);
+  HIPACC_ASSIGN_OR_RETURN(pass.programs, sim::CompileToBytecode(pass.kernel));
+  return pass;
+}
+
+sim::Launch MakeLaunch(const Pass& pass, bool horizontal, int ppt,
+                       dsl::Image<float>& src, dsl::Image<float>& dst,
                        const std::vector<float>& mask1d,
                        hw::KernelConfig config) {
   sim::Launch launch;
-  launch.kernel = &kernel;
+  launch.kernel = &pass.kernel;
+  launch.programs = pass.programs.get();
   launch.config = config;
   // Interleaved PPT mapping: a block covers blockDim*ppt consecutive pixels
   // in the filtered dimension, so the thread space is whole blocks (trailing
@@ -178,10 +195,12 @@ Result<HostImage<float>> OpenCvLikeEngine::Run(const HostImage<float>& src,
                                                ast::BoundaryMode mode,
                                                int ppt) const {
   const int taps = static_cast<int>(mask1d.size());
-  const ast::DeviceKernel row =
-      BuildSeparableKernel(taps, mode, ppt, /*horizontal=*/true, backend_);
-  const ast::DeviceKernel col =
-      BuildSeparableKernel(taps, mode, ppt, /*horizontal=*/false, backend_);
+  HIPACC_ASSIGN_OR_RETURN(
+      const Pass row,
+      BuildPass(taps, mode, ppt, /*horizontal=*/true, backend_));
+  HIPACC_ASSIGN_OR_RETURN(
+      const Pass col,
+      BuildPass(taps, mode, ppt, /*horizontal=*/false, backend_));
 
   dsl::Image<float> d_src(src.width(), src.height());
   dsl::Image<float> d_tmp(src.width(), src.height());
@@ -204,10 +223,12 @@ Result<SeparableTiming> OpenCvLikeEngine::Measure(
     int width, int height, const std::vector<float>& mask1d,
     ast::BoundaryMode mode, int ppt, hw::KernelConfig config) const {
   const int taps = static_cast<int>(mask1d.size());
-  const ast::DeviceKernel row =
-      BuildSeparableKernel(taps, mode, ppt, /*horizontal=*/true, backend_);
-  const ast::DeviceKernel col =
-      BuildSeparableKernel(taps, mode, ppt, /*horizontal=*/false, backend_);
+  HIPACC_ASSIGN_OR_RETURN(
+      const Pass row,
+      BuildPass(taps, mode, ppt, /*horizontal=*/true, backend_));
+  HIPACC_ASSIGN_OR_RETURN(
+      const Pass col,
+      BuildPass(taps, mode, ppt, /*horizontal=*/false, backend_));
 
   dsl::Image<float> d_src(width, height);
   dsl::Image<float> d_tmp(width, height);

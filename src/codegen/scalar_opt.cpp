@@ -255,7 +255,9 @@ class ScalarOptimizer {
         }
       }
 
-      // 2. Hoist fresh invariant subexpressions.
+      // 2. Hoist fresh invariant subexpressions. They may read the
+      // temporaries hoisted in step 1, so those are declared first.
+      for (auto& d : hoisted) out.push_back(std::move(d));
       std::map<std::string, ExprPtr> candidates;
       VisitStmts(body, [&](const Stmt& s) {
         auto sp = std::make_shared<Stmt>(s);
@@ -282,7 +284,6 @@ class ScalarOptimizer {
         };
         body = RewriteStmtExprs(body, rewrite);
       }
-      for (auto& d : hoisted) out.push_back(std::move(d));
 
       auto new_for = std::make_shared<Stmt>(*stmt);
       new_for->body = {body};

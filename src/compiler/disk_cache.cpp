@@ -460,13 +460,14 @@ std::optional<CompiledKernel> DecodeCompiledKernel(const std::string& payload) {
   kernel.source_fingerprint = r.Str();
   kernel.source_hash = r.U64();
   if (!r.AtEnd()) return std::nullopt;
-  // Re-attach the interpreter bytecode: it is derived state, cheap to
+  // Re-attach the simulator bytecode: it is derived state, cheap to
   // rebuild, and pinning it to the IR here keeps the disk format small and
-  // the VM free to evolve without schema bumps. A bytecode fallback (IR the
-  // VM cannot prove) leaves it null, exactly like the live pipeline.
+  // the VM free to evolve without schema bumps. Every compiled kernel
+  // carries programs, so an entry whose IR no longer compiles is a miss.
   Result<std::shared_ptr<const sim::ProgramSet>> bytecode =
       sim::CompileToBytecode(kernel.device_ir);
-  if (bytecode.ok()) kernel.bytecode = std::move(bytecode.value());
+  if (!bytecode.ok()) return std::nullopt;
+  kernel.bytecode = std::move(bytecode).take();
   return kernel;
 }
 

@@ -3,7 +3,7 @@
 // lets CompilationCache fall through to a support::DiskStore on in-memory
 // misses.
 //
-// The interpreter bytecode (CompiledKernel::bytecode) is deliberately NOT
+// The simulator bytecode (CompiledKernel::bytecode) is deliberately NOT
 // serialised: it is a pure function of the device IR and recompiles in
 // microseconds, so a disk hit re-attaches it via sim::CompileToBytecode.
 // What the disk tier actually saves is the expensive part — parse, lower,
@@ -28,8 +28,8 @@ std::optional<FrontendArtifacts> DecodeFrontendArtifacts(
     const std::string& payload);
 
 /// `bytecode` is dropped on encode; DecodeCompiledKernel re-attaches it by
-/// recompiling the device IR (null only if that fallback-compiles to null,
-/// matching the in-memory pipeline's behaviour).
+/// recompiling the device IR, and decodes to nullopt (a miss) when that
+/// fails, so a decoded kernel always carries programs.
 std::string EncodeCompiledKernel(const CompiledKernel& kernel);
 std::optional<CompiledKernel> DecodeCompiledKernel(const std::string& payload);
 

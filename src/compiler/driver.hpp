@@ -84,7 +84,7 @@ struct CompiledKernel {
   hw::HeuristicChoice config;  ///< selected (or forced) configuration
   /// Simulator bytecode compiled from device_ir by the "bytecode" pass.
   /// Shared: artifact copies (compilation-cache entries, exploration lanes)
-  /// all reference the same programs. Null when the pass fell back.
+  /// all reference the same programs. Never null on a compiled kernel.
   std::shared_ptr<const sim::ProgramSet> bytecode;
 
   /// Provenance: the codegen options the IR was lowered with. Retarget

@@ -12,9 +12,8 @@ namespace hipacc::compiler {
 
 class SimulatedExecutable {
  public:
-  SimulatedExecutable(
-      CompiledKernel kernel, hw::DeviceSpec device,
-      sim::SimulatorOptions options = sim::DefaultSimulatorOptions())
+  SimulatedExecutable(CompiledKernel kernel, hw::DeviceSpec device,
+                      sim::SimulatorOptions options = {})
       : kernel_(std::move(kernel)),
         simulator_(std::move(device), std::move(options)) {}
 

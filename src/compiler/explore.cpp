@@ -69,13 +69,13 @@ Result<std::vector<ExplorePoint>> ExploreConfigurations(
   // independent of scheduling.
   std::vector<std::optional<ExplorePoint>> slots(candidates.size());
   const auto measure_lane = [&](int worker) {
-    // Private measurement lane: own interpreter/simulator state and a
-    // private output image, so concurrent candidates never write the same
-    // buffer. Inputs are shared read-only.
+    // Private measurement lane: own simulator state and a private output
+    // image, so concurrent candidates never write the same buffer. Inputs
+    // are shared read-only.
     dsl::Image<float> lane_out(width, height);
     runtime::BindingSet lane_bindings = bindings;
     lane_bindings.Output(lane_out);
-    SimulatedExecutable exe(kernel, device);
+    SimulatedExecutable exe(kernel, device, options.sim);
     exe.set_trace(options.trace, worker);
     for (size_t i = static_cast<size_t>(worker); i < candidates.size();
          i += jobs) {

@@ -1,13 +1,14 @@
 // Configuration exploration (paper Section V-D / Figure 4): times every
 // valid configuration of a compiled kernel on the simulated device. The
 // paper JIT-compiles each configuration with substituted macros; here each
-// configuration re-launches the interpreter with different region constants.
+// configuration re-launches the kernel's register programs with different
+// region constants, on the engine ExploreOptions::sim selects.
 //
 // The sweep is embarrassingly parallel across candidates: each worker owns a
-// full measurement lane (its own SimulatedExecutable, interpreter state, and
-// a private output image), candidates are dealt round-robin, and results are
+// full measurement lane (its own SimulatedExecutable, engine state, and a
+// private output image), candidates are dealt round-robin, and results are
 // merged by candidate index — so the output is bit-identical for any worker
-// count, including the serial path.
+// count and either engine, including the serial path.
 #pragma once
 
 #include <vector>
@@ -48,11 +49,14 @@ struct ExploreOptions {
   /// observation under the kernel's profile key, so a sweep seeds the
   /// profile-guided reselection in one shot (see compiler/profile.hpp).
   ProfileStore* profiles = nullptr;
+  /// Simulator engine of every measurement lane. Points are identical for
+  /// either engine; only wall-clock time changes.
+  sim::SimulatorOptions sim;
 };
 
 /// Measures every valid configuration. Obviously-invalid candidates (failed
 /// occupancy, degenerate boundary tiling) are pruned by the hardware model
-/// before any interpreter work. Points are returned sorted by thread count
+/// before any simulation. Points are returned sorted by thread count
 /// then block_x (the layout of Figure 4's x axis).
 Result<std::vector<ExplorePoint>> ExploreConfigurations(
     const CompiledKernel& kernel, const hw::DeviceSpec& device,

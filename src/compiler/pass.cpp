@@ -15,7 +15,6 @@ namespace hipacc::compiler {
 const char* to_string(DiagSeverity severity) noexcept {
   switch (severity) {
     case DiagSeverity::kNote: return "note";
-    case DiagSeverity::kWarning: return "warning";
     case DiagSeverity::kError: return "error";
   }
   return "?";
@@ -29,10 +28,6 @@ std::string CompilationContext::KernelName() const {
 
 void CompilationContext::Note(const std::string& pass, std::string message) {
   diagnostics.push_back({pass, DiagSeverity::kNote, std::move(message)});
-}
-
-void CompilationContext::Warn(const std::string& pass, std::string message) {
-  diagnostics.push_back({pass, DiagSeverity::kWarning, std::move(message)});
 }
 
 namespace {
@@ -364,10 +359,9 @@ class EmitPass final : public Pass {
   }
 };
 
-/// Bytecode: DeviceKernel -> region-specialised simulator programs. Runs
-/// after emit so the artifact is complete either way; a bail-out (an IR
-/// construct the bytecode compiler doesn't model) downgrades to a warning
-/// and the simulator uses the AST interpreter for this kernel.
+/// Bytecode: DeviceKernel -> region-specialised simulator programs, which
+/// every compiled kernel carries. A kernel whose programs exceed a size
+/// budget fails to compile here, with the budget named in the error.
 class BytecodePass final : public Pass {
  public:
   const char* name() const override { return "bytecode"; }
@@ -377,17 +371,8 @@ class BytecodePass final : public Pass {
                                  ctx.artifact.bytecode->programs.size()));
       return Status::Ok();
     }
-    Result<std::shared_ptr<const sim::ProgramSet>> compiled =
-        sim::CompileToBytecode(ctx.artifact.device_ir);
-    if (!compiled.ok()) {
-      ctx.Warn(name(), "falling back to AST engine: " +
-                           compiled.status().ToString());
-      ctx.Note(name(), "no bytecode programs attached");
-      if (ctx.options.trace)
-        ctx.options.trace->IncrementCounter("bytecode.fallback");
-      return Status::Ok();
-    }
-    ctx.artifact.bytecode = std::move(compiled).take();
+    HIPACC_ASSIGN_OR_RETURN(ctx.artifact.bytecode,
+                            sim::CompileToBytecode(ctx.artifact.device_ir));
     ctx.Note(name(),
              StrFormat("compiled %zu programs, %lld instructions",
                        ctx.artifact.bytecode->programs.size(),

@@ -17,8 +17,8 @@
 // from Retarget provenance or from a compilation-cache hit. The bytecode
 // pass compiles the device IR into the simulator's register-machine
 // programs (sim/bytecode.hpp); it runs in every pipeline but reuses an
-// already-attached program set, and a bytecode bail-out is a warning, not
-// an error (the simulator falls back to the AST interpreter).
+// already-attached program set. Every compiled kernel carries programs: a
+// kernel that cannot get them fails to compile.
 #pragma once
 
 #include <functional>
@@ -33,7 +33,7 @@ namespace hipacc::compiler {
 /// Severity of a pass-reported diagnostic. Errors accompany a failing
 /// Status; notes record what a pass decided (selected config, emitted
 /// bytes) without affecting compilation.
-enum class DiagSeverity { kNote, kWarning, kError };
+enum class DiagSeverity { kNote, kError };
 
 const char* to_string(DiagSeverity severity) noexcept;
 
@@ -68,7 +68,6 @@ struct CompilationContext {
   /// Best available kernel name for span labels and error messages.
   std::string KernelName() const;
   void Note(const std::string& pass, std::string message);
-  void Warn(const std::string& pass, std::string message);
 };
 
 /// One named transformation step. Implementations must be stateless across

@@ -89,6 +89,19 @@ class Parser {
     }
     return false;
   }
+  /// A declaration or loop variable may not reuse a name visible where it
+  /// appears, kernel parameters included. Both simulator engines and the
+  /// reference oracle bind locals by name, so a shadowing declaration would
+  /// clobber the outer variable where the emitted CUDA keeps the two apart.
+  Status CheckFreshName(const std::string& name, const char* what) const {
+    ScalarType type;
+    if (!LookupVar(name, &type)) return Status::Ok();
+    if (scopes_.back().count(name))
+      return Error("redeclaration of '" + name + "'");
+    return Error(std::string(what) + " '" + name + "' shadows " +
+                 (IsLocal(name) ? "a declaration in an enclosing scope"
+                                : "the kernel parameter of that name"));
+  }
   bool IsLocal(const std::string& name) const {
     // Everything in scopes_ except frame 0 entries that came from params.
     ScalarType type;
@@ -135,8 +148,7 @@ class Parser {
     do {
       if (!Check(TokenKind::kIdent)) return Error("expected variable name");
       const std::string name = Advance().text;
-      if (scopes_.back().count(name))
-        return Error("redeclaration of '" + name + "'");
+      HIPACC_RETURN_IF_ERROR(CheckFreshName(name, "declaration of"));
       ExprPtr init;
       if (Match(TokenKind::kAssign)) {
         Result<ExprPtr> expr = ParseExpr();
@@ -235,6 +247,7 @@ class Parser {
     HIPACC_RETURN_IF_ERROR(Expect(TokenKind::kKwInt));
     if (!Check(TokenKind::kIdent)) return Error("expected loop variable");
     const std::string var = Advance().text;
+    HIPACC_RETURN_IF_ERROR(CheckFreshName(var, "loop variable"));
     HIPACC_RETURN_IF_ERROR(Expect(TokenKind::kAssign));
     PushScope();
     scopes_.back()[var] = ScalarType::kInt;

@@ -56,7 +56,7 @@ Result<LaunchHolder> BuildLaunch(const ast::DeviceKernel& kernel,
       return Status::Invalid("input image not bound: " + buf.name);
     dsl::Image<float>& img = *input;
     // const_cast: the simulated device reads through a writable view but the
-    // binding is marked read-only; the interpreter rejects writes to it.
+    // binding is marked read-only; the simulator rejects writes to it.
     launch.buffers.push_back({buf.name, img.span().data(), img.width(),
                               img.height(), img.stride(), false});
   }

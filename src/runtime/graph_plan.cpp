@@ -454,7 +454,7 @@ Status FrameExec::BeginKernelStage(const GraphPlan::Stage& stage,
           "' is not supported by the host executor (GraphOptions::Executor::"
           "kHost): " + host.status().message());
   }
-  sim::Simulator simulator(options.run.device, options.run.sim_options());
+  sim::Simulator simulator(options.run.device, options.run.sim);
   Result<sim::LaunchStats> stats = simulator.Execute(launch);
   if (!stats.ok()) return stats.status();
   if (plan_.trace != nullptr) {

@@ -632,9 +632,7 @@ HostLaunch::~HostLaunch() = default;
 
 Result<HostLaunch> HostLaunch::Prepare(const sim::Launch& launch, int halo_x,
                                        int halo_y) {
-  if (launch.programs == nullptr || launch.programs->programs.empty())
-    return Status::Unimplemented(
-        "host executor: launch carries no bytecode programs");
+  HIPACC_CHECK(launch.programs != nullptr);  // every launch carries them
   const ProgramSet& ps = *launch.programs;
   auto plan = std::make_unique<Plan>();
   plan->ps = &ps;

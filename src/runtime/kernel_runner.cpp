@@ -27,7 +27,7 @@ Status KernelRunner::EnsureCompiled(int width, int height) {
   if (!compiled.ok()) return compiled.status();
 
   executable_.emplace(std::move(compiled).take(), options_.device,
-                      options_.sim_options());
+                      options_.sim);
   if (options_.trace != nullptr) executable_->set_trace(options_.trace);
   width_ = width;
   height_ = height;

@@ -42,19 +42,12 @@ struct RunOptions {
   /// Compilation results are memoised here; null for the process-wide
   /// GlobalCompilationCache().
   compiler::CompilationCache* cache = nullptr;
-  /// Simulator engine selection. Unset defers to the process-wide
-  /// sim::DefaultSimulatorOptions() — what the --sim-engine flag steers —
-  /// exactly as launches behaved before this struct existed.
-  std::optional<sim::SimulatorOptions> sim;
+  /// Engine and native-tier threshold of every simulated launch.
+  sim::SimulatorOptions sim;
   /// When set, compilation consults measured history for configuration
   /// reselection (compiler/profile.hpp) and every launch this runtime
   /// executes records its modelled time back into the store.
   compiler::ProfileStore* profiles = nullptr;
-
-  /// Engine the simulator will actually use under these options.
-  sim::SimulatorOptions sim_options() const {
-    return sim ? *sim : sim::DefaultSimulatorOptions();
-  }
 
   RunOptions& with_backend(ast::Backend backend) {
     codegen.backend = backend;
@@ -97,8 +90,7 @@ struct RunOptions {
     return *this;
   }
   RunOptions& with_sim_engine(sim::ExecEngine engine) {
-    if (!sim) sim.emplace();
-    sim->engine = engine;
+    sim.engine = engine;
     return *this;
   }
 };

@@ -423,7 +423,7 @@ Status StreamExecutor::MeasureStageCosts() {
         if (holder.ok()) {
           holder.value().launch.programs = ck.bytecode.get();
           sim::Simulator simulator(graph_options_.run.device,
-                                   graph_options_.run.sim_options());
+                                   graph_options_.run.sim);
           stats = simulator.Measure(holder.value().launch);
         }
         for (BufferPool::ImagePtr& image : held)

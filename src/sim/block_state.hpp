@@ -1,5 +1,5 @@
-// Per-block execution state shared by the simulator's two execution
-// engines (the AST interpreter and the bytecode VM): warp-lockstep lane
+// Per-block execution state shared by the bytecode VM and the tests'
+// tree-walking oracle over the device IR: warp-lockstep lane
 // values, the thread/global-index context of the current warp, the
 // scratchpad staging phase (Listing 7), and the block-level region dispatch
 // (Figure 3). Both engines drive their warp bodies through this one

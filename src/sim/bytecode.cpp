@@ -9,6 +9,7 @@
 #include "sim/block_state.hpp"
 #include "sim/jit/cache.hpp"
 #include "support/stopwatch.hpp"
+#include "support/string_utils.hpp"
 
 namespace hipacc::sim {
 namespace {
@@ -16,7 +17,8 @@ namespace {
 using namespace hipacc::ast;
 
 // Compile-time guard rails. Real kernels sit orders of magnitude below all
-// of these; hitting one degrades to the AST engine instead of mis-compiling.
+// of these; exceeding one of the last three is a compile error that names
+// the budget (the unroll limits only keep a loop rolled).
 constexpr int kMaxUnrollIterations = 64;
 constexpr int kMaxUnrollNodes = 20000;
 constexpr std::size_t kMaxCodeLength = 100000;
@@ -78,7 +80,7 @@ class VariantCompiler {
     }
     HIPACC_RETURN_IF_ERROR(CompileStmt(variant.body, /*mask_slot=*/0));
     if (code_.size() > kMaxCodeLength)
-      return Status::Unimplemented("bytecode: program too long");
+      return BudgetExceeded("kMaxCodeLength", kMaxCodeLength, "instructions");
     prog.code = std::move(code_);
     prog.num_regs = temp_base_ + temp_high_;
     prog.num_masks = mask_high_;
@@ -86,11 +88,20 @@ class VariantCompiler {
   }
 
  private:
+  /// The declaration a name currently binds to: its register and static
+  /// type. `declared` stays false until the first declaration compiles.
   struct VarInfo {
     std::uint16_t reg = 0;
     ScalarType static_type = ScalarType::kFloat;
     bool declared = false;
   };
+
+  Status BudgetExceeded(const char* budget, std::size_t limit,
+                        const char* unit) const {
+    return Status::Exhausted(StrFormat(
+        "bytecode: kernel %s exceeds the %s budget of %zu %s per program",
+        kernel_.name.c_str(), budget, limit, unit));
+  }
 
   // ---- prescan: fixed register layout [params+locals | loop pins | temps]
 
@@ -98,48 +109,46 @@ class VariantCompiler {
     int next = 0;
     for (const auto& p : kernel_.params) {
       if (vars_.count(p.name))
-        return Status::Unimplemented("bytecode: duplicate parameter " + p.name);
-      vars_[p.name] = VarInfo{NextReg(&next), p.type, /*declared=*/true};
+        return Status::Internal("bytecode: duplicate parameter " + p.name);
+      const std::uint16_t reg = NextReg(&next);
+      regs_[{p.name, p.type}] = reg;
+      vars_[p.name] = VarInfo{reg, p.type, /*declared=*/true};
     }
     int for_count = 0;
-    HIPACC_RETURN_IF_ERROR(ScanDecls(body, &next, &for_count));
+    ScanDecls(body, &next, &for_count);
     pin_base_ = next;
     next += for_count;
     temp_base_ = next;
     if (next >= kMaxRegisters)
-      return Status::Unimplemented("bytecode: register budget exceeded");
+      return BudgetExceeded("kMaxRegisters", kMaxRegisters, "registers");
     next_pin_ = pin_base_;
     return Status::Ok();
   }
 
-  Status ScanDecls(const StmtPtr& stmt, int* next, int* for_count) {
-    if (!stmt) return Status::Ok();
+  void ScanDecls(const StmtPtr& stmt, int* next, int* for_count) {
+    if (!stmt) return;
     const Stmt& s = *stmt;
-    if (s.kind == StmtKind::kDecl)
-      HIPACC_RETURN_IF_ERROR(AddLocal(s.name, s.decl_type, next));
+    if (s.kind == StmtKind::kDecl) AddLocal(s.name, s.decl_type, next);
     if (s.kind == StmtKind::kFor) {
-      HIPACC_RETURN_IF_ERROR(AddLocal(s.name, ScalarType::kInt, next));
+      AddLocal(s.name, ScalarType::kInt, next);
       ++*for_count;
     }
-    for (const auto& child : s.body)
-      HIPACC_RETURN_IF_ERROR(ScanDecls(child, next, for_count));
-    return Status::Ok();
+    for (const auto& child : s.body) ScanDecls(child, next, for_count);
   }
 
-  /// Every name must have one consistent type across all of its declaration
-  /// sites (and any parameter of the same name) — the static type the
-  /// compiler resolves reads against. Shadowing with a new type would need
-  /// per-occurrence type inference; such kernels fall back to the AST engine.
-  Status AddLocal(const std::string& name, ScalarType type, int* next) {
-    auto it = vars_.find(name);
-    if (it == vars_.end()) {
-      vars_[name] = VarInfo{NextReg(next), type, /*declared=*/false};
-      return Status::Ok();
-    }
-    if (it->second.static_type != type)
-      return Status::Unimplemented(
-          "bytecode: variable " + name + " is redeclared with a new type");
-    return Status::Ok();
+  /// One register per (name, type): declarations of a name with one type
+  /// share it, and a sibling scope that redeclares the name with a new type
+  /// gets its own. Reads bind to the latest declaration compiled, which is
+  /// the visible one because the frontend rejects shadowing.
+  void AddLocal(const std::string& name, ScalarType type, int* next) {
+    if (!regs_.count({name, type})) regs_[{name, type}] = NextReg(next);
+  }
+
+  /// Makes the declaration of `name` with `type` the one reads resolve to.
+  VarInfo& Bind(const std::string& name, ScalarType type) {
+    VarInfo& vi = vars_[name];
+    vi = VarInfo{regs_.at({name, type}), type, /*declared=*/true};
+    return vi;
   }
 
   std::uint16_t NextReg(int* next) { return static_cast<std::uint16_t>((*next)++); }
@@ -181,7 +190,7 @@ class VariantCompiler {
   Result<std::uint16_t> AllocTemp() {
     const int reg = temp_base_ + temp_sp_;
     if (reg >= kMaxRegisters)
-      return Status::Unimplemented("bytecode: register budget exceeded");
+      return BudgetExceeded("kMaxRegisters", kMaxRegisters, "registers");
     ++temp_sp_;
     temp_high_ = std::max(temp_high_, temp_sp_);
     return static_cast<std::uint16_t>(reg);
@@ -195,7 +204,7 @@ class VariantCompiler {
   Result<std::uint16_t> AllocMask() {
     const int slot = mask_sp_;
     if (slot >= kMaxMaskSlots)
-      return Status::Unimplemented("bytecode: mask slot budget exceeded");
+      return BudgetExceeded("kMaxMaskSlots", kMaxMaskSlots, "mask slots");
     ++mask_sp_;
     mask_high_ = std::max(mask_high_, mask_sp_);
     return static_cast<std::uint16_t>(slot);
@@ -336,7 +345,7 @@ class VariantCompiler {
       case ExprKind::kVarRef: {
         const auto it = vars_.find(e.name);
         if (it == vars_.end() || !it->second.declared)
-          return Status::Unimplemented(
+          return Status::Internal(
               "bytecode: variable " + e.name + " is read before declaration");
         return RegRef{it->second.reg, it->second.static_type, /*temp=*/false};
       }
@@ -397,12 +406,12 @@ class VariantCompiler {
       }
       case ExprKind::kCall: {
         if (e.args.size() > 2)
-          return Status::Unimplemented("bytecode: builtin " + e.name +
-                                       " has too many arguments");
+          return Status::Internal("bytecode: builtin " + e.name +
+                                  " has too many arguments");
         const auto builtin = FindBuiltin(e.name);
         const auto vb = ResolveBuiltin(e.name);
         if (!builtin || !vb)
-          return Status::Unimplemented("bytecode: unknown builtin " + e.name);
+          return Status::Internal("bytecode: unknown builtin " + e.name);
         RegRef args[2];
         for (std::size_t i = 0; i < e.args.size(); ++i) {
           HIPACC_ASSIGN_OR_RETURN(args[i], CompileExpr(e.args[i]));
@@ -453,7 +462,7 @@ class VariantCompiler {
       case ExprKind::kMemRead:
         return CompileMemRead(e);
       default:
-        return Status::Unimplemented(
+        return Status::Internal(
             "bytecode: unsupported expression kind in kernel " + kernel_.name);
     }
   }
@@ -620,15 +629,14 @@ class VariantCompiler {
       case StmtKind::kMemWrite:
         return CompileMemWrite(s, mask_slot);
       case StmtKind::kOutputAssign:
-        return Status::Unimplemented("bytecode: OutputAssign in device IR");
+        return Status::Internal("bytecode: OutputAssign in device IR");
     }
     return Status::Ok();
   }
 
   Status CompileDecl(const Stmt& s, std::uint16_t mask_slot) {
     (void)mask_slot;  // declarations write all lanes, mask-independent
-    VarInfo& vi = vars_.at(s.name);
-    vi.declared = true;
+    const VarInfo& vi = Bind(s.name, s.decl_type);
     if (!s.value) {
       EmitConst(vi.reg, s.decl_type, 0.0, 0, 0);
       consts_[s.name] = Folded{s.decl_type, 0.0, 0, 0};
@@ -659,7 +667,7 @@ class VariantCompiler {
   Status CompileAssign(const Stmt& s, std::uint16_t mask_slot) {
     const auto it = vars_.find(s.name);
     if (it == vars_.end() || !it->second.declared)
-      return Status::Unimplemented(
+      return Status::Internal(
           "bytecode: assignment to unknown variable " + s.name);
     const VarInfo& vi = it->second;
     const std::uint32_t op_cost = s.assign_op == AssignOp::kAssign ? 0 : 1;
@@ -758,8 +766,7 @@ class VariantCompiler {
   }
 
   Status CompileFor(const Stmt& s, std::uint16_t mask_slot) {
-    VarInfo& vi = vars_.at(s.name);
-    vi.declared = true;
+    const VarInfo vi = Bind(s.name, ScalarType::kInt);
 
     const auto f_lo = Fold(s.lo);
     const auto f_hi = Fold(s.hi);
@@ -860,7 +867,7 @@ class VariantCompiler {
     EmitAccount(f_lo.alu + f_hi.alu +
                     2 * (static_cast<std::uint32_t>(values.size()) + 1),
                 f_lo.sfu + f_hi.sfu);
-    const VarInfo& vi = vars_.at(s.name);
+    const VarInfo vi = vars_.at(s.name);
     for (const double v : values) {
       consts_[s.name] = Folded{ScalarType::kInt, v, 0, 0};
       if (!s.body.empty())
@@ -899,6 +906,7 @@ class VariantCompiler {
   const DeviceKernel& kernel_;
   ProgramSet* set_;
   std::vector<Insn> code_;
+  std::map<std::pair<std::string, ScalarType>, std::uint16_t> regs_;
   std::map<std::string, VarInfo> vars_;
   std::map<std::string, Folded> consts_;
   std::uint16_t cur_mask_ = 0;

@@ -6,14 +6,16 @@
 // mask loops with static bounds, so the per-warp execution loop is a flat
 // fetch/dispatch with no recursion, no per-node Status, and no name lookup.
 //
-// The VM is an exact re-implementation of the AST interpreter's semantics:
-// lane values, float-precision rules, metric increments (every folded or
-// fused operation carries its interpreter cost on the surviving
-// instruction), and the memory-model call sequence are all preserved, so
-// outputs AND modelled times are bit-identical between the two engines.
-// Constructs the compiler cannot prove equivalent (DSL-level nodes,
-// variables read before any declaration) fail compilation and the simulator
-// falls back to the interpreter.
+// These programs are the simulator's only semantics: every compiled kernel
+// and every launch carries them, and the VM and the native tier run them.
+// Compilation is total on what the frontend accepts. A program past one of
+// the size budgets fails with a compile error that names the budget; IR the
+// frontend never produces (DSL-level nodes, a read before any declaration)
+// is an Internal error. Lane values, float-precision rules, metric
+// increments (every folded or fused operation carries the cost of the work
+// it replaced), and the memory-model call sequence match the tree-walking
+// oracle the tests hold the engines to, so outputs AND modelled times are
+// bit-identical.
 #pragma once
 
 #include <cmath>
@@ -55,7 +57,7 @@ enum class Op : std::uint8_t {
   kLoopInc,     // dst[l] += imm for lanes in masks[mask]; pc <- jump (back edge)
 };
 
-/// Builtins resolved to direct handlers at compile time (the AST engine
+/// Builtins resolved to direct handlers at compile time (a tree walker
 /// dispatches on the callee name per warp per call).
 enum class VmBuiltin : std::uint8_t {
   kExp, kExp2, kLog, kLog2, kSqrt, kRsqrt, kSin, kCos, kTan, kAtan,
@@ -147,14 +149,14 @@ struct ProgramSet {
   const Program* Find(ast::Region region) const;
 };
 
-/// Compiles every region variant of `kernel`. Returns Unimplemented for IR
-/// the compiler cannot prove bit-equivalent under the VM — callers fall
-/// back to the AST engine.
+/// Compiles every region variant of `kernel`. Fails with ResourceExhausted
+/// naming the budget a program exceeds, or Internal for IR the frontend
+/// never produces.
 Result<std::shared_ptr<const ProgramSet>> CompileToBytecode(
     const ast::DeviceKernel& kernel);
 
 // ---- Lane arithmetic shared by the compiler's constant folder and the VM
-// ---- handlers (and kept textually identical to interpreter.cpp).
+// ---- handlers (and kept textually identical to the tests' oracle).
 
 /// AST Convert: conversion switches on the target type only.
 inline double ConvertLaneValue(double v, ast::ScalarType to) {

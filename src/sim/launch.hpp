@@ -17,9 +17,9 @@ struct ProgramSet;  // sim/bytecode.hpp
 
 struct Launch {
   const ast::DeviceKernel* kernel = nullptr;
-  /// Pre-compiled bytecode programs for `kernel` (owned by the compiled
-  /// artifact). Null is fine: the simulator compiles lazily — or runs the
-  /// AST engine when bytecode is disabled or compilation fell back.
+  /// Register programs compiled from `kernel` (owned by the compiled
+  /// artifact, or by whoever built the launch). Required: the simulator
+  /// rejects a launch without them.
   const ProgramSet* programs = nullptr;
   hw::KernelConfig config{128, 1};
   /// Iteration space == output image extent.

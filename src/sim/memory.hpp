@@ -94,6 +94,8 @@ class SegmentCache {
 class MemoryModel {
  public:
   explicit MemoryModel(const hw::DeviceSpec& device);
+  /// The model keeps `device` by reference, so a temporary would dangle.
+  MemoryModel(hw::DeviceSpec&&) = delete;
 
   /// One warp-level global read/write: `addrs` holds the element addresses
   /// (linear element index into the buffer) of the active lanes.

@@ -5,7 +5,6 @@ namespace hipacc::sim {
 const char* to_string(ExecEngine engine) noexcept {
   switch (engine) {
     case ExecEngine::kBytecode: return "bytecode";
-    case ExecEngine::kAst: return "ast";
     case ExecEngine::kNative: return "native";
   }
   return "?";
@@ -13,15 +12,9 @@ const char* to_string(ExecEngine engine) noexcept {
 
 Result<ExecEngine> ParseExecEngine(const std::string& text) {
   if (text == "bytecode") return ExecEngine::kBytecode;
-  if (text == "ast") return ExecEngine::kAst;
   if (text == "native") return ExecEngine::kNative;
   return Status::Invalid("unknown simulator engine '" + text +
-                         "' (expected 'bytecode', 'ast', or 'native')");
-}
-
-SimulatorOptions& DefaultSimulatorOptions() {
-  static SimulatorOptions options;
-  return options;
+                         "' (expected 'bytecode' or 'native')");
 }
 
 }  // namespace hipacc::sim

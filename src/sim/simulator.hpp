@@ -1,12 +1,19 @@
 // Simulator driver: functional execution (every block, exact output) and
-// sampled measurement (a few blocks per boundary region interpreted, metrics
+// sampled measurement (a few blocks per boundary region executed, metrics
 // extrapolated by region population, then run through the timing model).
 // Sampling is exact for our kernels because every block within one region
 // executes the same instruction stream — only cache behaviour varies
 // slightly at the image edges, which the per-region samples capture.
+//
+// Both run through one launch driver (Run), parameterised by the function
+// that executes one thread block. Execute and Measure run the launch's
+// register programs on the engine the options select: the bytecode VM
+// (vm.hpp) or the native tier (jit/). Tests pass a reference executor.
 #pragma once
 
-#include <memory>
+#include <cstdint>
+#include <functional>
+#include <optional>
 
 #include "codegen/resource_estimator.hpp"
 #include "sim/launch.hpp"
@@ -16,7 +23,6 @@
 namespace hipacc::sim {
 
 class TraceSink;
-struct ProgramSet;
 
 struct LaunchStats {
   Metrics metrics;              ///< whole-grid (exact or extrapolated)
@@ -26,10 +32,15 @@ struct LaunchStats {
   bool sampled = false;
 };
 
+/// Executes thread block (bx, by) of a validated launch, adding its metrics
+/// to `metrics` and its dispatched instruction count to `executed_insns`.
+using BlockFn = std::function<Status(
+    const Launch& launch, const hw::DeviceSpec& device, int bx, int by,
+    Metrics* metrics, std::uint64_t* executed_insns)>;
+
 class Simulator {
  public:
-  explicit Simulator(hw::DeviceSpec device,
-                     SimulatorOptions options = DefaultSimulatorOptions())
+  explicit Simulator(hw::DeviceSpec device, SimulatorOptions options = {})
       : device_(std::move(device)), options_(options) {}
 
   const SimulatorOptions& options() const noexcept { return options_; }
@@ -48,27 +59,34 @@ class Simulator {
   TraceSink* trace() const noexcept { return trace_; }
 
   /// Validates the launch against device limits (configs exceeding the
-  /// hardware model's resources fail like a real kernel-launch error).
+  /// hardware model's resources fail like a real kernel-launch error) and
+  /// requires its register programs.
   Status Validate(const Launch& launch) const;
 
   /// Executes every block of the grid (host-parallel), producing the exact
   /// output image and exact whole-grid metrics.
-  Result<LaunchStats> Execute(const Launch& launch) const;
+  Result<LaunchStats> Execute(const Launch& launch) const {
+    return Run(launch, nullptr, std::nullopt);
+  }
 
-  /// Interprets up to `samples_per_region` blocks of each populated region
+  /// Executes up to `samples_per_region` blocks of each populated region
   /// and extrapolates. Output buffers are only partially written.
   Result<LaunchStats> Measure(const Launch& launch,
-                              int samples_per_region = 3) const;
+                              int samples_per_region = 3) const {
+    return Run(launch, nullptr, samples_per_region);
+  }
+
+  /// The launch driver behind Execute (`samples_per_region` unset: every
+  /// block) and Measure: validates, runs `block` on the chosen blocks, models
+  /// the time and records the trace span. A null `block` runs the launch's
+  /// programs on the engine options() selects.
+  Result<LaunchStats> Run(const Launch& launch, const BlockFn& block,
+                          std::optional<int> samples_per_region) const;
 
  private:
   hw::OccupancyResult Occupancy(const Launch& launch) const;
   double IssueScale(const Launch& launch) const;
   const hw::KernelResources& Resources(const Launch& launch) const;
-  /// Resolves the bytecode programs for this launch: the artifact's
-  /// pre-compiled set when attached, else a lazily compiled kernel-keyed
-  /// cache. Returns null when the AST engine is selected or bytecode
-  /// compilation bailed out (the launch then runs on the interpreter).
-  const ProgramSet* PreparePrograms(const Launch& launch) const;
 
   hw::DeviceSpec device_;
   SimulatorOptions options_;
@@ -79,11 +97,6 @@ class Simulator {
   /// single-threaded use of one Simulator per measurement lane.
   mutable const ast::DeviceKernel* resources_kernel_ = nullptr;
   mutable hw::KernelResources resources_cache_;
-  /// Lazily compiled bytecode for launches that arrive without programs
-  /// (hand-built launches, runtime paths that bypass the compiler pass).
-  /// Same single-lane-use contract as the resources cache.
-  mutable const ast::DeviceKernel* programs_kernel_ = nullptr;
-  mutable std::shared_ptr<const ProgramSet> programs_cache_;
 };
 
 }  // namespace hipacc::sim

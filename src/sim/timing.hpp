@@ -1,4 +1,4 @@
-// Analytical timing model: converts the interpreter's warp-level metrics
+// Analytical timing model: converts the simulator's warp-level metrics
 // into a modelled kernel time on a device. The model is a simplified
 // MWP/CWP-style bound (Hong & Kim, ISCA'09): kernel time is the maximum of
 // the compute-throughput bound, the memory-bandwidth bound, and the exposed

@@ -1,6 +1,8 @@
 // Bytecode execution engine: runs one thread block of a compiled ProgramSet
-// (bytecode.hpp) with the same observable behaviour — outputs, metrics, and
-// memory-model call sequence — as the AST interpreter's RunBlock.
+// (bytecode.hpp). It is the simulator's default engine and the reference the
+// native tier (jit/) must match bit for bit: outputs, metrics, and the
+// memory-model call sequence. The tests hold both to a tree-walking oracle
+// over the device IR.
 #pragma once
 
 #include <cstdint>

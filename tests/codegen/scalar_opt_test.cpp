@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "ast/printer.hpp"
 #include "ast/visitor.hpp"
 
@@ -125,6 +128,44 @@ TEST(ScalarOptTest, NestedLoopsHoistToOutermostLegalLevel) {
     }
   }
   EXPECT_TRUE(before_loop);
+}
+
+TEST(ScalarOptTest, HoistedTemporariesAreDeclaredBeforeUse) {
+  // for y { for x { s += exp(fmin(4, p * 2)) } }: the inner loop hoists
+  // fmin(...) as a temporary and leaves exp(temp) behind, which the outer
+  // loop hoists again. The second hoist reads the first, so the first must
+  // be declared ahead of it (the emitted source would not compile, and the
+  // bytecode compiler reports a read before declaration).
+  const ExprPtr invariant = Call(
+      "exp",
+      {Call("fmin",
+            {FloatLit(4.0), Binary(BinaryOp::kMul,
+                                   VarRef("p", ScalarType::kFloat),
+                                   FloatLit(2.0))},
+            ScalarType::kFloat)},
+      ScalarType::kFloat);
+  const StmtPtr body = Block({
+      Decl(ScalarType::kFloat, "s", FloatLit(0.0)),
+      For("y", IntLit(0), IntLit(3), 1,
+          Block({For("x", IntLit(0), IntLit(3), 1,
+                     Block({Assign("s", AssignOp::kAddAssign, invariant)}))})),
+  });
+  const StmtPtr optimized = OptimizeScalars(body);
+  std::set<std::string> declared = {"p"};
+  int hoisted = 0;
+  for (const auto& child : optimized->body) {
+    VisitExprs(child, [&](const Expr& e) {
+      if (e.kind == ExprKind::kVarRef && e.name[0] == '_')
+        EXPECT_TRUE(declared.count(e.name))
+            << e.name << " is read before its declaration in\n"
+            << PrintStmt(optimized);
+    });
+    if (child->kind == StmtKind::kDecl) {
+      declared.insert(child->name);
+      if (child->name[0] == '_') ++hoisted;
+    }
+  }
+  EXPECT_GE(hoisted, 2) << PrintStmt(optimized);
 }
 
 TEST(ScalarOptTest, PlainArithmeticUntouched) {

@@ -16,6 +16,7 @@
 #include "compiler/disk_cache.hpp"
 #include "compiler/driver.hpp"
 #include "ops/kernel_sources.hpp"
+#include "sim/bytecode.hpp"
 #include "support/disk_store.hpp"
 
 namespace hipacc {
@@ -89,7 +90,9 @@ TEST(DiskCacheTest, SecondCacheInstanceHitsDiskBitIdentically) {
   EXPECT_EQ(warm.config.config, cold.config.config);
   EXPECT_EQ(warm.device_ir.ppt, cold.device_ir.ppt);
   // Bytecode is not serialised; the decode path re-attaches it.
-  EXPECT_EQ(warm.bytecode != nullptr, cold.bytecode != nullptr);
+  ASSERT_NE(warm.bytecode, nullptr);
+  EXPECT_EQ(warm.bytecode->total_instructions,
+            cold.bytecode->total_instructions);
 }
 
 TEST(DiskCacheTest, CorruptedEntriesRepairOnTheNextCompile) {
@@ -189,6 +192,15 @@ TEST(DiskCacheTest, ArtifactCodecRejectsTamperedPayloads) {
     EXPECT_FALSE(
         compiler::DecodeCompiledKernel(payload.substr(0, cut)).has_value());
   EXPECT_FALSE(compiler::DecodeCompiledKernel("junk payload").has_value());
+
+  // Every decoded kernel carries its programs, so an entry whose IR no
+  // longer compiles to bytecode decodes as a miss.
+  compiler::CompiledKernel unrebuildable = kernel;
+  unrebuildable.device_ir.variants.front().body = ast::Block(
+      {ast::Assign("undeclared", ast::AssignOp::kAssign, ast::FloatLit(0.0))});
+  EXPECT_FALSE(compiler::DecodeCompiledKernel(
+                   compiler::EncodeCompiledKernel(unrebuildable))
+                   .has_value());
 }
 
 }  // namespace

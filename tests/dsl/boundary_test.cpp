@@ -10,7 +10,7 @@
 #include "compiler/executable.hpp"
 #include "hwmodel/device_db.hpp"
 #include "ops/kernel_sources.hpp"
-#include "sim/interpreter.hpp"
+#include "sim/vm.hpp"
 #include "support/rng.hpp"
 
 namespace hipacc::dsl {
@@ -223,14 +223,18 @@ TEST(BoundaryOobTest, UndefinedFiresOnlyWhereTheStencilLeavesTheImage) {
   ASSERT_GE(grid_x, 3);
   ASSERT_GE(grid_y, 3);
 
+  const sim::ProgramSet& programs = *compiled.value().bytecode;
   sim::Metrics interior;
-  ASSERT_TRUE(sim::RunBlock(launch, device, grid_x / 2, grid_y / 2, &interior)
+  ASSERT_TRUE(sim::RunBlockBytecode(launch, programs, device, grid_x / 2,
+                                    grid_y / 2, &interior, nullptr)
                   .ok());
   EXPECT_EQ(interior.oob_violations, 0u);
   EXPECT_GT(interior.global_read_instrs, 0u);
 
   sim::Metrics corner;
-  ASSERT_TRUE(sim::RunBlock(launch, device, 0, 0, &corner).ok());
+  ASSERT_TRUE(
+      sim::RunBlockBytecode(launch, programs, device, 0, 0, &corner, nullptr)
+          .ok());
   EXPECT_GT(corner.oob_violations, 0u);
 }
 

@@ -136,6 +136,13 @@ TEST(ParserTest, ScopingAllowsShadowBlocks) {
       "float a = 1.0f;\n"
       "if (a > 0.0f) { float b = 2.0f; a = b; }\n"
       "output() = a;")).ok());
+  // Sibling scopes may redeclare a name, with a new type too: the two `t`s
+  // are never visible together.
+  EXPECT_TRUE(ParseKernel(MinimalSource(
+      "float r = Input();\n"
+      "if (r > 0.6f) { int t = 2; r = r + t; }\n"
+      "else { float t = 0.5f; r = r + t; }\n"
+      "output() = r;")).ok());
 }
 
 // ---- error cases ----------------------------------------------------------
@@ -184,6 +191,47 @@ TEST(ParserErrorTest, MissingOutputAssignment) {
 TEST(ParserErrorTest, RedeclarationInSameScope) {
   EXPECT_FALSE(ParseKernel(MinimalSource(
       "float a = 1.0f;\nfloat a = 2.0f;\noutput() = a;")).ok());
+}
+
+/// Parses `body` expecting a parse error that names variable `name`.
+void ExpectShadowingRejected(const std::string& body, const std::string& name) {
+  const auto result = ParseKernel(MinimalSource(body));
+  ASSERT_FALSE(result.ok()) << body;
+  EXPECT_EQ(result.status().code(), StatusCode::kParseError);
+  EXPECT_NE(result.status().message().find("'" + name + "'"),
+            std::string::npos)
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("shadows"), std::string::npos)
+      << result.status().ToString();
+}
+
+TEST(ParserErrorTest, ShadowingDeclarationsRejected) {
+  // The simulator binds locals by name, so a shadowing declaration would
+  // clobber the outer variable (the first two would write the inner value,
+  // the loop nest would sum 3 instead of 9) where the emitted CUDA keeps
+  // the two apart. A nested local may not shadow a parameter either.
+  ExpectShadowingRejected(
+      "float a = Input();\n"
+      "if (a > 0.6f) { float a = 2.0f; }\n"
+      "output() = a;",
+      "a");
+  ExpectShadowingRejected(
+      "float a = Input();\n"
+      "if (a > 0.6f) { int a = 2; }\n"
+      "output() = a;",
+      "a");
+  ExpectShadowingRejected(
+      "float acc = 0.0f;\n"
+      "for (int i = 0; i < 3; i++) {\n"
+      "  for (int i = 0; i < 3; i++) { acc += Input(); }\n"
+      "}\n"
+      "output() = acc;",
+      "i");
+  ExpectShadowingRejected(
+      "float a = Input();\n"
+      "if (a > 0.5f) { float gain = 2.0f; a = a * gain; }\n"
+      "output() = a;",
+      "gain");
 }
 
 TEST(ParserErrorTest, NonCanonicalLoopsRejected) {

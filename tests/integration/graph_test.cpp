@@ -370,15 +370,13 @@ TEST(RunOptionsTest, ChainableSettersCompose) {
           .with_scratchpad()
           .with_device(hw::TeslaC2050())
           .with_trace(&trace)
-          .with_sim_engine(sim::ExecEngine::kAst);
+          .with_sim_engine(sim::ExecEngine::kNative);
   EXPECT_EQ(options.codegen.backend, ast::Backend::kOpenCL);
   EXPECT_TRUE(options.codegen.use_scratchpad);
   EXPECT_EQ(options.trace, &trace);
-  ASSERT_TRUE(options.sim.has_value());
-  EXPECT_EQ(options.sim_options().engine, sim::ExecEngine::kAst);
-  // Unset sim defers to the process-wide default.
-  EXPECT_EQ(runtime::RunOptions().sim_options().engine,
-            sim::DefaultSimulatorOptions().engine);
+  EXPECT_EQ(options.sim.engine, sim::ExecEngine::kNative);
+  // Options are explicit: the default engine is the bytecode VM.
+  EXPECT_EQ(runtime::RunOptions().sim.engine, sim::ExecEngine::kBytecode);
 }
 
 TEST(RunOptionsTest, MakeCompileOptionsMapsFields) {

@@ -1,18 +1,24 @@
 // Differential validation of the bytecode execution engine: for every
 // example kernel, boundary mode, image extent, and memory-path variant, the
-// bytecode VM must be observably indistinguishable from the AST
-// interpreter — output pixels bit for bit, every metric counter, and the
-// modelled time. Inputs are randomized with the repo's deterministic RNG
-// (same generator discipline as the PR 1 boundary property sweeps), so a
-// divergence reproduces byte-for-byte.
+// bytecode VM must be observably indistinguishable from the reference
+// oracle (a tree-walking interpreter over the device IR, tests/oracle) —
+// output pixels bit for bit, every metric counter, and the modelled time.
+// Inputs are randomized with the repo's deterministic RNG (same generator
+// discipline as the boundary property sweeps), so a divergence reproduces
+// byte-for-byte. Also: every shipped kernel compiles to bytecode, and a
+// kernel past a program budget fails to compile with the budget named.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "compiler/driver.hpp"
+#include "compiler/kernel_file.hpp"
+#include "ops/isp.hpp"
 #include "ops/kernel_sources.hpp"
 #include "ops/masks.hpp"
+#include "oracle/interpreter.hpp"
 #include "runtime/bindings.hpp"
 #include "sim/bytecode.hpp"
 #include "sim/jit/cache.hpp"
@@ -28,6 +34,9 @@ using ast::BoundaryMode;
 constexpr BoundaryMode kAllModes[] = {
     BoundaryMode::kUndefined, BoundaryMode::kClamp, BoundaryMode::kRepeat,
     BoundaryMode::kMirror, BoundaryMode::kConstant};
+
+/// What runs the blocks of a launch: the oracle or one of the engines.
+enum class Runner { kOracle, kBytecode, kNative };
 
 struct EngineRun {
   Status status = Status::Ok();
@@ -45,8 +54,7 @@ HostImage<float> RandomInput(int w, int h, Rng& rng) {
 
 EngineRun RunEngine(const compiler::CompiledKernel& kernel,
                     const HostImage<float>& input,
-                    const runtime::BindingSet& scalars,
-                    sim::ExecEngine engine) {
+                    const runtime::BindingSet& scalars, Runner runner) {
   EngineRun run;
   dsl::Image<float> in(input.width(), input.height());
   dsl::Image<float> out(input.width(), input.height());
@@ -61,11 +69,13 @@ EngineRun RunEngine(const compiler::CompiledKernel& kernel,
   }
   holder.value().launch.programs = kernel.bytecode.get();
   sim::SimulatorOptions options;
-  options.engine = engine;
+  if (runner == Runner::kNative) options.engine = sim::ExecEngine::kNative;
   options.jit_threshold = 1;  // native runs tier up on the first launch
   sim::Simulator simulator(hw::TeslaC2050(), options);
   Result<sim::LaunchStats> stats =
-      simulator.Execute(holder.value().launch);
+      runner == Runner::kOracle
+          ? oracle::Execute(simulator, holder.value().launch)
+          : simulator.Execute(holder.value().launch);
   if (!stats.ok()) {
     run.status = stats.status();
     return run;
@@ -93,14 +103,14 @@ void ExpectMetricsEqual(const sim::Metrics& a, const sim::Metrics& b) {
   EXPECT_EQ(a.oob_violations, b.oob_violations);
 }
 
-/// Compiles `source` and runs the AST interpreter against `engine` on a
-/// fresh randomized input; every observable — pixels (bitwise), metrics,
-/// modelled time — must match. Failures (e.g. degenerate region grids at
-/// tiny extents) must be identical on both engines too.
-void ExpectEngineMatchesAst(const frontend::KernelSource& source, int w,
-                            int h, const runtime::BindingSet& scalars,
-                            Rng& rng, codegen::CodegenOptions codegen,
-                            sim::ExecEngine engine) {
+/// Compiles `source` and runs the oracle against `runner` on a fresh
+/// randomized input; every observable — pixels (bitwise), metrics, modelled
+/// time — must match. Failures (e.g. degenerate region grids at tiny
+/// extents) must be identical on both sides too.
+void ExpectEngineMatchesOracle(const frontend::KernelSource& source, int w,
+                               int h, const runtime::BindingSet& scalars,
+                               Rng& rng, codegen::CodegenOptions codegen,
+                               Runner runner) {
   compiler::CompileOptions options;
   options.codegen = codegen;
   options.device = hw::TeslaC2050();
@@ -110,46 +120,72 @@ void ExpectEngineMatchesAst(const frontend::KernelSource& source, int w,
   Result<compiler::CompiledKernel> compiled =
       compiler::Compile(source, options);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  ASSERT_NE(compiled.value().bytecode, nullptr)
-      << "bytecode pass fell back for " << source.name;
+  ASSERT_NE(compiled.value().bytecode, nullptr);
 
   const HostImage<float> input = RandomInput(w, h, rng);
-  const EngineRun ast = RunEngine(compiled.value(), input, scalars,
-                                  sim::ExecEngine::kAst);
-  const EngineRun vm = RunEngine(compiled.value(), input, scalars, engine);
+  const EngineRun ref =
+      RunEngine(compiled.value(), input, scalars, Runner::kOracle);
+  const EngineRun vm = RunEngine(compiled.value(), input, scalars, runner);
   SCOPED_TRACE(source.name + " " + std::to_string(w) + "x" +
                std::to_string(h));
-  ASSERT_EQ(ast.status.ok(), vm.status.ok())
-      << "ast: " << ast.status.ToString()
-      << " vm: " << vm.status.ToString();
-  if (!ast.status.ok()) {
-    EXPECT_EQ(ast.status.ToString(), vm.status.ToString());
+  ASSERT_EQ(ref.status.ok(), vm.status.ok())
+      << "oracle: " << ref.status.ToString()
+      << " engine: " << vm.status.ToString();
+  if (!ref.status.ok()) {
+    EXPECT_EQ(ref.status.ToString(), vm.status.ToString());
     return;
   }
-  ASSERT_EQ(ast.output.size(), vm.output.size());
-  EXPECT_EQ(std::memcmp(ast.output.data(), vm.output.data(),
-                        ast.output.size() * sizeof(float)),
+  ASSERT_EQ(ref.output.size(), vm.output.size());
+  EXPECT_EQ(std::memcmp(ref.output.data(), vm.output.data(),
+                        ref.output.size() * sizeof(float)),
             0)
       << "output pixels differ";
-  ExpectMetricsEqual(ast.stats.metrics, vm.stats.metrics);
-  EXPECT_EQ(ast.stats.timing.total_ms, vm.stats.timing.total_ms);
+  ExpectMetricsEqual(ref.stats.metrics, vm.stats.metrics);
+  EXPECT_EQ(ref.stats.timing.total_ms, vm.stats.timing.total_ms);
 }
 
 void ExpectEnginesAgree(const frontend::KernelSource& source, int w, int h,
                         const runtime::BindingSet& scalars, Rng& rng,
                         codegen::CodegenOptions codegen = {}) {
-  ExpectEngineMatchesAst(source, w, h, scalars, rng, codegen,
-                         sim::ExecEngine::kBytecode);
+  ExpectEngineMatchesOracle(source, w, h, scalars, rng, codegen,
+                            Runner::kBytecode);
 }
 
 /// Same differential contract, but for the native tier: the jitted host
 /// code (or the VM, for a kernel whose programs do not all fuse) must be
-/// observably indistinguishable from the AST interpreter.
+/// observably indistinguishable from the oracle.
 void ExpectNativeAgrees(const frontend::KernelSource& source, int w, int h,
                         const runtime::BindingSet& scalars, Rng& rng,
                         codegen::CodegenOptions codegen = {}) {
-  ExpectEngineMatchesAst(source, w, h, scalars, rng, codegen,
-                         sim::ExecEngine::kNative);
+  ExpectEngineMatchesOracle(source, w, h, scalars, rng, codegen,
+                            Runner::kNative);
+}
+
+/// A name redeclared with a new type in a sibling scope: the then-branch's
+/// `t` is an int, the else-branch's a float. Each declaration gets its own
+/// register; both branches read windowed neighbours, so boundary handling
+/// runs in every region variant.
+frontend::KernelSource SiblingTypesSource(BoundaryMode mode) {
+  frontend::KernelSource source;
+  source.name = "sibling_types";
+  ast::AccessorInfo input;
+  input.name = "Input";
+  input.window = ast::WindowExtent::FromSize(3, 3);
+  input.boundary = mode;
+  input.constant_value = 0.25f;
+  source.accessors = {input};
+  source.body = R"(
+    float r = Input();
+    if (r > 0.6f) {
+      int t = 2;
+      r = r + t * Input(-1, 1);
+    } else {
+      float t = 0.5f;
+      r = r + t * Input(1, -1);
+    }
+    output() = r;
+  )";
+  return source;
 }
 
 // The extents exercise: a single-block grid, a grid with populated border
@@ -250,6 +286,13 @@ TEST(BytecodeDifferentialTest, MemoryPathVariants) {
   scalars.Scalar("sigma_d", 1).Scalar("sigma_r", 5);
   ExpectEnginesAgree(ops::BilateralSource(1, BoundaryMode::kClamp), 73, 41,
                      scalars, rng, intrinsics);
+}
+
+TEST(BytecodeDifferentialTest, SiblingScopeRedeclarationAllModes) {
+  Rng rng(0xB0DA12u);
+  for (const auto& e : kExtents)
+    for (const BoundaryMode mode : kAllModes)
+      ExpectEnginesAgree(SiblingTypesSource(mode), e.w, e.h, {}, rng);
 }
 
 TEST(BytecodeDifferentialTest, ConvolveUnrolledFormulation) {
@@ -388,10 +431,18 @@ TEST(NativeDifferentialTest, SpecialisedSourcesAllModes) {
   ExpectNativeAgrees(ops::ToneCurveSource(3), 33, 29, tone, rng);
 }
 
+TEST(NativeDifferentialTest, SiblingScopeRedeclaration) {
+  if (!sim::jit::ToolchainAvailable())
+    GTEST_SKIP() << "no host toolchain in this environment";
+  Rng rng(0x7A17B0u);
+  ExpectNativeAgrees(SiblingTypesSource(BoundaryMode::kMirror), 73, 41, {},
+                     rng);
+}
+
 TEST(NativeDifferentialTest, MissingToolchainStillAgrees) {
   // On a machine with no host compiler the native engine must silently
-  // degrade to the VM and remain bit-identical to the AST
-  // interpreter — same pixels, metrics, and modelled time.
+  // degrade to the VM and remain bit-identical to the oracle — same
+  // pixels, metrics, and modelled time.
   sim::jit::JitCache::Instance().ResetForTesting();
   sim::jit::SetToolchainOverrideForTesting("");
   EXPECT_FALSE(sim::jit::ToolchainAvailable());
@@ -422,6 +473,151 @@ TEST(BytecodeCompilerTest, ProgramsAreRegionSpecialised) {
     EXPECT_GT(program.code.size(), 0u);
     EXPECT_GT(program.num_regs, 0);
   }
+}
+
+TEST(BytecodeCompilerTest, ShippedCorpusCarriesBytecode) {
+  // Every kernel the repository ships compiles to register programs: the
+  // ops sources in all five boundary modes, the camera-ISP stages and the
+  // example kernel files. There is no engine that runs a kernel without
+  // them.
+  std::vector<frontend::KernelSource> corpus;
+  for (const BoundaryMode mode : kAllModes) {
+    corpus.push_back(ops::BilateralSource(2, mode));
+    corpus.push_back(ops::BilateralMaskSource(3, mode));
+    corpus.push_back(ops::BilateralMaskSource(2, mode, /*static_mask=*/false));
+    corpus.push_back(ops::BilateralFixedSource(2, mode));
+    corpus.push_back(ops::GaussianSource(5, 1.2f, mode));
+    corpus.push_back(ops::GaussianConvolveSource(5, 1.2f, mode));
+    corpus.push_back(ops::ConvolutionSource("sobel", 3, 3, ops::SobelMaskX(),
+                                            mode));
+    corpus.push_back(ops::Median3x3Source(mode));
+    corpus.push_back(ops::ErodeSource(3, mode));
+    corpus.push_back(ops::DilateSource(3, mode));
+    for (const char plane : {'r', 'g', 'b'})
+      corpus.push_back(ops::DebayerPlaneSource(plane, mode));
+  }
+  corpus.push_back(ops::ScaleOffsetSource());
+  corpus.push_back(ops::ThresholdSource());
+  corpus.push_back(ops::ToneCurveSource(8));
+  corpus.push_back(ops::PyramidDetailSource());
+  corpus.push_back(ops::PyramidCollectSource());
+  corpus.push_back(ops::VignettingApplySource());
+  for (const char* matrix : {"rgb2y", "rgb2u", "rgb2v"})
+    corpus.push_back(ops::ColorMatrixSource(matrix));
+  for (const char* file : {"bilateral.hipacc", "laplacian.hipacc"}) {
+    Result<frontend::KernelSource> loaded = compiler::LoadKernelFile(
+        std::string(HIPACC_EXAMPLE_KERNELS_DIR) + "/" + file);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    corpus.push_back(std::move(loaded).take());
+  }
+
+  compiler::CompileOptions options;
+  options.device = hw::TeslaC2050();
+  options.image_width = 512;
+  options.image_height = 512;
+  for (const frontend::KernelSource& source : corpus) {
+    SCOPED_TRACE(source.name);
+    Result<compiler::CompiledKernel> compiled =
+        compiler::Compile(source, options);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    ASSERT_NE(compiled.value().bytecode, nullptr);
+    EXPECT_EQ(compiled.value().bytecode->programs.size(),
+              compiled.value().device_ir.variants.size());
+  }
+}
+
+/// `depth` nested divergent ifs around one update; each level holds two
+/// mask slots while its body compiles.
+frontend::KernelSource NestedIfSource(int depth) {
+  frontend::KernelSource source;
+  source.name = "nested_ifs";
+  ast::AccessorInfo input;
+  input.name = "Input";
+  input.window = ast::WindowExtent::FromSize(1, 1);
+  source.accessors = {input};
+  source.body = "float v = Input();\n";
+  for (int i = 0; i < depth; ++i) source.body += "if (v > 0.5f) {\n";
+  source.body += "v = v + 1.0f;\n";
+  for (int i = 0; i < depth; ++i) source.body += "}\n";
+  source.body += "output() = v;\n";
+  return source;
+}
+
+TEST(BytecodeCompilerTest, ControlFlowPastTheMaskBudgetFailsToCompile) {
+  // Slot 0 is the warp mask, so 124 nested ifs fit the 250-slot budget and
+  // 125 do not. The kernel past it is a compile error naming the budget,
+  // not a kernel that runs on another engine.
+  compiler::CompileOptions options;
+  options.device = hw::TeslaC2050();
+  options.image_width = 64;
+  options.image_height = 64;
+  Result<compiler::CompiledKernel> fits =
+      compiler::Compile(NestedIfSource(124), options);
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  ASSERT_NE(fits.value().bytecode, nullptr);
+
+  const Result<compiler::CompiledKernel> deep =
+      compiler::Compile(NestedIfSource(125), options);
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(deep.status().message().find("kMaxMaskSlots"), std::string::npos)
+      << deep.status().ToString();
+  EXPECT_NE(deep.status().message().find("nested_ifs"), std::string::npos)
+      << deep.status().ToString();
+}
+
+TEST(OracleParityTest, MeasureMatchesTheOracleOnFig4Configurations) {
+  // The Figure 4 kernel (13x13 bilateral, constant mask, Clamp) at 256x256
+  // on a few configurations, including 512-thread blocks and PPT 8: the
+  // sampled measurement on the VM must equal the oracle's — occupancy,
+  // border threads, every metric counter and the modelled time. The full
+  // 4096x4096 sweep runs in the oracle_parity_test binary.
+  const int n = 256;
+  const hw::DeviceSpec device = hw::TeslaC2050();
+  dsl::Image<float> in(n, n), out(n, n);
+  Rng rng(0xF164u);
+  in.CopyFrom(RandomInput(n, n, rng));
+  runtime::BindingSet bindings;
+  bindings.Input("Input", in).Output(out).Scalar("sigma_d", 3).Scalar(
+      "sigma_r", 5);
+  int measured_512_ppt8 = 0;
+  for (const int ppt : {1, 8}) {
+    compiler::CompileOptions options;
+    options.device = device;
+    options.image_width = n;
+    options.image_height = n;
+    options.codegen.pixels_per_thread = ppt;
+    Result<compiler::CompiledKernel> compiled = compiler::Compile(
+        ops::BilateralMaskSource(3, BoundaryMode::kClamp), options);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    for (const hw::KernelConfig config :
+         {hw::KernelConfig{32, 4}, hw::KernelConfig{128, 4},
+          hw::KernelConfig{32, 16}}) {
+      SCOPED_TRACE("ppt " + std::to_string(ppt) + " config " +
+                   std::to_string(config.block_x) + "x" +
+                   std::to_string(config.block_y));
+      Result<runtime::LaunchHolder> holder = runtime::BuildLaunch(
+          compiled.value().device_ir, config, bindings);
+      ASSERT_TRUE(holder.ok()) << holder.status().ToString();
+      holder.value().launch.programs = compiled.value().bytecode.get();
+      const sim::Simulator simulator(device);
+      const Result<sim::LaunchStats> vm =
+          simulator.Measure(holder.value().launch, 1);
+      const Result<sim::LaunchStats> ref =
+          oracle::Measure(simulator, holder.value().launch, 1);
+      ASSERT_TRUE(vm.ok()) << vm.status().ToString();
+      ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+      EXPECT_EQ(vm.value().region_grid.config, ref.value().region_grid.config);
+      EXPECT_EQ(vm.value().occupancy.occupancy,
+                ref.value().occupancy.occupancy);
+      EXPECT_EQ(vm.value().region_grid.BorderThreads(),
+                ref.value().region_grid.BorderThreads());
+      ExpectMetricsEqual(vm.value().metrics, ref.value().metrics);
+      EXPECT_EQ(vm.value().timing.total_ms, ref.value().timing.total_ms);
+      if (ppt == 8 && config.threads() >= 512) ++measured_512_ppt8;
+    }
+  }
+  EXPECT_EQ(measured_512_ppt8, 2);
 }
 
 }  // namespace

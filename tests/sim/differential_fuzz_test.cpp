@@ -1,14 +1,16 @@
-// Three-way differential fuzz harness: the proof that the native tier is a
-// drop-in for the bytecode VM, and the VM for the AST interpreter. A seeded
-// generator emits random DSL kernels — convolution masks of random shapes
-// and values (including rank-1 masks that trigger the separable
-// decomposition), static-bound stencil loops with random arithmetic bodies
-// (the native tier's unrolled-fusion path), runtime-bound loops (which do
-// not fuse, so the native engine runs them on the VM), divergent if/else
-// bodies, and point-operator chains — across all five boundary modes, odd
-// extents, random codegen variants (pixels-per-thread 1/2/4/8, scratchpad
-// staging, texture paths, constant vs global masks, both backends), then
-// runs every case on all three engines and requires them to be observably
+// Three-way differential fuzz harness: the proof that the bytecode VM and
+// the native tier both match the reference oracle (a tree-walking
+// interpreter over the device IR, tests/oracle). A seeded generator emits
+// random DSL kernels — convolution masks of random shapes and values
+// (including rank-1 masks that trigger the separable decomposition),
+// static-bound stencil loops with random arithmetic bodies (the native
+// tier's unrolled-fusion path), runtime-bound loops (which do not fuse, so
+// the native engine runs them on the VM), divergent if/else bodies (some
+// redeclaring a name with a new type in each branch), and point-operator
+// chains — across all five boundary modes, odd extents, random codegen
+// variants (pixels-per-thread 1/2/4/8, scratchpad staging, texture paths,
+// constant vs global masks, both backends), then runs every case on the
+// oracle and both engines and requires them to be observably
 // indistinguishable: output pixels bit for bit, every metric counter, and
 // the modelled time.
 //
@@ -17,6 +19,7 @@
 // HIPACC_FUZZ_CASES / HIPACC_FUZZ_SEED select the budget and seed matrix.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -28,6 +31,7 @@
 #include "compiler/driver.hpp"
 #include "compiler/executable.hpp"
 #include "ops/kernel_sources.hpp"
+#include "oracle/interpreter.hpp"
 #include "runtime/bindings.hpp"
 #include "runtime/graph.hpp"
 #include "sim/bytecode.hpp"
@@ -80,7 +84,8 @@ std::string FloatLit(Rng& rng) {
 }
 
 /// Random arithmetic expression over `atoms` (in-scope value names). Every
-/// operator maps onto DSL constructs all three engines implement; divides
+/// operator maps onto DSL constructs the oracle and both engines implement;
+/// divides
 /// are denominator-guarded and exp is range-clamped so images stay mostly
 /// finite — an all-NaN image would make the bitwise comparison vacuous.
 std::string RandomExpr(Rng& rng, const std::vector<std::string>& atoms,
@@ -107,16 +112,25 @@ std::string RandomExpr(Rng& rng, const std::vector<std::string>& atoms,
 
 /// Statements executed once per window tap; mutates `acc` (always live) and
 /// sometimes a secondary loop-carried value `w`. A random divergent
-/// if/else exercises the masked-execution paths of all engines.
+/// if/else exercises the masked-execution paths of all engines; half of
+/// them declare `k` in both branches, an int in one and a float in the
+/// other, which the bytecode compiler gives two registers.
 std::string RandomTapBody(Rng& rng, std::vector<std::string> atoms) {
   std::string body;
   body += "        float t = " + RandomExpr(rng, atoms, 2) + ";\n";
   atoms.push_back("t");
   if (rng.NextInt(0, 1) == 0) {
+    const bool sibling_types = rng.NextInt(0, 1) == 0;
     body += "        if (" + RandomExpr(rng, atoms, 1) + " > " +
             FloatLit(rng) + ") {\n";
+    if (sibling_types)
+      body += StrFormat("          int k = %d;\n", rng.NextInt(-3, 3)) +
+              "          acc = acc + k * t;\n";
     body += "          acc = acc + " + RandomExpr(rng, atoms, 1) + ";\n";
     body += "        } else {\n";
+    if (sibling_types)
+      body += "          float k = " + RandomExpr(rng, atoms, 1) +
+              ";\n          acc = acc + k;\n";
     body += "          acc = acc - " + FloatLit(rng) + " * t;\n";
     body += "        }\n";
   } else {
@@ -299,10 +313,12 @@ HostImage<float> RandomInput(int w, int h, Rng& rng) {
   return img;
 }
 
+/// What runs the blocks of a launch: the oracle or one of the engines.
+enum class Runner { kOracle, kBytecode, kNative };
+
 EngineRun RunEngine(const compiler::CompiledKernel& kernel,
                     const HostImage<float>& input,
-                    const runtime::BindingSet& scalars,
-                    sim::ExecEngine engine) {
+                    const runtime::BindingSet& scalars, Runner runner) {
   EngineRun run;
   dsl::Image<float> in(input.width(), input.height());
   dsl::Image<float> out(input.width(), input.height());
@@ -317,10 +333,13 @@ EngineRun RunEngine(const compiler::CompiledKernel& kernel,
   }
   holder.value().launch.programs = kernel.bytecode.get();
   sim::SimulatorOptions options;
-  options.engine = engine;
+  if (runner == Runner::kNative) options.engine = sim::ExecEngine::kNative;
   options.jit_threshold = 1;  // tier up on the first launch
   sim::Simulator simulator(hw::TeslaC2050(), options);
-  Result<sim::LaunchStats> stats = simulator.Execute(holder.value().launch);
+  Result<sim::LaunchStats> stats =
+      runner == Runner::kOracle
+          ? oracle::Execute(simulator, holder.value().launch)
+          : simulator.Execute(holder.value().launch);
   if (!stats.ok()) {
     run.status = stats.status();
     return run;
@@ -367,10 +386,10 @@ void ExpectRunsIdentical(const EngineRun& ref, const EngineRun& other,
   EXPECT_EQ(ref.stats.timing.total_ms, other.stats.timing.total_ms);
 }
 
-/// Compiles and runs one fuzz case on all three engines. Returns false when
-/// the case did not compile (the sweep tracks the rate: a generator change
-/// that drifts into mostly-invalid programs must fail loudly, not silently
-/// shrink coverage).
+/// Compiles and runs one fuzz case on the oracle and both engines. Returns
+/// false when the case did not compile (the sweep tracks the rate: a
+/// generator change that drifts into mostly-invalid programs must fail
+/// loudly, not silently shrink coverage).
 bool RunFuzzCase(const FuzzCase& fc, Rng& rng) {
   compiler::CompileOptions options;
   options.codegen = fc.codegen;
@@ -380,18 +399,18 @@ bool RunFuzzCase(const FuzzCase& fc, Rng& rng) {
   options.forced_config = fc.forced_config;
   Result<compiler::CompiledKernel> compiled =
       compiler::Compile(fc.source, options);
-  if (!compiled.ok() || compiled.value().bytecode == nullptr) return false;
+  if (!compiled.ok()) return false;
 
   const HostImage<float> input = RandomInput(fc.width, fc.height, rng);
-  const EngineRun ast = RunEngine(compiled.value(), input, fc.scalars,
-                                  sim::ExecEngine::kAst);
-  const EngineRun vm = RunEngine(compiled.value(), input, fc.scalars,
-                                 sim::ExecEngine::kBytecode);
-  const EngineRun native = RunEngine(compiled.value(), input, fc.scalars,
-                                     sim::ExecEngine::kNative);
+  const EngineRun ref =
+      RunEngine(compiled.value(), input, fc.scalars, Runner::kOracle);
+  const EngineRun vm =
+      RunEngine(compiled.value(), input, fc.scalars, Runner::kBytecode);
+  const EngineRun native =
+      RunEngine(compiled.value(), input, fc.scalars, Runner::kNative);
   SCOPED_TRACE(fc.summary);
-  ExpectRunsIdentical(ast, vm, "ast vs bytecode");
-  ExpectRunsIdentical(ast, native, "ast vs native");
+  ExpectRunsIdentical(ref, vm, "oracle vs bytecode");
+  ExpectRunsIdentical(ref, native, "oracle vs native");
   return true;
 }
 
@@ -643,6 +662,8 @@ TEST(DifferentialFuzzTest, GraphSeededSweep) {
   for (int i = 0; i < cases; ++i)
     RunGraphCase(MakeGraphCase(rng, kAllModes[rng.NextInt(0, 4)]),
                  kPpt[rng.NextInt(0, 3)], rng, &fused_edges, &ran);
+  std::printf("%d of %d graphs ran, %lld fused edges\n", ran, cases,
+              fused_edges);
   if (cases >= 8) {
     EXPECT_GT(fused_edges, 0);
     EXPECT_GE(ran * 2, cases) << ran << " of " << cases << " graphs ran";
@@ -661,6 +682,7 @@ TEST(DifferentialFuzzTest, SeededSweep) {
     const FuzzKind kind = kAllKinds[rng.NextInt(0, 3)];
     if (RunFuzzCase(MakeCase(rng, kind), rng)) ++compiled;
   }
+  std::printf("%d of %d cases compiled\n", compiled, cases);
   // Guard against generator rot: the bulk of generated programs must
   // compile, or the sweep is fuzzing nothing.
   EXPECT_GE(compiled * 10, cases * 6)

@@ -38,14 +38,16 @@ TEST(MemoryModelTest, CoalescedWarpReadIsOneTransaction) {
 }
 
 TEST(MemoryModelTest, MisalignedReadTouchesTwoSegments) {
-  MemoryModel model(hw::QuadroFx5800());
+  const hw::DeviceSpec device = hw::QuadroFx5800();
+  MemoryModel model(device);
   Metrics metrics;
   model.GlobalAccess(Consecutive(16, 32), false, &metrics);
   EXPECT_EQ(metrics.global_transactions, 2u);
 }
 
 TEST(MemoryModelTest, StridedReadSerialisesToOneSegmentPerLane) {
-  MemoryModel model(hw::QuadroFx5800());
+  const hw::DeviceSpec device = hw::QuadroFx5800();
+  MemoryModel model(device);
   Metrics metrics;
   // Stride of 32 elements = 128 B: every lane its own segment.
   model.GlobalAccess(Consecutive(0, 32, 32), false, &metrics);
@@ -63,7 +65,8 @@ TEST(MemoryModelTest, FermiL1CachesRepeatedReads) {
 }
 
 TEST(MemoryModelTest, WritesBypassTheCache) {
-  MemoryModel model(hw::TeslaC2050());
+  const hw::DeviceSpec device = hw::TeslaC2050();
+  MemoryModel model(device);
   Metrics metrics;
   model.GlobalAccess(Consecutive(0, 32), true, &metrics);
   model.GlobalAccess(Consecutive(0, 32), true, &metrics);
@@ -73,7 +76,8 @@ TEST(MemoryModelTest, WritesBypassTheCache) {
 }
 
 TEST(MemoryModelTest, TextureCacheHitsOnReuse) {
-  MemoryModel model(hw::QuadroFx5800());
+  const hw::DeviceSpec device = hw::QuadroFx5800();
+  MemoryModel model(device);
   Metrics metrics;
   model.TextureAccess(Consecutive(0, 32), &metrics);
   model.TextureAccess(Consecutive(0, 32), &metrics);
@@ -83,7 +87,8 @@ TEST(MemoryModelTest, TextureCacheHitsOnReuse) {
 }
 
 TEST(MemoryModelTest, ConstantBroadcastVsSerialised) {
-  MemoryModel model(hw::TeslaC2050());
+  const hw::DeviceSpec device = hw::TeslaC2050();
+  MemoryModel model(device);
   Metrics metrics;
   // All lanes the same address: one broadcast (the mask access pattern the
   // constant cache is optimised for, Section IV-C).
@@ -220,7 +225,8 @@ TEST(MemoryModelTest, SharedAccessUnsortedAndDuplicatesMatchSorted) {
 }
 
 TEST(MemoryModelTest, ConstantAccessFastPathMatchesSlowPath) {
-  MemoryModel model(hw::QuadroFx5800());
+  const hw::DeviceSpec device = hw::QuadroFx5800();
+  MemoryModel model(device);
   Metrics metrics;
   // Warp-uniform read: broadcast regardless of lane count.
   model.ConstantAccess(std::vector<std::uint64_t>(32, 7), &metrics);

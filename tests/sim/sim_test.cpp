@@ -1,10 +1,13 @@
-// Interpreter and timing model: hand-built device kernels executed on the
+// Simulator and timing model: hand-built device kernels executed on the
 // simulated device, divergence, sampled-vs-full agreement, launch
 // validation, and timing-model monotonicity.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "dsl/image.hpp"
 #include "hwmodel/device_db.hpp"
+#include "sim/bytecode.hpp"
 #include "sim/simulator.hpp"
 
 namespace hipacc::sim {
@@ -32,10 +35,20 @@ DeviceKernel MakeScaleKernel() {
   return dk;
 }
 
-Launch MakeLaunch(const DeviceKernel& kernel, dsl::Image<float>& in,
-                  dsl::Image<float>& out, hw::KernelConfig config) {
+/// The register programs every launch carries.
+std::shared_ptr<const ProgramSet> Programs(const DeviceKernel& kernel) {
+  Result<std::shared_ptr<const ProgramSet>> compiled =
+      CompileToBytecode(kernel);
+  HIPACC_CHECK(compiled.ok());
+  return std::move(compiled).take();
+}
+
+Launch MakeLaunch(const DeviceKernel& kernel, const ProgramSet& programs,
+                  dsl::Image<float>& in, dsl::Image<float>& out,
+                  hw::KernelConfig config) {
   Launch launch;
   launch.kernel = &kernel;
+  launch.programs = &programs;
   launch.config = config;
   launch.width = out.width();
   launch.height = out.height();
@@ -52,8 +65,9 @@ TEST(InterpreterTest, PointKernelComputesEveryPixel) {
   for (int y = 0; y < n; ++y)
     for (int x = 0; x < n; ++x) in.at(x, y) = static_cast<float>(x + y);
   const DeviceKernel kernel = MakeScaleKernel();
+  const auto programs = Programs(kernel);
   Simulator sim(hw::TeslaC2050());
-  auto stats = sim.Execute(MakeLaunch(kernel, in, out, {32, 4}));
+  auto stats = sim.Execute(MakeLaunch(kernel, *programs, in, out, {32, 4}));
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   for (int y = 0; y < n; ++y)
     for (int x = 0; x < n; ++x)
@@ -81,8 +95,10 @@ TEST(InterpreterTest, DivergentIfUsesLaneMasks) {
 
   const int n = 16;
   dsl::Image<float> dummy(n, n), out(n, n);
+  const auto programs = Programs(dk);
   Launch launch;
   launch.kernel = &dk;
+  launch.programs = programs.get();
   launch.config = {32, 1};
   launch.width = n;
   launch.height = n;
@@ -110,8 +126,10 @@ TEST(InterpreterTest, PerLaneLoopBounds) {
 
   const int n = 40;
   dsl::Image<float> out(n, 2);
+  const auto programs = Programs(dk);
   Launch launch;
   launch.kernel = &dk;
+  launch.programs = programs.get();
   launch.config = {32, 2};
   launch.width = n;
   launch.height = 2;
@@ -123,22 +141,43 @@ TEST(InterpreterTest, PerLaneLoopBounds) {
 
 TEST(SimulatorTest, ValidateRejectsBadLaunches) {
   const DeviceKernel kernel = MakeScaleKernel();
+  const auto programs = Programs(kernel);
   dsl::Image<float> in(16, 16), out(16, 16);
   Simulator sim(hw::TeslaC2050());
   {
-    Launch launch = MakeLaunch(kernel, in, out, {32, 64});  // 2048 threads
+    // 2048 threads
+    Launch launch = MakeLaunch(kernel, *programs, in, out, {32, 64});
     EXPECT_EQ(sim.Validate(launch).code(), StatusCode::kResourceExhausted);
   }
   {
-    Launch launch = MakeLaunch(kernel, in, out, {32, 1});
+    Launch launch = MakeLaunch(kernel, *programs, in, out, {32, 1});
     launch.buffers.pop_back();  // output unbound
     EXPECT_EQ(sim.Validate(launch).code(), StatusCode::kInvalidArgument);
   }
   {
-    Launch launch = MakeLaunch(kernel, in, out, {32, 1});
+    Launch launch = MakeLaunch(kernel, *programs, in, out, {32, 1});
     launch.width = 0;
     EXPECT_FALSE(sim.Validate(launch).ok());
   }
+}
+
+TEST(SimulatorTest, LaunchWithoutProgramsFailsValidate) {
+  // Every launch carries its register programs; there is no engine that
+  // could run the kernel without them.
+  const DeviceKernel kernel = MakeScaleKernel();
+  const auto programs = Programs(kernel);
+  dsl::Image<float> in(16, 16), out(16, 16);
+  Launch launch = MakeLaunch(kernel, *programs, in, out, {32, 1});
+  launch.programs = nullptr;
+  const Simulator sim(hw::TeslaC2050());
+  const Status st = sim.Validate(launch);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("register programs"), std::string::npos)
+      << st.ToString();
+  const Result<LaunchStats> run = sim.Execute(launch);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().ToString(), st.ToString());
+  EXPECT_FALSE(sim.Measure(launch).ok());
 }
 
 TEST(SimulatorTest, AmdConfigLimitRejected) {
@@ -146,19 +185,21 @@ TEST(SimulatorTest, AmdConfigLimitRejected) {
   // the same kernel at 512 threads is a launch error there but fine on
   // NVIDIA (Section V-C's motivating example).
   const DeviceKernel kernel = MakeScaleKernel();
+  const auto programs = Programs(kernel);
   dsl::Image<float> in(64, 64), out(64, 64);
-  const Launch launch = MakeLaunch(kernel, in, out, {512, 1});
+  const Launch launch = MakeLaunch(kernel, *programs, in, out, {512, 1});
   EXPECT_FALSE(Simulator(hw::RadeonHd5870()).Validate(launch).ok());
   EXPECT_TRUE(Simulator(hw::TeslaC2050()).Validate(launch).ok());
 }
 
 TEST(SimulatorTest, SampledMeasureTracksFullExecution) {
   const DeviceKernel kernel = MakeScaleKernel();
+  const auto programs = Programs(kernel);
   const int n = 256;
   dsl::Image<float> in(n, n), out(n, n);
   Simulator sim(hw::TeslaC2050());
-  auto full = sim.Execute(MakeLaunch(kernel, in, out, {32, 4}));
-  auto sampled = sim.Measure(MakeLaunch(kernel, in, out, {32, 4}));
+  auto full = sim.Execute(MakeLaunch(kernel, *programs, in, out, {32, 4}));
+  auto sampled = sim.Measure(MakeLaunch(kernel, *programs, in, out, {32, 4}));
   ASSERT_TRUE(full.ok());
   ASSERT_TRUE(sampled.ok());
   EXPECT_TRUE(sampled.value().sampled);
@@ -219,27 +260,30 @@ TEST(SimulatorTest, DegenerateRegionLaunchRejected) {
     dk.variants.push_back(
         {region, Block({ast::MemWrite(MemSpace::kGlobal, "_out", Gx(), Gy(),
                                       FloatLit(0.0))})});
+  const auto programs = Programs(dk);
   dsl::Image<float> in(10, 10), out(10, 10);
-  const Launch launch = MakeLaunch(dk, in, out, {128, 1});
+  const Launch launch = MakeLaunch(dk, *programs, in, out, {128, 1});
   const Status st = Simulator(hw::TeslaC2050()).Validate(launch);
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(st.message().find("too small"), std::string::npos);
 }
 
-TEST(SimulatorOptionsTest, ParseExecEngineAcceptsAllThreeEngines) {
-  // The --sim-engine flag surface: every engine name the help text
-  // advertises must parse, and the rejection message must list all of them
-  // so a typo points at the full choice set.
+TEST(SimulatorOptionsTest, ParseExecEngineAcceptsBothEngines) {
+  // The --sim-engine flag surface: both engine names the help text
+  // advertises must parse, and the rejection message must list them so a
+  // typo points at the full choice set. The tree-walking interpreter is a
+  // test oracle, not an engine the product can select.
   ASSERT_TRUE(ParseExecEngine("bytecode").ok());
   EXPECT_EQ(ParseExecEngine("bytecode").value(), ExecEngine::kBytecode);
-  ASSERT_TRUE(ParseExecEngine("ast").ok());
-  EXPECT_EQ(ParseExecEngine("ast").value(), ExecEngine::kAst);
   ASSERT_TRUE(ParseExecEngine("native").ok());
   EXPECT_EQ(ParseExecEngine("native").value(), ExecEngine::kNative);
-  const Result<ExecEngine> bad = ParseExecEngine("jit");
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bad.status().message().find("native"), std::string::npos);
+  for (const char* bad_name : {"ast", "jit"}) {
+    const Result<ExecEngine> bad = ParseExecEngine(bad_name);
+    ASSERT_FALSE(bad.ok()) << bad_name;
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(bad.status().message().find("'bytecode'"), std::string::npos);
+    EXPECT_NE(bad.status().message().find("'native'"), std::string::npos);
+  }
 }
 
 }  // namespace

@@ -69,7 +69,9 @@ void PrintFusionDecisions(
     std::printf("  [%-10s] %s -> %s: %s — %s", to_string(d.kind),
                 d.producer.c_str(), d.consumer.c_str(), verdict,
                 d.reason.c_str());
-    if (d.legal) std::printf(" (score %.4f cycles/pixel)", d.score);
+    if (d.legal)
+      std::printf(" (%s score %.4f %s)", to_string(d.model), d.score,
+                  compiler::ScoreUnits(d.model));
     std::printf("\n");
   }
 }

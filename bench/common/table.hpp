@@ -34,14 +34,15 @@ struct BenchTuning {
 BenchTuning& Tuning();
 
 /// CliParser preloaded with the flags every benchmark binary shares
-/// (--sim-engine, --cache-dir, --ppt, --no-separate, --fuse,
+/// (--cache-dir, --ppt, --no-separate, --fuse,
 /// --explain-fusion); a binary registers its extra flags on the returned
 /// parser, then calls HandleArgs(). Creating the parser enables the
 /// persistent cache at its default location; --cache-dir=off opts out.
 support::CliParser MakeBenchCli(std::string program, std::string summary);
 
 /// The --explain-fusion report: dedupes and prints one line per examined
-/// fusion candidate (kind, stages, verdict, reason, modelled score).
+/// fusion candidate (kind, stages, verdict, reason, and the score with the
+/// cost model that produced it, in that model's units).
 void PrintFusionDecisions(std::vector<compiler::CandidateDecision> decisions);
 
 class Table {

@@ -52,16 +52,19 @@ struct ModeResult {
 /// One full streamed run of the ISP graph in the given mode. Output images
 /// rotate through `window` slots; the in-order retire contract makes the
 /// rotation safe (frame f retires before frame f+window is admitted).
+/// `explain`, when set, receives the plan's fusion decisions.
 Result<ModeResult> RunMode(runtime::StreamMode mode, int frames, int in_flight,
                            int size, const std::vector<HostImage<float>>& raws,
                            const HostImage<float>& gain,
-                           sim::TraceSink* trace) {
+                           sim::TraceSink* trace,
+                           std::vector<compiler::CandidateDecision>* explain) {
   runtime::PipelineGraph graph;
   ops::BuildCameraIspGraph(graph, size, size, ast::BoundaryMode::kClamp);
 
   runtime::GraphOptions gopts;
   gopts.run.trace = trace;
   gopts.fuse = bench::Tuning().fuse;
+  gopts.explain = explain;
 
   runtime::StreamOptions sopts;
   sopts.mode = mode;
@@ -145,17 +148,21 @@ int main(int argc, char** argv) {
   const bool both = sopts.value().mode == runtime::StreamMode::kOverlap;
   // Serial is always run: it is the bit-identity reference and the speedup
   // baseline. Overlap runs unless --stream-mode=serial narrowed the bench.
+  // Both modes build the same plan; the serial run explains it.
+  std::vector<compiler::CandidateDecision> decisions;
   Result<ModeResult> serial =
       RunMode(runtime::StreamMode::kSerial, frames, in_flight, size, raws,
-              gain, &trace);
+              gain, &trace,
+              bench::Tuning().explain_fusion ? &decisions : nullptr);
   if (!serial.ok()) {
     std::fprintf(stderr, "error: serial run: %s\n",
                  serial.status().ToString().c_str());
     return 1;
   }
+  if (bench::Tuning().explain_fusion) bench::PrintFusionDecisions(decisions);
   Result<ModeResult> overlap =
       both ? RunMode(runtime::StreamMode::kOverlap, frames, in_flight, size,
-                     raws, gain, &trace)
+                     raws, gain, &trace, nullptr)
            : Result<ModeResult>(serial.value());
   if (!overlap.ok()) {
     std::fprintf(stderr, "error: overlap run: %s\n",

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <map>
 
+#include "runtime/host_exec.hpp"
 #include "sim/timing.hpp"
 #include "support/string_utils.hpp"
 
@@ -38,6 +39,35 @@ double PerPixelCycles(const CompiledKernel& ck, const hw::DeviceSpec& device) {
 /// Fixed launch overhead in chip cycles.
 double LaunchOverheadCycles(const hw::DeviceSpec& device) {
   return sim::kLaunchOverheadMs * 1e-3 * device.core_clock_ghz * 1e9;
+}
+
+/// Whether the host executor runs `ck` over `stage`'s extent.
+Status HostSupports(const CompiledKernel& ck, const PlannerStage& stage) {
+  return runtime::HostLaunch::Supports(*ck.bytecode, stage.width, stage.height,
+                                       ck.device_ir.bh_window.half_x,
+                                       ck.device_ir.bh_window.half_y);
+}
+
+double HostCost(const CompiledKernel& ck, const PlannerStage& stage) {
+  return runtime::HostLaunch::CostPerPixel(*ck.bytecode, stage.width,
+                                           stage.height);
+}
+
+/// Accepts a candidate whose fused cost undercuts the unfused one, and
+/// writes the verdict in the decision's model units; `loss` phrases a
+/// decline.
+bool Judge(double fused, double unfused, const char* loss,
+           CandidateDecision* decision) {
+  const char* units = ScoreUnits(decision->model);
+  decision->score = unfused - fused;
+  if (fused >= unfused) {
+    decision->reason =
+        StrFormat("%s (%.4f vs %.4f %s)", loss, fused, unfused, units);
+    return false;
+  }
+  decision->reason = StrFormat("saves %.4f %s (%.4f fused vs %.4f unfused)",
+                               unfused - fused, units, fused, unfused);
+  return true;
 }
 
 /// A valid extra-output / buffer-suffix identifier derived from a virtual
@@ -102,8 +132,9 @@ struct Planner {
 
   /// Profitability: the fused kernel must launch on the device at all
   /// (Compile runs Algorithm 2 — register / scratchpad exhaustion fails
-  /// it), and its modelled cost must undercut the two separate launches.
-  /// Fills `decision` either way; returns true on accept.
+  /// it), and its cost must undercut the two separate stages' under the
+  /// model of the executor that runs them (see file comment). Fills
+  /// `decision` either way; returns true on accept.
   bool Profitable(const frontend::KernelSource& fused,
                   const PlannerStage& into, const PlannerStage& retired,
                   CandidateDecision* decision) const {
@@ -119,6 +150,21 @@ struct Planner {
       decision->reason = "unfused stage does not compile";
       return false;
     }
+    if (options.host_stages && HostSupports(a_ck.value(), into).ok() &&
+        HostSupports(b_ck.value(), retired).ok()) {
+      decision->model = CostModel::kHost;
+      const Status fused_host = HostSupports(fused_ck.value(), into);
+      if (!fused_host.ok()) {
+        decision->reason =
+            "fusing would move host work onto the simulator: " +
+            fused_host.message();
+        return false;
+      }
+      return Judge(HostCost(fused_ck.value(), into),
+                   HostCost(a_ck.value(), into) +
+                       HostCost(b_ck.value(), retired),
+                   "recompute outweighs the saved stage", decision);
+    }
     const double pixels =
         static_cast<double>(into.width) * static_cast<double>(into.height);
     const double overhead = LaunchOverheadCycles(options.compile.device) /
@@ -128,17 +174,8 @@ struct Planner {
                            2.0 * overhead;
     const double fused_cost =
         PerPixelCycles(fused_ck.value(), options.compile.device) + overhead;
-    decision->score = unfused - fused_cost;
-    if (fused_cost >= unfused) {
-      decision->reason = StrFormat(
-          "recompute outweighs saved traffic (%.4f vs %.4f cycles/pixel)",
-          fused_cost, unfused);
-      return false;
-    }
-    decision->reason = StrFormat(
-        "saves %.4f cycles/pixel (%.4f fused vs %.4f unfused)",
-        unfused - fused_cost, fused_cost, unfused);
-    return true;
+    return Judge(fused_cost, unfused, "recompute outweighs saved traffic",
+                 decision);
   }
 
   /// Producer→consumer candidates of one kind (kPoint or kHalo) over every
@@ -294,6 +331,14 @@ struct Planner {
 };
 
 }  // namespace
+
+const char* to_string(CostModel model) {
+  return model == CostModel::kHost ? "host" : "device";
+}
+
+const char* ScoreUnits(CostModel model) {
+  return model == CostModel::kHost ? "instructions/pixel" : "cycles/pixel";
+}
 
 void DedupeDecisions(std::vector<CandidateDecision>* decisions) {
   std::vector<CandidateDecision> unique;

@@ -14,10 +14,17 @@
 //  * profitability — the candidate's fused kernel is compiled through the
 //    normal pipeline (parse → lower → estimate → select_config) against the
 //    target device: when no launch configuration fits the device's register
-//    file / scratchpad, the candidate is declined outright, and otherwise a
-//    per-pixel cost model compares saved global traffic + launch overhead
-//    against the recompute the fusion introduces (halo fusion re-evaluates
-//    the producer once per consumer tap).
+//    file / scratchpad, the candidate is declined outright. Otherwise the
+//    cost model of the executor that will run the fused stage compares it
+//    with the two stages it replaces (halo fusion re-evaluates the producer
+//    once per consumer tap). The device model weighs saved global traffic +
+//    launch overhead against that recompute, in cycles per pixel. When
+//    stages run on the host (FusionPlannerOptions::host_stages) and the
+//    host executor runs all three kernels, the host model compares
+//    interpreted instructions per pixel plus a per-stage cost
+//    (runtime::HostLaunch::CostPerPixel): the host saves no bandwidth, so
+//    recompute pays in full. A fusion that would move two host stages onto
+//    the simulator is declined.
 //
 // Each call plans ONE step; the caller applies it to its stage list and
 // calls again until no candidate is both legal and profitable. Every
@@ -59,6 +66,17 @@ struct PlannerStage {
   bool external = false;
 };
 
+/// The cost model that scored a candidate, named after the executor whose
+/// time it models.
+enum class CostModel {
+  kDevice,  ///< simulated device: modelled cycles per pixel
+  kHost,    ///< host bytecode executor: interior instructions per pixel
+};
+
+const char* to_string(CostModel model);
+/// The unit of a CandidateDecision::score scored by `model`.
+const char* ScoreUnits(CostModel model);
+
 /// Why (or why not) one examined candidate was applied.
 struct CandidateDecision {
   FuseKind kind = FuseKind::kPoint;
@@ -66,10 +84,13 @@ struct CandidateDecision {
   std::string consumer;  ///< consumer stage (point/halo) or second sibling
   bool legal = false;
   bool accepted = false;
-  /// Reject reason, or the accepted candidate's cost summary.
+  /// The model that judged profitability (legal == true only).
+  CostModel model = CostModel::kDevice;
+  /// Reject reason, or the accepted candidate's cost summary, in the
+  /// model's units.
   std::string reason;
-  /// Modelled per-pixel cycles saved (unfused minus fused); meaningful only
-  /// when the profitability model ran (legal == true).
+  /// Modelled per-pixel cost saved (unfused minus fused), in
+  /// ScoreUnits(model); meaningful only when the model ran (legal == true).
   double score = 0.0;
 };
 
@@ -103,6 +124,11 @@ struct FusionPlannerOptions {
   /// candidate. Sharing the caller's cache makes the winning candidate's
   /// compile a warm hit when the stage compiles for real.
   CompileOptions compile;
+  /// Stages run on the host bytecode executor where it supports them (the
+  /// graph runtime's kAuto and kHost), so the host model scores candidates
+  /// whose kernels it runs. False: every candidate is scored by the device
+  /// model.
+  bool host_stages = false;
   /// When set, every examined candidate appends its decision.
   std::vector<CandidateDecision>* decisions = nullptr;
 };

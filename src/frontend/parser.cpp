@@ -76,6 +76,35 @@ class Parser {
                            to_string(Peek().kind)));
   }
 
+  // ---- nesting bound ------------------------------------------------------
+  /// The parser recurses once per nested statement (ParseStmt: blocks, if
+  /// and for bodies), expression (ParseExpr: parentheses, conditions,
+  /// arguments, ?: arms) and unary operator or cast (ParseUnary); every
+  /// recursive production passes through one of the three. Past this many
+  /// open levels the source is a parse error instead of a stack overflow;
+  /// a level takes at most ~0.9 KB of stack in a RelWithDebInfo build. The
+  /// deepest source the repository ships or generates opens 57 levels (a
+  /// fused candidate of the graph-fuzz sweep); the example and ops kernels
+  /// open at most 11, the camera ISP's fused candidates 26.
+  static constexpr int kMaxNesting = 256;
+
+  /// Holds one nesting level for the lifetime of a recursive production.
+  class Nesting {
+   public:
+    explicit Nesting(int& depth) : depth_(depth) { ++depth_; }
+    ~Nesting() { --depth_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+    bool too_deep() const { return depth_ > kMaxNesting; }
+
+   private:
+    int& depth_;
+  };
+
+  Status TooDeep() const {
+    return Error(StrFormat("nesting deeper than %d levels", kMaxNesting));
+  }
+
   // ---- symbol table -------------------------------------------------------
   void PushScope() { scopes_.emplace_back(); }
   void PopScope() { scopes_.pop_back(); }
@@ -113,6 +142,8 @@ class Parser {
 
   // ---- statements ---------------------------------------------------------
   Result<StmtPtr> ParseStmt() {
+    const Nesting nesting(depth_);
+    if (nesting.too_deep()) return TooDeep();
     switch (Peek().kind) {
       case TokenKind::kKwFloat:
       case TokenKind::kKwInt:
@@ -311,7 +342,11 @@ class Parser {
   }
 
   // ---- expressions (precedence climbing) ----------------------------------
-  Result<ExprPtr> ParseExpr() { return ParseTernary(); }
+  Result<ExprPtr> ParseExpr() {
+    const Nesting nesting(depth_);
+    if (nesting.too_deep()) return TooDeep();
+    return ParseTernary();
+  }
 
   Result<ExprPtr> ParseTernary() {
     Result<ExprPtr> cond = ParseOr();
@@ -414,6 +449,8 @@ class Parser {
   }
 
   Result<ExprPtr> ParseUnary() {
+    const Nesting nesting(depth_);
+    if (nesting.too_deep()) return TooDeep();
     if (Match(TokenKind::kMinus)) {
       Result<ExprPtr> operand = ParseUnary();
       if (!operand.ok()) return operand;
@@ -636,6 +673,8 @@ class Parser {
   std::set<std::string> wrote_named_;
   /// Mask name while parsing the body of a convolve() expression.
   std::string convolve_mask_;
+  /// Open nesting levels (see kMaxNesting).
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -48,11 +48,15 @@
 namespace hipacc::runtime {
 
 struct GraphOptions {
-  /// How kernels run: the execution path for each stage.
+  /// How kernels run. The plan decides each kernel stage's executor once,
+  /// when it is built (runtime::HostLaunch::Supports), and under kAuto and
+  /// kHost the fusion planner scores a candidate with the host cost model
+  /// when the host runs its kernels (compiler/fusion_planner.hpp).
   enum class Executor {
-    kAuto,       ///< host bytecode executor, simulator when unsupported
+    kAuto,       ///< host bytecode executor, simulator where unsupported
     kHost,       ///< host bytecode executor only; unsupported stages fail
-    kSimulator,  ///< simulated device for every stage
+                 ///< when they run
+    kSimulator,  ///< simulated device for every stage, device-model fusion
   };
 
   /// Compilation and launch options shared by every stage.

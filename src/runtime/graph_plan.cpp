@@ -197,6 +197,7 @@ void PlanFusion(GraphPlan* plan) {
   compiler::FusionPlannerOptions popts;
   popts.mode = options.fuse;
   popts.compile = MakeCompileOptions(options.run, 0, 0);
+  popts.host_stages = options.executor != GraphOptions::Executor::kSimulator;
   std::vector<compiler::CandidateDecision> decisions;
   popts.decisions = &decisions;
 
@@ -292,6 +293,14 @@ void PlanFusion(GraphPlan* plan) {
                             decisions.end());
 }
 
+/// Whether the host executor runs a compiled kernel stage.
+Status HostSupports(const GraphPlan::Stage& stage) {
+  const compiler::CompiledKernel& ck = stage.compiled;
+  return HostLaunch::Supports(*ck.bytecode, stage.width, stage.height,
+                              ck.device_ir.bh_window.half_x,
+                              ck.device_ir.bh_window.half_y);
+}
+
 Status CompileStages(GraphPlan* plan) {
   sim::TraceSpan span(plan->trace, "graph compile", "graph");
   std::vector<Status> statuses(plan->stages.size());
@@ -312,6 +321,9 @@ Status CompileStages(GraphPlan* plan) {
       return;
     }
     stage.compiled = std::move(compiled).take();
+    stage.host =
+        plan->options->executor != GraphOptions::Executor::kSimulator &&
+        HostSupports(stage).ok();
   });
   for (const Status& status : statuses) HIPACC_RETURN_IF_ERROR(status);
   return Status::Ok();
@@ -439,21 +451,18 @@ Status FrameExec::BeginKernelStage(const GraphPlan::Stage& stage,
   launch.programs = ck.bytecode.get();
   launch.epoch = epoch_;
 
-  if (options.executor != GraphOptions::Executor::kSimulator) {
+  if (stage.host) {
     Result<HostLaunch> host = HostLaunch::Prepare(
         launch, ck.device_ir.bh_window.half_x, ck.device_ir.bh_window.half_y);
-    if (host.ok()) {
-      run->host = std::move(host).take();
-      return Status::Ok();
-    }
-    if (host.status().code() != StatusCode::kUnimplemented)
-      return host.status();
-    if (options.executor == GraphOptions::Executor::kHost)
-      return Status::Unimplemented(
-          "stage '" + stage.name +
-          "' is not supported by the host executor (GraphOptions::Executor::"
-          "kHost): " + host.status().message());
+    if (!host.ok()) return host.status();
+    run->host = std::move(host).take();
+    return Status::Ok();
   }
+  if (options.executor == GraphOptions::Executor::kHost)
+    return Status::Unimplemented(
+        "stage '" + stage.name +
+        "' is not supported by the host executor (GraphOptions::Executor::"
+        "kHost): " + HostSupports(stage).message());
   sim::Simulator simulator(options.run.device, options.run.sim);
   Result<sim::LaunchStats> stats = simulator.Execute(launch);
   if (!stats.ok()) return stats.status();

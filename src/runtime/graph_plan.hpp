@@ -78,13 +78,18 @@ struct GraphPlan {
     int width = 0;
     int height = 0;
     compiler::CompiledKernel compiled;
+    /// The host bytecode executor runs this kernel stage: decided at Build
+    /// by HostLaunch::Supports, never under Executor::kSimulator. A kernel
+    /// stage without it runs on the simulator, or fails under kHost.
+    bool host = false;
   };
 
   /// Validates the graph structure (undeclared images, duplicate producers,
   /// cycles — with stage-named diagnostics), plans separation and fusion,
-  /// and compiles every kernel stage concurrently through the compilation
-  /// cache. Per-frame binding checks (source extents, null outputs) live in
-  /// ValidateBindings so a streaming run re-checks each frame cheaply.
+  /// compiles every kernel stage concurrently through the compilation
+  /// cache, and decides which executor runs each stage. Per-frame binding
+  /// checks (source extents, null outputs) live in ValidateBindings so a
+  /// streaming run re-checks each frame cheaply.
   static Result<GraphPlan> Build(PipelineGraph& graph,
                                  const GraphOptions& options);
 
@@ -121,10 +126,10 @@ class FrameExec {
   void BindInputs(const PipelineGraph::InputBindings* inputs);
 
   /// Begins stage `index`: acquires its output buffers from the pool and
-  /// builds its launch. A kernel stage the host bytecode executor accepts is
-  /// prepared for RunBand, and its row count is returned. Every other stage
-  /// (source, resampler, simulated launch) runs whole here, and 0 is
-  /// returned. Either way EndStage completes it.
+  /// builds its launch. A host kernel stage (Stage::host) is prepared for
+  /// RunBand, and its row count is returned. Every other stage (source,
+  /// resampler, simulated launch) runs whole here, and 0 is returned.
+  /// Either way EndStage completes it.
   Result<int> BeginStage(int index);
 
   /// Runs rows [y0, y1) of a host stage BeginStage prepared. Infallible.

@@ -1,5 +1,6 @@
 #include "runtime/host_exec.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -24,6 +25,17 @@ using sim::VmBuiltin;
 /// dispatch further but grow the per-thread register file (num_regs * width
 /// doubles); 256 keeps a typical kernel's file inside L1/L2.
 constexpr int kLaneWidth = 256;
+
+/// CostPerPixel's fixed per-stage cost, in interior instructions: what one
+/// stage costs besides its pixels (pool acquire, BuildLaunch, Prepare, band
+/// scheduling, EndStage). It must be positive: a horizontal merge saves no
+/// instruction, only a stage. Calibrated once on a 4-vCPU x86-64 VM
+/// (RelWithDebInfo, one worker, two runs): a chain of 1x1 point stages
+/// spent 0.97-1.73 us per stage through FrameExec and 1.34-2.26 us through
+/// the frame loop, and the ISP's 256x256 stages ran 2.9-4.4, 12.2-19.3 and
+/// 36.9-64.6 ns/px for interior programs of 4, 10 and 45 instructions, so
+/// about 1 ns per instruction: the stage costs 1,000-2,300 instructions.
+constexpr double kStageCostInstructions = 2000.0;
 
 /// Identical to the VM's ResolveCoord minus the violation counter (the host
 /// path keeps no metrics); clamp behaviour for unguarded OOB is preserved so
@@ -629,6 +641,24 @@ HostLaunch::HostLaunch(std::unique_ptr<const Plan> plan)
 HostLaunch::HostLaunch(HostLaunch&&) noexcept = default;
 HostLaunch& HostLaunch::operator=(HostLaunch&&) noexcept = default;
 HostLaunch::~HostLaunch() = default;
+
+Status HostLaunch::Supports(const ProgramSet& programs, int width, int height,
+                            int halo_x, int halo_y) {
+  ExecPlan plan;
+  return PlanRegions(programs, width, height, halo_x, halo_y, &plan);
+}
+
+double HostLaunch::CostPerPixel(const ProgramSet& programs, int width,
+                                int height) {
+  const Program* interior = programs.programs.size() == 1
+                                ? &programs.programs.front()
+                                : programs.Find(Region::kInterior);
+  HIPACC_CHECK(interior != nullptr);  // Supports requires it
+  const double pixels =
+      std::max(1.0, static_cast<double>(width) * static_cast<double>(height));
+  return static_cast<double>(interior->code.size()) +
+         kStageCostInstructions / pixels;
+}
 
 Result<HostLaunch> HostLaunch::Prepare(const sim::Launch& launch, int halo_x,
                                        int halo_y) {

@@ -18,6 +18,11 @@
 // outputs are bit-identical to both simulator engines and to the DSL's
 // functional path.
 //
+// Whether the host can run a kernel at all is HostLaunch::Supports, which
+// depends only on the program set and the extent, so the graph runtime
+// decides it once per stage when it builds a plan. HostLaunch::CostPerPixel
+// is the matching cost model the fusion planner scores host stages with.
+//
 // A launch runs in two steps. HostLaunch::Prepare plans the nine-region
 // partition and binds the launch's buffers, masks and scalars; it is the
 // only step that can fail. RunRows then writes any band of output rows, and
@@ -28,12 +33,10 @@
 // workers. Each thread keeps its own register file across bands and
 // launches.
 //
-// Programs the executor cannot prove equivalent make Prepare return
-// Unimplemented: scratchpad staging (kLoadShared), texture/hardware
+// Programs the executor cannot prove equivalent fail Supports (and Prepare)
+// with Unimplemented: scratchpad staging (kLoadShared), texture/hardware
 // boundary handling, thread/block-index dependent values, pixels-per-thread
-// > 1, or a halo exceeding the image (the degenerate-region case). No pixel
-// has been written at that point, so callers fall back to the simulator
-// cleanly.
+// > 1, or a halo exceeding the image (the degenerate-region case).
 #pragma once
 
 #include <memory>
@@ -46,13 +49,29 @@ namespace hipacc::runtime {
 /// A kernel launch prepared for the host executor, run in row bands.
 class HostLaunch {
  public:
-  /// Prepares `launch.programs` over the launch's iteration space. `halo_x`
-  /// / `halo_y` is the kernel's boundary-handling window
-  /// (DeviceKernel::bh_window) that sized the nine region variants; ignored
-  /// when the program set has a single variant. Buffers are bound by
-  /// pointer, so `launch` must outlive the HostLaunch. Returns
-  /// Unimplemented for unsupported programs (see file comment) — the caller
-  /// is expected to fall back to simulator execution.
+  /// Ok when the host executor runs `programs` over a width x height
+  /// iteration space, else Unimplemented naming what it cannot run (see
+  /// file comment). `halo_x` / `halo_y` is the kernel's boundary-handling
+  /// window (DeviceKernel::bh_window) that sized the nine region variants;
+  /// ignored when the program set has a single variant.
+  static Status Supports(const sim::ProgramSet& programs, int width,
+                         int height, int halo_x, int halo_y);
+
+  /// Modelled host time of one launch of `programs` (which Supports
+  /// accepts) over width x height pixels, in interior-program instructions
+  /// per pixel: the interior program's length, plus a fixed per-stage cost
+  /// (acquire, bind, prepare, schedule and end one stage) spread over the
+  /// pixels. Instructions are the unit because the interpreter's time per
+  /// pixel follows the interior program's length (calibration in
+  /// host_exec.cpp).
+  static double CostPerPixel(const sim::ProgramSet& programs, int width,
+                             int height);
+
+  /// Prepares `launch.programs` over the launch's iteration space, with the
+  /// halo as in Supports. Buffers are bound by pointer, so `launch` must
+  /// outlive the HostLaunch. Fails with Supports' Unimplemented status, or
+  /// Invalid when an instruction touches an unbound buffer or mask or
+  /// stores to a read-only buffer.
   static Result<HostLaunch> Prepare(const sim::Launch& launch, int halo_x,
                                     int halo_y);
 

@@ -93,16 +93,12 @@ struct FrameState {
 };
 
 /// The most tasks one frame of `plan` can have ready at once: a band per
-/// kMinBandRows rows of each kernel stage the host executor may run, one
-/// task for every other stage.
+/// kMinBandRows rows of each host kernel stage, one task for every other
+/// stage.
 long long MaxTasksPerFrame(const GraphPlan& plan) {
-  const bool host = plan.options->executor !=
-                    GraphOptions::Executor::kSimulator;
   long long tasks = 0;
   for (const GraphPlan::Stage& stage : plan.stages)
-    tasks += host && stage.kind == GraphPlan::Node::Kind::kKernel
-                 ? std::max(1, stage.height / kMinBandRows)
-                 : 1;
+    tasks += stage.host ? std::max(1, stage.height / kMinBandRows) : 1;
   return tasks;
 }
 

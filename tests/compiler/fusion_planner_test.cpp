@@ -10,6 +10,7 @@
 #include "compiler/fusion.hpp"
 #include "image/metrics.hpp"
 #include "image/synthetic.hpp"
+#include "ops/isp.hpp"
 #include "ops/kernel_sources.hpp"
 #include "ops/masks.hpp"
 
@@ -332,6 +333,127 @@ TEST(FusionPlannerTest, DeclinesFusionExceedingDeviceResources) {
   const auto plan = PlanNextFusion(stages, roomy);
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->request.kind, FuseKind::kHalo);
+}
+
+// --- host cost model ----------------------------------------------------
+
+/// The decision recorded for (kind, producer, consumer), or null.
+const CandidateDecision* FindDecision(
+    const std::vector<CandidateDecision>& decisions, FuseKind kind,
+    const std::string& producer, const std::string& consumer) {
+  for (const CandidateDecision& d : decisions)
+    if (d.kind == kind && d.producer == producer && d.consumer == consumer)
+      return &d;
+  return nullptr;
+}
+
+FusionPlannerOptions HostOptions(std::vector<CandidateDecision>* decisions) {
+  FusionPlannerOptions options;
+  options.host_stages = true;
+  options.decisions = decisions;
+  return options;
+}
+
+TEST(FusionPlannerHostModelTest, AcceptsPointEdge) {
+  // Point fusion drops a store, a load and a stage: cheaper on the host.
+  const frontend::KernelSource conv = SobelX();
+  const frontend::KernelSource scale = ops::ScaleOffsetSource();
+  const std::vector<PlannerStage> stages = TwoStageChain(conv, scale, 64, 64);
+  std::vector<CandidateDecision> decisions;
+  const auto plan = PlanNextFusion(stages, HostOptions(&decisions));
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(plan->request.kind, FuseKind::kPoint);
+  const CandidateDecision* d =
+      FindDecision(decisions, FuseKind::kPoint, "a", "b");
+  ASSERT_NE(d, nullptr);
+  EXPECT_TRUE(d->accepted);
+  EXPECT_EQ(d->model, compiler::CostModel::kHost);
+  EXPECT_GT(d->score, 0.0);
+  EXPECT_NE(d->reason.find("instructions/pixel"), std::string::npos)
+      << d->reason;
+}
+
+TEST(FusionPlannerHostModelTest, AcceptsSobelHorizontalPair) {
+  // A horizontal merge removes no instruction, only a stage: the positive
+  // per-stage cost breaks the tie in its favour.
+  const frontend::KernelSource gx = SobelX();
+  const frontend::KernelSource gy = SobelY();
+  std::vector<PlannerStage> stages = TwoStageChain(gx, gy, 64, 48);
+  stages[1].inputs = {{"Input", "in"}};
+  std::vector<CandidateDecision> decisions;
+  const auto plan = PlanNextFusion(stages, HostOptions(&decisions));
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(plan->request.kind, FuseKind::kHorizontal);
+  const CandidateDecision* d =
+      FindDecision(decisions, FuseKind::kHorizontal, "a", "b");
+  ASSERT_NE(d, nullptr);
+  EXPECT_TRUE(d->accepted) << d->reason;
+  EXPECT_EQ(d->model, compiler::CostModel::kHost);
+  EXPECT_GT(d->score, 0.0);
+}
+
+TEST(FusionPlannerHostModelTest, DeclinesIspLumaIntoDenoiseHaloEdge) {
+  // The ISP's y -> y_dn: the device model accepts inlining the RGB->Y
+  // matrix into the 3x3 Gaussian, the host model declines it (every tap
+  // re-evaluates the matrix). r, g and b are sources here.
+  const frontend::KernelSource y = ops::ColorMatrixSource("rgb2y");
+  const frontend::KernelSource denoise =
+      ops::GaussianSource(3, 0.8f, BoundaryMode::kClamp);
+  std::vector<PlannerStage> stages = TwoStageChain(y, denoise, 256, 256);
+  stages[0].name = "y";
+  stages[0].inputs = {{"R", "r"}, {"G", "g"}, {"B", "b"}};
+  stages[1].name = "y_dn";
+  stages[1].inputs = {{"Input", "y"}};
+
+  std::vector<CandidateDecision> decisions;
+  EXPECT_FALSE(PlanNextFusion(stages, HostOptions(&decisions)).has_value());
+  const CandidateDecision* host =
+      FindDecision(decisions, FuseKind::kHalo, "y", "y_dn");
+  ASSERT_NE(host, nullptr);
+  EXPECT_TRUE(host->legal);
+  EXPECT_FALSE(host->accepted);
+  EXPECT_EQ(host->model, compiler::CostModel::kHost);
+  EXPECT_LT(host->score, 0.0);
+  EXPECT_NE(host->reason.find("instructions/pixel"), std::string::npos)
+      << host->reason;
+
+  decisions.clear();
+  FusionPlannerOptions device;
+  device.decisions = &decisions;
+  const auto plan = PlanNextFusion(stages, device);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(plan->request.kind, FuseKind::kHalo);
+  const CandidateDecision* dev =
+      FindDecision(decisions, FuseKind::kHalo, "y", "y_dn");
+  ASSERT_NE(dev, nullptr);
+  EXPECT_EQ(dev->model, compiler::CostModel::kDevice);
+  EXPECT_NE(dev->reason.find("cycles/pixel"), std::string::npos)
+      << dev->reason;
+}
+
+TEST(FusionPlannerHostModelTest, DeclinesFusionTheHostCannotRun) {
+  // Each 3x3 stage has a 1-pixel halo, which a 3-pixel-wide image fits;
+  // the fused 5x5 window's 2-pixel halo does not, so the host would hand
+  // the fused stage to the simulator. The planner declines, naming why.
+  const frontend::KernelSource producer =
+      ops::GaussianConvolveSource(3, 1.0f, BoundaryMode::kClamp);
+  const frontend::KernelSource consumer = ops::ConvolutionSource(
+      "laplacian", 3, 3, ops::LaplacianMask3(), BoundaryMode::kClamp);
+  const std::vector<PlannerStage> stages =
+      TwoStageChain(producer, consumer, 3, 64);
+  std::vector<CandidateDecision> decisions;
+  FusionPlannerOptions options = HostOptions(&decisions);
+  options.mode = FusionMode::kHalo;
+  EXPECT_FALSE(PlanNextFusion(stages, options).has_value());
+  const CandidateDecision* d =
+      FindDecision(decisions, FuseKind::kHalo, "a", "b");
+  ASSERT_NE(d, nullptr);
+  EXPECT_TRUE(d->legal);
+  EXPECT_FALSE(d->accepted);
+  EXPECT_EQ(d->model, compiler::CostModel::kHost);
+  EXPECT_NE(d->reason.find("onto the simulator"), std::string::npos)
+      << d->reason;
+  EXPECT_NE(d->reason.find("halo"), std::string::npos) << d->reason;
 }
 
 TEST(FusionPlannerTest, DedupeKeepsAcceptedVerdict) {

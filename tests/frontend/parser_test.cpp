@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "ast/const_fold.hpp"
 #include "ast/printer.hpp"
 #include "ast/visitor.hpp"
@@ -239,6 +242,64 @@ TEST(ParserErrorTest, NonCanonicalLoopsRejected) {
       "for (int i = 0; i >= -3; i++) { }\noutput() = 0.0f;")).ok());
   EXPECT_FALSE(ParseKernel(MinimalSource(
       "for (int i = 0; i <= 3; i -= 1) { }\noutput() = 0.0f;")).ok());
+}
+
+std::string Repeat(const std::string& text, int count) {
+  std::string out;
+  out.reserve(text.size() * static_cast<std::size_t>(count));
+  for (int i = 0; i < count; ++i) out += text;
+  return out;
+}
+
+TEST(ParserErrorTest, DeepNestingIsAParseError) {
+  // The parser recurses once per nesting level, so 100,000 levels of any
+  // recursive form used to overflow the stack. Each must come back as a
+  // parse error naming the line and column where the bound was crossed.
+  constexpr int kDeep = 100000;
+  const std::vector<std::string> bodies = {
+      "output() = " + Repeat("(", kDeep) + "Input()" + Repeat(")", kDeep) +
+          ";",
+      "output() = " + Repeat("- ", kDeep) + "Input();",
+      "output() = " + Repeat("(float)", kDeep) + "Input();",
+      "output() = " + Repeat("gain > 0.0f ? Input() : ", kDeep) + "Input();",
+      Repeat("{", kDeep) + "output() = Input();" + Repeat("}", kDeep),
+      Repeat("if (gain > 0.0f) ", kDeep) + "output() = Input();",
+  };
+  for (std::size_t i = 0; i < bodies.size(); ++i) {
+    const auto result = ParseKernel(MinimalSource(bodies[i]));
+    ASSERT_FALSE(result.ok()) << "form " << i;
+    EXPECT_EQ(result.status().code(), StatusCode::kParseError) << "form " << i;
+    EXPECT_NE(result.status().message().find("test_kernel:1:"),
+              std::string::npos)
+        << result.status().message();
+    EXPECT_NE(result.status().message().find("nesting deeper than"),
+              std::string::npos)
+        << result.status().message();
+  }
+  // Nested loops need distinct variables. One per line: the error names
+  // the line where the bound was crossed, not the first.
+  std::string loops;
+  for (int i = 0; i < 2000; ++i)
+    loops += "for (int i" + std::to_string(i) + " = 0; i" + std::to_string(i) +
+             " < 1; i" + std::to_string(i) + "++)\n";
+  const auto result =
+      ParseKernel(MinimalSource(loops + "output() = Input();"));
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("nesting deeper than"),
+            std::string::npos)
+      << result.status().message();
+  EXPECT_EQ(result.status().message().find("test_kernel:1:"),
+            std::string::npos)
+      << result.status().message();
+
+  // Moderate nesting of every form still parses.
+  for (const std::string& body :
+       {"output() = " + Repeat("(", 100) + "Input()" + Repeat(")", 100) + ";",
+        "output() = " + Repeat("- ", 100) + "Input();",
+        Repeat("{", 100) + "output() = Input();" + Repeat("}", 100)}) {
+    const auto ok = ParseKernel(MinimalSource(body));
+    EXPECT_TRUE(ok.ok()) << ok.status().ToString();
+  }
 }
 
 TEST(ParserErrorTest, SyntaxErrorsCarryLocation) {

@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "compiler/driver.hpp"
 #include "image/metrics.hpp"
 #include "image/synthetic.hpp"
+#include "ops/isp.hpp"
 #include "ops/kernel_sources.hpp"
 #include "ops/masks.hpp"
 #include "ops/pyramid.hpp"
+#include "runtime/graph_plan.hpp"
 #include "sim/trace.hpp"
 
 namespace hipacc {
@@ -181,27 +185,35 @@ TEST(PipelineGraphTest, FusesSiblingSobelsHorizontally) {
   EXPECT_EQ(MaxAbsDiff(gy[0], gy[1]), 0.0);
 }
 
+/// in -> smooth (3x3 Gaussian, an expression body) -> edges (3x3
+/// Laplacian): a halo-fusion candidate.
+void BuildSmoothEdges(PipelineGraph& graph) {
+  graph.Source("in", 64, 64)
+      .Kernel("smooth",
+              ops::GaussianConvolveSource(3, 1.0f, BoundaryMode::kMirror),
+              {{"Input", "in"}})
+      .Kernel("edges",
+              ops::ConvolutionSource("laplacian", 3, 3, ops::LaplacianMask3(),
+                                     BoundaryMode::kMirror),
+              {{"Input", "smooth"}})
+      .Output("edges");
+}
+
 TEST(PipelineGraphTest, FusesHaloProducerIntoLocalOperator) {
   // gaussian -> laplacian: the point/halo planner inlines the producer into
   // the consuming convolution with halo recompute; pixels must not change.
+  // On the simulated device the saved traffic pays for the recompute, so
+  // the device model accepts the edge.
   const HostImage<float> in = MakeAngiogramPhantom(64, 64, 0.02f, 4);
   HostImage<float> out[2] = {{64, 64}, {64, 64}};
   for (const bool fuse : {true, false}) {
     PipelineGraph graph;
-    graph.Source("in", 64, 64)
-        .Kernel("smooth",
-                ops::GaussianConvolveSource(3, 1.0f, BoundaryMode::kMirror),
-                {{"Input", "in"}})
-        .Kernel("edges",
-                ops::ConvolutionSource("laplacian", 3, 3,
-                                       ops::LaplacianMask3(),
-                                       BoundaryMode::kMirror),
-                {{"Input", "smooth"}})
-        .Output("edges");
+    BuildSmoothEdges(graph);
     sim::TraceSink trace;
     GraphOptions options;
     options.fuse =
         fuse ? compiler::FusionMode::kHalo : compiler::FusionMode::kOff;
+    options.executor = GraphOptions::Executor::kSimulator;
     options.run.trace = &trace;
     ASSERT_TRUE(graph.Run({{"in", &in}}, {{"edges", &out[fuse]}}, options).ok());
     if (fuse) {
@@ -212,6 +224,107 @@ TEST(PipelineGraphTest, FusesHaloProducerIntoLocalOperator) {
     }
   }
   EXPECT_EQ(MaxAbsDiff(out[0], out[1]), 0.0);
+}
+
+TEST(PipelineGraphTest, HostModelDeclinesHaloRecomputeOnTheHost) {
+  // The same candidate under kAuto: the host runs all three kernels, saves
+  // no bandwidth and pays for every recomputed tap in full, so the host
+  // model declines the edge. The pixels equal the fused device run's.
+  const HostImage<float> in = MakeAngiogramPhantom(64, 64, 0.02f, 4);
+  HostImage<float> out[2] = {{64, 64}, {64, 64}};
+  for (const auto executor :
+       {GraphOptions::Executor::kAuto, GraphOptions::Executor::kSimulator}) {
+    const bool on_host = executor == GraphOptions::Executor::kAuto;
+    PipelineGraph graph;
+    BuildSmoothEdges(graph);
+    sim::TraceSink trace;
+    std::vector<compiler::CandidateDecision> decisions;
+    GraphOptions options;
+    options.fuse = compiler::FusionMode::kHalo;
+    options.executor = executor;
+    options.explain = &decisions;
+    options.run.trace = &trace;
+    ASSERT_TRUE(
+        graph.Run({{"in", &in}}, {{"edges", &out[on_host]}}, options).ok());
+    const compiler::CandidateDecision* halo = nullptr;
+    for (const compiler::CandidateDecision& d : decisions)
+      if (d.kind == compiler::FuseKind::kHalo && d.producer == "smooth")
+        halo = &d;
+    ASSERT_NE(halo, nullptr);
+    EXPECT_TRUE(halo->legal);
+    EXPECT_EQ(halo->accepted, !on_host) << halo->reason;
+    EXPECT_EQ(halo->model, on_host ? compiler::CostModel::kHost
+                                   : compiler::CostModel::kDevice);
+    EXPECT_NE(halo->reason.find(on_host ? "instructions/pixel"
+                                        : "cycles/pixel"),
+              std::string::npos)
+        << halo->reason;
+    EXPECT_EQ(trace.counter("graph.fused_edges"), on_host ? 0 : 1);
+    if (on_host) {
+      EXPECT_LT(halo->score, 0.0);
+      EXPECT_EQ(trace.counter("graph.launches.host"), 2);
+      EXPECT_EQ(trace.counter("graph.launches.sim"), 0);
+    }
+  }
+  EXPECT_EQ(MaxAbsDiff(out[0], out[1]), 0.0);
+}
+
+TEST(PipelineGraphTest, IspHostPlanMergesSiblingsButKeepsLumaUnfused) {
+  // The camera ISP under kAuto: the demosaic siblings r, g, b merge into one
+  // stage (same instructions, two stages fewer), but y is not inlined into
+  // every tap of the y_dn Gaussian. The device model fuses that edge too.
+  // Both plans give the same pixels.
+  constexpr int kSize = 64;
+  const HostImage<float> raws[2] = {MakeNoiseImage(kSize, kSize, 0x15C),
+                                    MakeNoiseImage(kSize, kSize, 0x15D)};
+  const HostImage<float> gain = ops::MakeVignettingGain(kSize, kSize);
+  std::vector<HostImage<float>> outs[2];
+  for (const auto executor :
+       {GraphOptions::Executor::kAuto, GraphOptions::Executor::kSimulator}) {
+    const bool on_host = executor == GraphOptions::Executor::kAuto;
+    PipelineGraph graph;
+    ops::BuildCameraIspGraph(graph, kSize, kSize, BoundaryMode::kClamp);
+    sim::TraceSink trace;
+    GraphOptions options;
+    options.executor = executor;
+    options.run.trace = &trace;
+    Result<runtime::GraphPlan> plan = runtime::GraphPlan::Build(graph, options);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    std::vector<std::string> names;
+    int host_stages = 0;
+    for (const runtime::GraphPlan::Stage& stage : plan.value().stages) {
+      if (stage.name.empty()) continue;
+      names.push_back(stage.name);
+      host_stages += stage.host;
+    }
+    if (on_host) {
+      EXPECT_EQ(names, (std::vector<std::string>{"raw", "gain", "shaded", "r",
+                                                 "y", "u", "v", "y_dn"}));
+      EXPECT_EQ(host_stages, 6);
+      EXPECT_EQ(trace.counter("graph.fused_edges"), 2);
+      EXPECT_EQ(trace.counter("graph.fused.horizontal"), 2);
+    } else {
+      // The device model inlines y into y_dn (and, at this small extent,
+      // shaded into r as well).
+      EXPECT_EQ(host_stages, 0);
+      EXPECT_EQ(std::count(names.begin(), names.end(), "y"), 0);
+      EXPECT_GE(trace.counter("graph.fused.halo"), 1);
+    }
+
+    options.run.trace = nullptr;
+    for (const HostImage<float>& raw : raws) {
+      HostImage<float> y(kSize, kSize), u(kSize, kSize), v(kSize, kSize);
+      const Status run =
+          graph.Run({{"raw", &raw}, {"gain", &gain}},
+                    {{"y_dn", &y}, {"u", &u}, {"v", &v}}, options);
+      ASSERT_TRUE(run.ok()) << run.ToString();
+      for (HostImage<float>* image : {&y, &u, &v})
+        outs[on_host].push_back(std::move(*image));
+    }
+  }
+  ASSERT_EQ(outs[0].size(), outs[1].size());
+  for (std::size_t i = 0; i < outs[0].size(); ++i)
+    EXPECT_EQ(outs[0][i], outs[1][i]) << "output " << i;
 }
 
 TEST(PipelineGraphTest, DoesNotFuseMultiConsumerOrOutputImages) {
@@ -339,6 +452,30 @@ TEST(PipelineGraphTest, HostExecutorFailsNamingTheRejectedStage) {
                    .ok());
   EXPECT_EQ(trace.counter("bufpool.alloc"), allocs);
   EXPECT_EQ(graph.pool().live_count(), 0);
+}
+
+TEST(PipelineGraphTest, BuildDecidesEachStageExecutor) {
+  // The host/simulator split is part of the plan: decided by Build, before
+  // any frame runs. Under kHost the scratchpad stage stays off the host
+  // (it fails when it runs, see above); kSimulator puts nothing there.
+  for (const auto executor :
+       {GraphOptions::Executor::kAuto, GraphOptions::Executor::kHost,
+        GraphOptions::Executor::kSimulator}) {
+    PipelineGraph graph;
+    BuildScratchpadChain(graph);
+    sim::TraceSink trace;
+    const GraphOptions options = ScratchpadOptions(executor, 4, &trace);
+    Result<runtime::GraphPlan> plan = runtime::GraphPlan::Build(graph, options);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const bool host = executor != GraphOptions::Executor::kSimulator;
+    for (const runtime::GraphPlan::Stage& stage : plan.value().stages) {
+      const bool point = stage.name == "scaled" || stage.name == "out";
+      EXPECT_EQ(stage.host, point && host) << stage.name;
+    }
+    EXPECT_EQ(trace.counter("graph.stages"), 0);
+    EXPECT_EQ(trace.counter("graph.launches.host"), 0);
+    EXPECT_EQ(trace.counter("graph.launches.sim"), 0);
+  }
 }
 
 TEST(PipelineGraphTest, AutoExecutorRunsRejectedStageOnSimulator) {

@@ -3,19 +3,26 @@
 // the top and bottom border bands of a nine-region kernel — writes the same
 // pixels as one band over every row. The frame loop runs disjoint bands of
 // one launch on different workers, so both properties are what makes that
-// safe and bit-identical.
+// safe and bit-identical. Halo-fused kernels, which the graph runtime keeps
+// off the host, are held to the simulator here directly.
 #include "runtime/host_exec.hpp"
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "compiler/driver.hpp"
+#include "compiler/fusion.hpp"
 #include "image/synthetic.hpp"
+#include "ops/isp.hpp"
 #include "ops/kernel_sources.hpp"
+#include "ops/masks.hpp"
 #include "runtime/bindings.hpp"
 #include "runtime/run_options.hpp"
 #include "sim/bytecode.hpp"
+#include "sim/simulator.hpp"
 
 namespace hipacc {
 namespace {
@@ -102,6 +109,82 @@ TEST(HostLaunchTest, AnyRowCutMatchesOneBand) {
       const HostImage<float> banded = RunBands(ck, input, cut);
       EXPECT_EQ(banded, whole) << "mode " << static_cast<int>(mode) << ", "
                                << cut.size() - 1 << " bands";
+    }
+  }
+}
+
+TEST(HostLaunchTest, HaloFusedKernelMatchesTheSimulator) {
+  // The graph runtime's host model declines halo fusion, so no shipped
+  // graph sends a halo-fused kernel to the host. Hold the executor to the
+  // simulator on such kernels directly: the ISP's RGB->Y matrix inlined
+  // into its 3x3 Gaussian, and a Gaussian inlined into a Laplacian.
+  const std::vector<std::pair<std::string, double>> scalars = {
+      {"c_r", 0.299}, {"c_g", 0.587}, {"c_b", 0.114}, {"bias", 0.0}};
+  for (const ast::BoundaryMode mode :
+       {ast::BoundaryMode::kClamp, ast::BoundaryMode::kMirror}) {
+    const Result<frontend::KernelSource> luma = compiler::FuseHalo(
+        ops::ColorMatrixSource("rgb2y"), ops::GaussianSource(3, 0.8f, mode),
+        "Input", kWidth, kHeight);
+    const Result<frontend::KernelSource> edges = compiler::FuseHalo(
+        ops::GaussianConvolveSource(3, 1.0f, mode),
+        ops::ConvolutionSource("laplacian", 3, 3, ops::LaplacianMask3(), mode),
+        "Input", kWidth, kHeight);
+    // The luma kernel resolves its border reads in its body (one program);
+    // the Laplacian keeps nine region programs over a 2-pixel halo.
+    const std::pair<const Result<frontend::KernelSource>*, std::size_t>
+        cases[] = {{&luma, 1}, {&edges, 9}};
+    for (const auto& [fused, programs] : cases) {
+      ASSERT_TRUE(fused->ok()) << fused->status().ToString();
+      Result<compiler::CompiledKernel> compiled = compiler::Compile(
+          fused->value(),
+          runtime::MakeCompileOptions(runtime::RunOptions{}, kWidth, kHeight));
+      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+      const compiler::CompiledKernel& ck = compiled.value();
+      ASSERT_EQ(ck.bytecode->programs.size(), programs);
+
+      std::vector<dsl::Image<float>> inputs;
+      inputs.reserve(ck.decl.accessors.size());
+      for (std::size_t i = 0; i < ck.decl.accessors.size(); ++i) {
+        inputs.emplace_back(kWidth, kHeight);
+        inputs.back().CopyFrom(
+            MakeNoiseImage(kWidth, kHeight, 11 + i));
+      }
+      HostImage<float> outputs[2];
+      for (const bool on_host : {true, false}) {
+        dsl::Image<float> out(kWidth, kHeight);
+        runtime::BindingSet bindings;
+        for (std::size_t i = 0; i < inputs.size(); ++i)
+          bindings.Input(ck.decl.accessors[i].name, inputs[i]);
+        bindings.Output(out);
+        for (const ast::ParamInfo& param : ck.decl.params)
+          for (const auto& [name, value] : scalars)
+            if (name == param.name) bindings.Scalar(name, value);
+        Result<runtime::LaunchHolder> holder =
+            runtime::BuildLaunch(ck.device_ir, ck.config.config, bindings);
+        ASSERT_TRUE(holder.ok()) << holder.status().ToString();
+        sim::Launch& launch = holder.value().launch;
+        launch.programs = ck.bytecode.get();
+        if (on_host) {
+          ASSERT_TRUE(runtime::HostLaunch::Supports(
+                          *ck.bytecode, kWidth, kHeight,
+                          ck.device_ir.bh_window.half_x,
+                          ck.device_ir.bh_window.half_y)
+                          .ok());
+          Result<runtime::HostLaunch> host = runtime::HostLaunch::Prepare(
+              launch, ck.device_ir.bh_window.half_x,
+              ck.device_ir.bh_window.half_y);
+          ASSERT_TRUE(host.ok()) << host.status().ToString();
+          host.value().RunRows(0, kHeight);
+        } else {
+          const runtime::RunOptions run;
+          const Result<sim::LaunchStats> stats =
+              sim::Simulator(run.device, run.sim).Execute(launch);
+          ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+        }
+        outputs[on_host] = out.getData();
+      }
+      EXPECT_EQ(outputs[0], outputs[1])
+          << ck.decl.name << ", mode " << static_cast<int>(mode);
     }
   }
 }

@@ -1,11 +1,15 @@
-// google-benchmark head-to-head of the simulator's execution engines: the
-// compiled bytecode VM and the native tier (generated host code), on the
-// Gaussian, Sobel, bilateral and tone-curve kernels. Reports wall-clock of
-// the simulator itself, not modelled device time, so the engines' dispatch
-// overhead is directly comparable; the native rows should be well under the
-// bytecode rows, except Bilateral9: its runtime-bounded loops do not fuse,
-// so its native row runs the VM. Native rows tier up during a warm-up
-// launch, so the measured loop never includes the toolchain.
+// google-benchmark head-to-head of the execution engines: the simulator's
+// bytecode VM and native tier (generated host code), and the host executor,
+// on the Gaussian, Sobel, bilateral and tone-curve kernels. Reports
+// wall-clock, not modelled device time, so the engines' dispatch overhead is
+// directly comparable; the native rows should be well under the bytecode
+// rows, except Bilateral9: its runtime-bounded loops do not fuse, so its
+// native row runs the VM. Native rows tier up during a warm-up launch, so
+// the measured loop never includes the toolchain. The bytecode and host
+// rows run the two instantiations of the one lane interpreter
+// (sim/lanes.hpp): warps with the device model, and 256-pixel row segments
+// without it; a host row is HostLaunch::Prepare plus RunRows over the whole
+// image on one thread.
 // Run with --benchmark_filter=Engine to see just the comparison.
 #include <benchmark/benchmark.h>
 
@@ -14,6 +18,7 @@
 #include "ops/kernel_sources.hpp"
 #include "ops/masks.hpp"
 #include "runtime/bindings.hpp"
+#include "runtime/host_exec.hpp"
 #include "sim/simulator.hpp"
 
 using namespace hipacc;
@@ -66,6 +71,21 @@ void RunEngineBench(benchmark::State& state, Workload& w,
   }
   const long pixels =
       static_cast<long>(w.holder.launch.width) * w.holder.launch.height;
+  state.SetItemsProcessed(state.iterations() * pixels);
+}
+
+void RunHostBench(benchmark::State& state, Workload& w) {
+  const sim::Launch& launch = w.holder.launch;
+  const ast::WindowExtent& halo = w.kernel.device_ir.bh_window;
+  for (auto _ : state) {
+    Result<runtime::HostLaunch> host =
+        runtime::HostLaunch::Prepare(launch, halo.half_x, halo.half_y);
+    HIPACC_CHECK(host.ok());
+    host.value().RunRows(0, launch.height);
+    benchmark::DoNotOptimize(w.out.span().data());
+    benchmark::ClobberMemory();
+  }
+  const long pixels = static_cast<long>(launch.width) * launch.height;
   state.SetItemsProcessed(state.iterations() * pixels);
 }
 
@@ -146,6 +166,22 @@ void BM_EngineBytecode_ToneCurve8(benchmark::State& state) {
   RunEngineBench(state, ToneCurveWorkload(), sim::ExecEngine::kBytecode);
 }
 
+void BM_EngineHost_Gaussian5(benchmark::State& state) {
+  RunHostBench(state, GaussianWorkload());
+}
+void BM_EngineHost_Sobel3(benchmark::State& state) {
+  RunHostBench(state, SobelWorkload());
+}
+void BM_EngineHost_Bilateral9(benchmark::State& state) {
+  RunHostBench(state, BilateralWorkload());
+}
+void BM_EngineHost_BilateralFixed9(benchmark::State& state) {
+  RunHostBench(state, BilateralFixedWorkload());
+}
+void BM_EngineHost_ToneCurve8(benchmark::State& state) {
+  RunHostBench(state, ToneCurveWorkload());
+}
+
 BENCHMARK(BM_EngineBytecode_Gaussian5)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EngineNative_Gaussian5)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EngineBytecode_Sobel3)->Unit(benchmark::kMillisecond);
@@ -156,6 +192,11 @@ BENCHMARK(BM_EngineBytecode_BilateralFixed9)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EngineNative_BilateralFixed9)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EngineBytecode_ToneCurve8)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EngineNative_ToneCurve8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EngineHost_Gaussian5)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EngineHost_Sobel3)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EngineHost_Bilateral9)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EngineHost_BilateralFixed9)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EngineHost_ToneCurve8)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

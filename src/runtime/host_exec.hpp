@@ -12,11 +12,10 @@
 // program differs from the interior one only in which boundary guards it
 // carries, and guards are value-neutral for in-range reads — every pixel
 // here runs under a program whose guards cover exactly the directions it
-// can actually exceed. Segments are interpreted in lane chunks (one
-// dispatch per instruction per chunk, amortised over up to kLaneWidth
-// pixels) using the very same per-lane arithmetic helpers as the VM, so
-// outputs are bit-identical to both simulator engines and to the DSL's
-// functional path.
+// can actually exceed. Segments run as lane groups of up to 256 pixels on
+// the simulator's own lane interpreter (sim/lanes.hpp) with its model
+// compiled out, the interpreter the VM runs warps on, so outputs are
+// bit-identical to both simulator engines and to the DSL's functional path.
 //
 // Whether the host can run a kernel at all is HostLaunch::Supports, which
 // depends only on the program set and the extent, so the graph runtime
@@ -24,14 +23,14 @@
 // is the matching cost model the fusion planner scores host stages with.
 //
 // A launch runs in two steps. HostLaunch::Prepare plans the nine-region
-// partition and binds the launch's buffers, masks and scalars; it is the
-// only step that can fail. RunRows then writes any band of output rows, and
-// is infallible. The region is picked per row, so every cut of the rows
-// into bands gives the same values, and disjoint bands may run on different
-// threads at once: the graph runtime's frame loop
-// (runtime/stream_executor.hpp) spreads one stage's bands over its idle
-// workers. Each thread keeps its own register file across bands and
-// launches.
+// partition and binds the launch (sim::ResolveBindings, after
+// sim::CheckBindings); it is the only step that can fail. RunRows then
+// writes any band of output rows, and is infallible. The region is picked
+// per row, so every cut of the rows into bands gives the same values, and
+// disjoint bands may run on different threads at once: the graph runtime's
+// frame loop (runtime/stream_executor.hpp) spreads one stage's bands over
+// its idle workers. Each thread keeps its own register file across bands
+// and launches.
 //
 // Programs the executor cannot prove equivalent fail Supports (and Prepare)
 // with Unimplemented: scratchpad staging (kLoadShared), texture/hardware
@@ -70,8 +69,8 @@ class HostLaunch {
   /// Prepares `launch.programs` over the launch's iteration space, with the
   /// halo as in Supports. Buffers are bound by pointer, so `launch` must
   /// outlive the HostLaunch. Fails with Supports' Unimplemented status, or
-  /// Invalid when an instruction touches an unbound buffer or mask or
-  /// stores to a read-only buffer.
+  /// with sim::CheckBindings' Invalid status when an instruction touches an
+  /// unbound buffer or mask or stores to a read-only buffer.
   static Result<HostLaunch> Prepare(const sim::Launch& launch, int halo_x,
                                     int halo_y);
 

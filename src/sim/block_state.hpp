@@ -1,10 +1,11 @@
-// Per-block execution state shared by the bytecode VM and the tests'
-// tree-walking oracle over the device IR: warp-lockstep lane
-// values, the thread/global-index context of the current warp, the
-// scratchpad staging phase (Listing 7), and the block-level region dispatch
-// (Figure 3). Both engines drive their warp bodies through this one
-// implementation, so the memory-model call sequence — and therefore every
-// metric the timing model consumes — is identical by construction.
+// Per-block execution state shared by the simulator's engines (the
+// bytecode VM and the native tier) and the tests' tree-walking oracle over
+// the device IR: the thread/global-index context and active mask of the
+// current warp, the scratchpad staging phase (Listing 7), and the
+// block-level region dispatch (Figure 3). All three drive their warp bodies
+// through this one implementation, so the memory-model call sequence — and
+// therefore every metric the timing model consumes — is identical by
+// construction.
 #pragma once
 
 #include <array>
@@ -12,25 +13,15 @@
 #include <vector>
 
 #include "ast/metadata.hpp"
-#include "ast/type.hpp"
 #include "sim/launch.hpp"
 #include "sim/metrics.hpp"
 
 namespace hipacc::sim {
 
 /// Maximum SIMD width across the device database (AMD wavefronts are 64
-/// lanes wide). Warp values and lane masks carry inline fixed-size storage
-/// sized for it, so neither engine's hot path performs heap allocation.
+/// lanes wide). Warp contexts and lane masks carry inline fixed-size
+/// storage sized for it, so no engine's hot path performs heap allocation.
 constexpr int kMaxWarpWidth = 64;
-
-/// Per-lane values of one warp. Values are stored as doubles but all
-/// float-typed arithmetic is performed in float precision so simulated
-/// results match the DSL's host executor bit for bit. Lanes beyond the
-/// device's warp width stay unread.
-struct WarpVal {
-  ast::ScalarType type = ast::ScalarType::kFloat;
-  std::array<double, kMaxWarpWidth> lanes{};
-};
 
 using LaneMask = std::array<unsigned char, kMaxWarpWidth>;
 

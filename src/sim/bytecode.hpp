@@ -1,13 +1,14 @@
-// Bytecode programs for the simulator's register VM (vm.cpp): a one-shot
+// Bytecode programs for the lane interpreter (lanes.hpp): a one-shot
 // compiler from the device IR into linear, register-based instruction
 // streams — one program per boundary-region variant, mirroring the paper's
 // Figure 3 multiplexing. Compilation resolves variable names to register
 // slots, folds constants, resolves builtins to direct opcodes, and unrolls
-// mask loops with static bounds, so the per-warp execution loop is a flat
+// mask loops with static bounds, so the per-lane-group execution loop is a flat
 // fetch/dispatch with no recursion, no per-node Status, and no name lookup.
 //
 // These programs are the simulator's only semantics: every compiled kernel
-// and every launch carries them, and the VM and the native tier run them.
+// and every launch carries them, and the VM, the native tier and the host
+// executor run them.
 // Compilation is total on what the frontend accepts. A program past one of
 // the size budgets fails with a compile error that names the budget; IR the
 // frontend never produces (DSL-level nodes, a read before any declaration)
@@ -104,8 +105,9 @@ struct Insn {
   float cvalue = 0.0f;
 };
 
-/// Scalar parameter seeding: the VM re-seeds these registers per warp (the
-/// body may overwrite them), exactly like the interpreter's fresh Env.
+/// Scalar parameter seeding: the lane interpreter re-seeds these registers
+/// per lane group (the body may overwrite them), exactly like the oracle's
+/// fresh Env.
 struct ParamSeed {
   std::string name;
   std::uint16_t reg = 0;
@@ -121,9 +123,9 @@ struct Program {
   int num_masks = 1;
 };
 
-/// All region programs of one kernel plus the name tables the VM binds to a
-/// Launch at execution time (bindings stay lazy: a missing buffer only
-/// errors when an instruction touches it, like the interpreter).
+/// All region programs of one kernel plus the name tables a Launch binds to
+/// (ResolveBindings, launch.hpp; bindings stay lazy: a missing buffer only
+/// errors when an instruction touches it, like the oracle).
 struct ProgramSet {
   std::string kernel_name;
   std::vector<Program> programs;
@@ -155,8 +157,9 @@ struct ProgramSet {
 Result<std::shared_ptr<const ProgramSet>> CompileToBytecode(
     const ast::DeviceKernel& kernel);
 
-// ---- Lane arithmetic shared by the compiler's constant folder and the VM
-// ---- handlers (and kept textually identical to the tests' oracle).
+// ---- Lane arithmetic shared by the compiler's constant folder and the lane
+// ---- interpreter (lanes.hpp), and kept textually identical to the tests'
+// ---- oracle.
 
 /// AST Convert: conversion switches on the target type only.
 inline double ConvertLaneValue(double v, ast::ScalarType to) {

@@ -43,7 +43,7 @@ std::string FLit(float v) {
 /// The self-contained prelude shared by every generated TU: bit-literal
 /// constructors, the runtime type conversion, boundary resolution
 /// (textually equivalent to dsl::ResolveBoundaryIndex +
-/// vm.cpp::ResolveCoord), and the RAII metric flusher. ScalarType /
+/// lanes.hpp's ResolveCoord), and the RAII metric flusher. ScalarType /
 /// BoundaryMode enum values are baked as integers; the fingerprint pins
 // the encoding so an enum reorder invalidates cached objects.
 const char kPrelude[] = R"jit(
@@ -89,7 +89,7 @@ static inline int jit_reflect(int c, int n, int mode) {
   }
   return -1;
 }
-// vm.cpp ResolveCoord.
+// lanes.hpp ResolveCoord.
 static inline int jit_resolve(int c, int n, int mode, int check_lo,
                               int check_hi, int hw, int* violation) {
   if (c >= 0 && c < n) return c;
@@ -102,7 +102,7 @@ static inline int jit_resolve(int c, int n, int mode, int check_lo,
   return jit_reflect(c, n, mode);
 }
 // Accumulates metric deltas in locals; the destructor flushes them on
-// every exit path (including error returns), like the VM's CostCounters.
+// every exit path (including error returns), like the lane interpreter's.
 struct JitFlush {
   hipacc::sim::jit::JitWarpCtx* c;
   unsigned long long alu = 0, sfu = 0, oob = 0, n = 0;

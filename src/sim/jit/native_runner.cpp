@@ -10,10 +10,9 @@
 namespace hipacc::sim::jit {
 namespace {
 
-using ast::ScalarType;
-
-/// Per-thread scratch reused across blocks, like the VM's VmScratch: the
-/// parameter register file and the binding tables of the current block.
+/// Per-thread scratch reused across blocks, like the lane interpreter's
+/// LaneFile: the parameter register file and the binding tables of the
+/// current block.
 struct NativeScratch {
   std::vector<double> regs;
   std::vector<JitBuffer> buffers;
@@ -76,38 +75,13 @@ Status MapError(const ProgramSet& ps, int rc) {
 
 }  // namespace
 
-bool NativeBindingsHold(const ProgramSet& ps, const Launch& launch) {
-  std::vector<const BufferBinding*> buffers;
-  buffers.reserve(ps.buffer_names.size());
-  for (const auto& name : ps.buffer_names)
-    buffers.push_back(launch.FindBuffer(name));
-  for (const Program& prog : ps.programs) {
-    for (const Insn& I : prog.code) {
-      const std::size_t b = static_cast<std::size_t>(I.buffer);
-      switch (I.op) {
-        case Op::kLoadImage:
-          if (!buffers[b]) return false;
-          break;
-        case Op::kStore:
-          if (!buffers[b] || !buffers[b]->writable) return false;
-          break;
-        case Op::kLoadConst:
-          if (!launch.const_masks.count(ps.const_masks[b].name)) return false;
-          break;
-        default:
-          break;
-      }
-    }
-  }
-  return true;
-}
-
-Status RunBlockNative(const Launch& launch, const ProgramSet& ps,
+Status RunBlockNative(const Launch& launch, const LaunchBindings& bindings,
                       const NativeProgram& native,
                       const hw::DeviceSpec& device, int block_x_idx,
                       int block_y_idx, Metrics* metrics,
                       std::uint64_t* executed_insns) {
   HIPACC_CHECK(launch.kernel != nullptr && metrics != nullptr);
+  const ProgramSet& ps = *bindings.programs;
   BlockState st(launch, device, block_x_idx, block_y_idx, metrics);
   Result<BlockState::Plan> begun = st.Begin();
   if (!begun.ok()) return begun.status();
@@ -120,10 +94,9 @@ Status RunBlockNative(const Launch& launch, const ProgramSet& ps,
 
   NativeScratch& scratch = ThreadScratch();
   scratch.buffers.clear();
-  scratch.buffers.reserve(ps.buffer_names.size());
-  for (const auto& name : ps.buffer_names) {
+  for (const BufferBinding* bound : bindings.buffers) {
     JitBuffer jb;
-    if (const BufferBinding* bound = launch.FindBuffer(name)) {
+    if (bound) {
       jb.data = bound->data;
       jb.width = bound->width;
       jb.height = bound->height;
@@ -134,31 +107,24 @@ Status RunBlockNative(const Launch& launch, const ProgramSet& ps,
     scratch.buffers.push_back(jb);
   }
   scratch.mask_tables.clear();
-  scratch.mask_tables.reserve(ps.const_masks.size());
-  for (const auto& ref : ps.const_masks) {
+  for (const LaunchBindings::Mask& mask : bindings.masks) {
     JitMaskTable mt;
-    const auto it = launch.const_masks.find(ref.name);
-    if (it != launch.const_masks.end()) {
-      mt.data = it->second.data();
-      mt.size = it->second.size();
+    if (mask.data) {
+      mt.data = mask.data->data();
+      mt.size = mask.data->size();
       mt.bound = 1;
     }
     scratch.mask_tables.push_back(mt);
   }
 
   // The generated code only reads the parameter registers, so they are
-  // seeded once per block rather than once per warp as in the VM.
+  // seeded once per block rather than once per lane group as in the VM.
   scratch.regs.resize(static_cast<std::size_t>(prog->num_regs) * kJitMaxWarp);
-  for (const auto& p : prog->params) {
-    const auto it = launch.scalar_args.find(p.name);
-    const double v = it != launch.scalar_args.end() ? it->second : 0.0;
-    double* r = scratch.regs.data() +
-                static_cast<std::size_t>(p.reg) * kJitMaxWarp;
-    std::fill(r, r + kJitMaxWarp,
-              p.type == ScalarType::kFloat
-                  ? static_cast<double>(static_cast<float>(v))
-                  : v);
-  }
+  const auto program = static_cast<std::size_t>(prog - ps.programs.data());
+  for (const LaunchBindings::Seed& seed : bindings.seeds[program])
+    std::fill_n(scratch.regs.data() +
+                    static_cast<std::size_t>(seed.reg) * kJitMaxWarp,
+                kJitMaxWarp, seed.value);
 
   const hw::GridDim grid = hw::ComputeGrid(launch.config, launch.width,
                                            launch.height, launch.kernel->ppt);
@@ -194,7 +160,7 @@ Status RunBlockNative(const Launch& launch, const ProgramSet& ps,
   ctx.mask_tables = scratch.mask_tables.data();
   // The ABI counters are unsigned long long (self-contained header);
   // Metrics uses std::uint64_t. Accumulate locally and flush on every exit
-  // path — including error returns — like the VM's CostCounters.
+  // path — including error returns — like the lane interpreter.
   struct Counters {
     Metrics* m;
     std::uint64_t* out_insns;

@@ -1,8 +1,11 @@
 // Kernel launch description for the simulated device: the lowered kernel,
 // the configuration, the bound buffers, mask coefficient tables, and scalar
-// arguments. Produced by the runtime, consumed by the Simulator.
+// arguments. Produced by the runtime, consumed by the Simulator and the
+// host executor. ResolveBindings is how every executor binds a launch's
+// names to the tables of its register programs.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -42,5 +45,38 @@ struct Launch {
     return nullptr;
   }
 };
+
+/// A launch's buffers, constant masks and scalar arguments bound to the
+/// name tables of one ProgramSet, by pointer into the launch: what the VM,
+/// the native tier and the host executor read. Bindings are lazy, like the
+/// oracle's: an entry stays null until an instruction touches it.
+struct LaunchBindings {
+  struct Mask {
+    const std::vector<float>* data = nullptr;
+    int width = 1;
+  };
+  /// The value a parameter register starts each lane group with: the scalar
+  /// argument (0 when unbound), rounded to float for a float parameter.
+  struct Seed {
+    std::uint16_t reg = 0;
+    ast::ScalarType type = ast::ScalarType::kFloat;
+    double value = 0.0;
+  };
+
+  const ProgramSet* programs = nullptr;
+  std::vector<const BufferBinding*> buffers;  ///< per programs->buffer_names
+  std::vector<Mask> masks;                    ///< per programs->const_masks
+  std::vector<std::vector<Seed>> seeds;       ///< per programs->programs
+};
+
+/// Binds `launch` to the name tables of `programs`.
+LaunchBindings ResolveBindings(const ProgramSet& programs,
+                               const Launch& launch);
+
+/// Ok when `launch` binds every buffer and constant mask that an
+/// instruction of `programs` touches, and every stored buffer is writable;
+/// else the Invalid status the VM returns when it reaches such an
+/// instruction. Executors that cannot fail mid-launch check this up front.
+Status CheckBindings(const ProgramSet& programs, const Launch& launch);
 
 }  // namespace hipacc::sim

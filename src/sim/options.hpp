@@ -1,11 +1,12 @@
 // Simulator engine options. Every launch runs its kernel's register
 // programs (bytecode.hpp) on one of two functionally identical engines: the
-// switch VM (vm.cpp), the default, and the native tier (jit/), which
-// compiles hot program sets to host machine code. `native` layers tiering
-// on top of the VM: launches run on the VM until the invocation count
-// reaches `jit_threshold`, then switch to the compiled shared object when
-// every region program of the kernel fuses into a native lane loop, and
-// stay on the VM otherwise (also when no host toolchain is available).
+// bytecode VM (vm.cpp, on the lane interpreter), the default, and the
+// native tier (jit/), which compiles hot program sets to host machine code.
+// `native` layers tiering on top of the VM: launches run on the VM until
+// the invocation count reaches `jit_threshold`, then switch to the compiled
+// shared object when every region program of the kernel fuses into a native
+// lane loop, and stay on the VM otherwise (also when no host toolchain is
+// available).
 // Options are passed to each Simulator explicitly; there is no process-wide
 // default.
 #pragma once

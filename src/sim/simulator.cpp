@@ -18,17 +18,20 @@
 namespace hipacc::sim {
 namespace {
 
-/// The block function of a launch on the product engines: the native warp
-/// functions once the tier is hot and the launch's bindings pass their
-/// check (with engine == kNative), else the bytecode VM (counted as jit.vm
-/// under kNative).
+/// The block function of a launch on the product engines, over the
+/// launch's bindings resolved once: the native warp functions once the tier
+/// is hot and the bindings pass CheckBindings (with engine == kNative), else
+/// the bytecode VM (counted as jit.vm under kNative). The warp functions
+/// check bindings before any side effect, while the VM fails mid-program, so
+/// a launch that fails the check runs on the VM to fail the same way.
 BlockFn ResolveExecutor(const Launch& launch, const SimulatorOptions& options,
                         TraceSink* trace) {
-  const ProgramSet* programs = launch.programs;
+  const ProgramSet& programs = *launch.programs;
+  LaunchBindings bindings = ResolveBindings(programs, launch);
   const jit::NativeProgram* native = nullptr;
   if (options.engine == ExecEngine::kNative) {
-    if (jit::NativeBindingsHold(*programs, launch))
-      native = jit::AcquireNative(*programs, options.jit_threshold, trace);
+    if (CheckBindings(programs, launch).ok())
+      native = jit::AcquireNative(programs, options.jit_threshold, trace);
     else if (trace)
       trace->IncrementCounter("jit.vm");
   }
@@ -36,15 +39,16 @@ BlockFn ResolveExecutor(const Launch& launch, const SimulatorOptions& options,
     trace->IncrementCounter(native ? "sim.launch.native"
                                    : "sim.launch.bytecode");
   if (native)
-    return [programs, native](const Launch& l, const hw::DeviceSpec& device,
-                              int bx, int by, Metrics* metrics,
-                              std::uint64_t* executed_insns) {
-      return jit::RunBlockNative(l, *programs, *native, device, bx, by,
+    return [bindings = std::move(bindings), native](
+               const Launch& l, const hw::DeviceSpec& device, int bx, int by,
+               Metrics* metrics, std::uint64_t* executed_insns) {
+      return jit::RunBlockNative(l, bindings, *native, device, bx, by,
                                  metrics, executed_insns);
     };
-  return [programs](const Launch& l, const hw::DeviceSpec& device, int bx,
-                    int by, Metrics* metrics, std::uint64_t* executed_insns) {
-    return RunBlockBytecode(l, *programs, device, bx, by, metrics,
+  return [bindings = std::move(bindings)](
+             const Launch& l, const hw::DeviceSpec& device, int bx, int by,
+             Metrics* metrics, std::uint64_t* executed_insns) {
+    return RunBlockBytecode(l, bindings, device, bx, by, metrics,
                             executed_insns);
   };
 }

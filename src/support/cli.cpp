@@ -1,8 +1,10 @@
 #include "support/cli.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "support/string_utils.hpp"
 
@@ -25,11 +27,17 @@ CliParser& CliParser::Int(const std::string& name, int* value,
   return Value(name, value_name, help,
                [name, value](const std::string& text) {
                  char* end = nullptr;
+                 errno = 0;
                  const long parsed = std::strtol(text.c_str(), &end, 10);
                  if (text.empty() || end == nullptr || *end != '\0')
                    return Status::Invalid("flag --" + name +
                                           " expects an integer, got '" + text +
                                           "'");
+                 if (errno == ERANGE ||
+                     parsed < std::numeric_limits<int>::min() ||
+                     parsed > std::numeric_limits<int>::max())
+                   return Status::Invalid("flag --" + name + " value '" +
+                                          text + "' is out of range for int");
                  *value = static_cast<int>(parsed);
                  return Status::Ok();
                });

@@ -223,9 +223,10 @@ TEST(BoundaryOobTest, UndefinedFiresOnlyWhereTheStencilLeavesTheImage) {
   ASSERT_GE(grid_x, 3);
   ASSERT_GE(grid_y, 3);
 
-  const sim::ProgramSet& programs = *compiled.value().bytecode;
+  const sim::LaunchBindings bound =
+      sim::ResolveBindings(*compiled.value().bytecode, launch);
   sim::Metrics interior;
-  ASSERT_TRUE(sim::RunBlockBytecode(launch, programs, device, grid_x / 2,
+  ASSERT_TRUE(sim::RunBlockBytecode(launch, bound, device, grid_x / 2,
                                     grid_y / 2, &interior, nullptr)
                   .ok());
   EXPECT_EQ(interior.oob_violations, 0u);
@@ -233,7 +234,7 @@ TEST(BoundaryOobTest, UndefinedFiresOnlyWhereTheStencilLeavesTheImage) {
 
   sim::Metrics corner;
   ASSERT_TRUE(
-      sim::RunBlockBytecode(launch, programs, device, 0, 0, &corner, nullptr)
+      sim::RunBlockBytecode(launch, bound, device, 0, 0, &corner, nullptr)
           .ok());
   EXPECT_GT(corner.oob_violations, 0u);
 }

@@ -14,6 +14,15 @@ namespace {
 
 using namespace hipacc::ast;
 
+/// Per-lane values of one warp. Values are stored as doubles but all
+/// float-typed arithmetic is performed in float precision so results match
+/// the DSL's host executor bit for bit. Lanes beyond the device's warp
+/// width stay unread.
+struct WarpVal {
+  ScalarType type = ScalarType::kFloat;
+  std::array<double, kMaxWarpWidth> lanes{};
+};
+
 /// Flat variable environment. Kernels declare a handful of locals, so an
 /// insertion-ordered vector with linear name lookup beats a node-based map:
 /// no allocation per declaration and cache-friendly scans. Slot indices are

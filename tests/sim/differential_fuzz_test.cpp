@@ -1,6 +1,7 @@
-// Three-way differential fuzz harness: the proof that the bytecode VM and
+// Four-way differential fuzz harness: the proof that the bytecode VM and
 // the native tier both match the reference oracle (a tree-walking
-// interpreter over the device IR, tests/oracle). A seeded generator emits
+// interpreter over the device IR, tests/oracle), and that the host executor
+// (runtime/host_exec.hpp) writes the VM's pixels. A seeded generator emits
 // random DSL kernels — convolution masks of random shapes and values
 // (including rank-1 masks that trigger the separable decomposition),
 // static-bound stencil loops with random arithmetic bodies (the native
@@ -12,7 +13,11 @@
 // constant vs global masks, both backends), then runs every case on the
 // oracle and both engines and requires them to be observably
 // indistinguishable: output pixels bit for bit, every metric counter, and
-// the modelled time.
+// the modelled time. Each case is also compiled in a host-eligible variant
+// (one pixel per thread, no scratchpad, no texture path), which the host
+// executor and the VM must run to the same pixels bit for bit; random
+// graphs run once more under the graph runtime's automatic executor choice,
+// which sends every eligible stage to the host.
 //
 // Two entry points: a pinned sweep that always runs under ctest (fixed
 // seed, every generator kind), and an env-scaled sweep for CI fuzz jobs —
@@ -34,6 +39,7 @@
 #include "oracle/interpreter.hpp"
 #include "runtime/bindings.hpp"
 #include "runtime/graph.hpp"
+#include "runtime/host_exec.hpp"
 #include "sim/bytecode.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
@@ -350,6 +356,37 @@ EngineRun RunEngine(const compiler::CompiledKernel& kernel,
   return run;
 }
 
+/// Runs `kernel` over `input` on the host executor, every row in one band.
+/// Returns false, leaving `run` untouched, when the host does not run it.
+bool RunHost(const compiler::CompiledKernel& kernel,
+             const HostImage<float>& input, const runtime::BindingSet& scalars,
+             EngineRun* run) {
+  const ast::WindowExtent& halo = kernel.device_ir.bh_window;
+  if (!runtime::HostLaunch::Supports(*kernel.bytecode, input.width(),
+                                     input.height(), halo.half_x, halo.half_y)
+           .ok())
+    return false;
+  dsl::Image<float> in(input.width(), input.height());
+  dsl::Image<float> out(input.width(), input.height());
+  in.CopyFrom(input);
+  runtime::BindingSet bindings = scalars;
+  bindings.Input("Input", in).Output(out);
+  Result<runtime::LaunchHolder> holder =
+      runtime::BuildLaunch(kernel.device_ir, kernel.config.config, bindings);
+  if (!holder.ok()) return false;
+  holder.value().launch.programs = kernel.bytecode.get();
+  Result<runtime::HostLaunch> host = runtime::HostLaunch::Prepare(
+      holder.value().launch, halo.half_x, halo.half_y);
+  if (!host.ok()) {
+    run->status = host.status();
+    return true;
+  }
+  host.value().RunRows(0, input.height());
+  const HostImage<float>& data = out.getData();
+  run->output.assign(data.data(), data.data() + data.size());
+  return true;
+}
+
 void ExpectMetricsEqual(const sim::Metrics& a, const sim::Metrics& b) {
   EXPECT_EQ(a.alu_ops, b.alu_ops);
   EXPECT_EQ(a.sfu_calls, b.sfu_calls);
@@ -386,11 +423,12 @@ void ExpectRunsIdentical(const EngineRun& ref, const EngineRun& other,
   EXPECT_EQ(ref.stats.timing.total_ms, other.stats.timing.total_ms);
 }
 
-/// Compiles and runs one fuzz case on the oracle and both engines. Returns
-/// false when the case did not compile (the sweep tracks the rate: a
-/// generator change that drifts into mostly-invalid programs must fail
-/// loudly, not silently shrink coverage).
-bool RunFuzzCase(const FuzzCase& fc, Rng& rng) {
+/// Compiles and runs one fuzz case on the oracle and both engines, then its
+/// host-eligible variant on the VM and the host executor, and increments
+/// `*host_ran` when the host ran it. Returns false when the case did not
+/// compile (the sweep tracks the rate: a generator change that drifts into
+/// mostly-invalid programs must fail loudly, not silently shrink coverage).
+bool RunFuzzCase(const FuzzCase& fc, Rng& rng, int* host_ran = nullptr) {
   compiler::CompileOptions options;
   options.codegen = fc.codegen;
   options.device = hw::TeslaC2050();
@@ -411,6 +449,30 @@ bool RunFuzzCase(const FuzzCase& fc, Rng& rng) {
   SCOPED_TRACE(fc.summary);
   ExpectRunsIdentical(ref, vm, "oracle vs bytecode");
   ExpectRunsIdentical(ref, native, "oracle vs native");
+
+  // The host executor runs one pixel per virtual thread and no scratchpad or
+  // texture path, so it is held to the VM on the variant that avoids them.
+  options.codegen.pixels_per_thread = 1;
+  options.codegen.use_scratchpad = false;
+  options.codegen.texture = codegen::TexturePolicy::kNone;
+  Result<compiler::CompiledKernel> eligible =
+      compiler::Compile(fc.source, options);
+  if (!eligible.ok()) return true;
+  const EngineRun eligible_vm =
+      RunEngine(eligible.value(), input, fc.scalars, Runner::kBytecode);
+  if (!eligible_vm.status.ok()) return true;  // a device-limit launch error
+  EngineRun host;
+  if (!RunHost(eligible.value(), input, fc.scalars, &host)) return true;
+  SCOPED_TRACE("bytecode vs host");
+  EXPECT_TRUE(host.status.ok()) << host.status.ToString();
+  EXPECT_EQ(eligible_vm.output.size(), host.output.size());
+  if (eligible_vm.output.size() == host.output.size()) {
+    EXPECT_EQ(std::memcmp(eligible_vm.output.data(), host.output.data(),
+                          host.output.size() * sizeof(float)),
+              0)
+        << "host pixels differ bitwise from the VM";
+  }
+  if (host_ran != nullptr) ++*host_ran;
   return true;
 }
 
@@ -487,16 +549,19 @@ GraphCase MakeGraphCase(Rng& rng, BoundaryMode mode) {
   return gc;
 }
 
-/// Runs one graph case three ways — per-stage eager simulation, the graph
-/// runtime with fusion off, and with the full planner — and requires every
-/// externally visible image to match bit for bit. Accumulates the planner's
-/// applied-edge count so sweeps can assert fusion actually engaged.
-/// Increments `*ran` only when the case's kernels all compile (small odd
-/// extents legitimately reject some window/config combinations); sweeps
-/// assert on the ran-rate so a generator drifting into mostly-invalid
-/// graphs fails loudly.
+/// Runs one graph case four ways — per-stage eager simulation, the graph
+/// runtime on the simulator with fusion off and with the full planner, and
+/// the full planner under the automatic executor choice (host where the
+/// host runs a stage) — and requires every externally visible image to
+/// match bit for bit. Accumulates the simulator planner's applied-edge count
+/// and the automatic leg's host launches, so sweeps can assert that fusion
+/// engaged and that the host ran. Increments `*ran` only when the case's
+/// kernels all compile (small odd extents legitimately reject some
+/// window/config combinations); sweeps assert on the ran-rate so a
+/// generator drifting into mostly-invalid graphs fails loudly.
 void RunGraphCase(const GraphCase& gc, int ppt, Rng& rng,
-                  long long* fused_edges, int* ran) {
+                  long long* fused_edges, int* ran,
+                  long long* host_launches = nullptr) {
   SCOPED_TRACE(gc.summary + StrFormat(" ppt=%d", ppt));
   const HostImage<float> input = RandomInput(gc.width, gc.height, rng);
 
@@ -534,8 +599,13 @@ void RunGraphCase(const GraphCase& gc, int ppt, Rng& rng,
   }
   if (ran != nullptr) ++*ran;
 
-  for (const compiler::FusionMode fuse :
-       {compiler::FusionMode::kOff, compiler::FusionMode::kAll}) {
+  using Executor = runtime::GraphOptions::Executor;
+  const std::pair<compiler::FusionMode, Executor> legs[] = {
+      {compiler::FusionMode::kOff, Executor::kSimulator},
+      {compiler::FusionMode::kAll, Executor::kSimulator},
+      {compiler::FusionMode::kAll, Executor::kAuto},
+  };
+  for (const auto& [fuse, executor] : legs) {
     runtime::PipelineGraph graph;
     graph.Source("in", gc.width, gc.height);
     for (const GraphCase::Stage& st : gc.stages)
@@ -550,16 +620,22 @@ void RunGraphCase(const GraphCase& gc, int ppt, Rng& rng,
     sim::TraceSink trace;
     runtime::GraphOptions gopts;
     gopts.fuse = fuse;
-    gopts.executor = runtime::GraphOptions::Executor::kSimulator;
+    gopts.executor = executor;
     gopts.run.codegen.pixels_per_thread = ppt;
     gopts.run.codegen.border = codegen::BorderPolicy::kUniform;
     gopts.run.trace = &trace;
     const Status run = graph.Run({{"in", &input}}, out_bindings, gopts);
     ASSERT_TRUE(run.ok()) << run.ToString();
-    if (fuse == compiler::FusionMode::kAll && fused_edges != nullptr)
+    if (executor == Executor::kAuto) {
+      if (host_launches != nullptr)
+        *host_launches += trace.counter("graph.launches.host");
+    } else if (fuse == compiler::FusionMode::kAll && fused_edges != nullptr) {
       *fused_edges += trace.counter("graph.fused_edges");
+    }
     for (const std::string& s : sinks) {
-      SCOPED_TRACE(StrFormat("sink %s fuse=%s", s.c_str(), to_string(fuse)));
+      SCOPED_TRACE(StrFormat("sink %s fuse=%s executor=%s", s.c_str(),
+                             to_string(fuse),
+                             executor == Executor::kAuto ? "auto" : "sim"));
       const HostImage<float>& want = eager.at(s);
       const HostImage<float>& got = outs.at(s);
       ASSERT_EQ(want.size(), got.size());
@@ -580,15 +656,16 @@ void RunGraphCase(const GraphCase& gc, int ppt, Rng& rng,
 // reproduces byte for byte from the seed alone.
 TEST(DifferentialFuzzTest, PinnedKindsAgree) {
   Rng rng(0x5EEDF00Du);
-  int compiled = 0;
+  int compiled = 0, host_ran = 0;
   for (const FuzzKind kind : kAllKinds) {
     for (int i = 0; i < 2; ++i) {
-      if (RunFuzzCase(MakeCase(rng, kind), rng)) ++compiled;
+      if (RunFuzzCase(MakeCase(rng, kind), rng, &host_ran)) ++compiled;
     }
   }
   // All kinds are constructed from always-valid templates; at most the
   // occasional codegen combination may be rejected.
   EXPECT_GE(compiled, 6);
+  EXPECT_GT(host_ran, 0);
 }
 
 // Deterministic fused-arithmetic anchors: the generator draws kernels at
@@ -637,14 +714,16 @@ TEST(DifferentialFuzzTest, PptMatrixAgrees) {
 // that silently rejects everything would make the comparison vacuous).
 TEST(DifferentialFuzzTest, GraphFusionMatrixAgrees) {
   Rng rng(0x6F5A9EEDu);
-  long long fused_edges = 0;
+  long long fused_edges = 0, host_launches = 0;
   int ran = 0, cases = 0;
   for (const BoundaryMode mode : kAllModes)
     for (const int ppt : {1, 2, 4, 8}) {
-      RunGraphCase(MakeGraphCase(rng, mode), ppt, rng, &fused_edges, &ran);
+      RunGraphCase(MakeGraphCase(rng, mode), ppt, rng, &fused_edges, &ran,
+                   &host_launches);
       ++cases;
     }
   EXPECT_GT(fused_edges, 0);
+  EXPECT_GT(host_launches, 0);
   EXPECT_GE(ran * 2, cases) << ran << " of " << cases << " graphs ran";
 }
 
@@ -657,15 +736,17 @@ TEST(DifferentialFuzzTest, GraphSeededSweep) {
   const int cases = static_cast<int>(budget > 200 ? 200 : budget);
   static const int kPpt[] = {1, 2, 4, 8};
   Rng rng(seed ^ 0x9A57u);
-  long long fused_edges = 0;
+  long long fused_edges = 0, host_launches = 0;
   int ran = 0;
   for (int i = 0; i < cases; ++i)
     RunGraphCase(MakeGraphCase(rng, kAllModes[rng.NextInt(0, 4)]),
-                 kPpt[rng.NextInt(0, 3)], rng, &fused_edges, &ran);
-  std::printf("%d of %d graphs ran, %lld fused edges\n", ran, cases,
-              fused_edges);
+                 kPpt[rng.NextInt(0, 3)], rng, &fused_edges, &ran,
+                 &host_launches);
+  std::printf("%d of %d graphs ran, %lld fused edges, %lld host launches\n",
+              ran, cases, fused_edges, host_launches);
   if (cases >= 8) {
     EXPECT_GT(fused_edges, 0);
+    EXPECT_GT(host_launches, 0);
     EXPECT_GE(ran * 2, cases) << ran << " of " << cases << " graphs ran";
   }
 }
@@ -677,16 +758,20 @@ TEST(DifferentialFuzzTest, SeededSweep) {
   const std::uint64_t budget = EnvU64("HIPACC_FUZZ_CASES", 8);
   const int cases = static_cast<int>(budget > 500 ? 500 : budget);
   Rng rng(seed);
-  int compiled = 0;
+  int compiled = 0, host_ran = 0;
   for (int i = 0; i < cases; ++i) {
     const FuzzKind kind = kAllKinds[rng.NextInt(0, 3)];
-    if (RunFuzzCase(MakeCase(rng, kind), rng)) ++compiled;
+    if (RunFuzzCase(MakeCase(rng, kind), rng, &host_ran)) ++compiled;
   }
-  std::printf("%d of %d cases compiled\n", compiled, cases);
+  std::printf("%d of %d cases compiled, %d ran on the host\n", compiled,
+              cases, host_ran);
   // Guard against generator rot: the bulk of generated programs must
-  // compile, or the sweep is fuzzing nothing.
+  // compile, or the sweep is fuzzing nothing; and most of them must reach
+  // the host executor, or its leg checks nothing.
   EXPECT_GE(compiled * 10, cases * 6)
       << compiled << " of " << cases << " cases compiled";
+  EXPECT_GE(host_ran * 2, compiled)
+      << host_ran << " of " << compiled << " cases ran on the host";
 }
 
 }  // namespace

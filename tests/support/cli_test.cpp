@@ -38,6 +38,22 @@ TEST(CliParserTest, MalformedIntIsAnError) {
   cli.Int("number", &number, "N", "an int");
   EXPECT_FALSE(ParseArgs(cli, {"--number=abc"}).ok());
   EXPECT_FALSE(ParseArgs(cli, {"--number"}).ok());  // value required
+  // Values outside int are rejected, not wrapped: 4294967360 would
+  // otherwise land on 64 and 4294967298 on 2.
+  for (const char* arg :
+       {"--number=4294967360", "--number=4294967298", "--number=2147483648",
+        "--number=-2147483649", "--number=99999999999999999999"}) {
+    number = 7;
+    const Status out_of_range = ParseArgs(cli, {arg});
+    ASSERT_FALSE(out_of_range.ok()) << arg;
+    EXPECT_NE(out_of_range.message().find("--number"), std::string::npos);
+    EXPECT_EQ(out_of_range.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(number, 7) << arg;
+  }
+  EXPECT_TRUE(ParseArgs(cli, {"--number=2147483647"}).ok());
+  EXPECT_EQ(number, 2147483647);
+  EXPECT_TRUE(ParseArgs(cli, {"--number=-2147483648"}).ok());
+  EXPECT_EQ(number, -2147483647 - 1);
 }
 
 TEST(CliParserTest, ValueSetterStatusSurfaces) {

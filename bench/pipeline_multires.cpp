@@ -162,8 +162,7 @@ int main(int argc, char** argv) {
           "graph.fused.horizontal", "graph.fused.halo",
           "fuse.rejected.legality", "fuse.rejected.profitability",
           "graph.launches.host", "graph.launches.sim", "graph.runs",
-          "bufpool.alloc", "bufpool.reuse", "bufpool.peak_bytes",
-          "fuse.point.edges", "fuse.horizontal.edges", "fuse.halo.edges"})
+          "bufpool.alloc", "bufpool.reuse", "bufpool.peak_bytes"})
       counters[key] = static_cast<double>(trace.counter(key));
     doc["counters"] = std::move(counters);
     const Status written =

@@ -1,11 +1,9 @@
-// Pluggable target backends for the source emitter. The structural walk
-// over the lowered DeviceKernel (region dispatch, scratchpad staging,
+// Target backends for the source emitter. The structural walk over the
+// lowered DeviceKernel (region dispatch, scratchpad staging,
 // statement/expression recursion) is shared; everything that is target
 // *syntax* — kernel qualifiers, thread-index spellings, texture access,
 // barriers, the CUDA/OpenCL side of the function-mapping table — goes
-// through this interface. A new target implements Backend, registers
-// itself, and the driver and every existing caller pick it up without
-// modification.
+// through this interface, implemented once per target.
 #pragma once
 
 #include <optional>
@@ -25,12 +23,8 @@ class Backend {
  public:
   virtual ~Backend() = default;
 
-  /// CLI / registry name ("cuda", "opencl").
-  virtual std::string_view name() const noexcept = 0;
   /// Human-readable language name used in the emitted header ("CUDA").
   virtual std::string_view display_name() const noexcept = 0;
-  /// The ast::Backend tag lowered kernels carry for this target.
-  virtual ast::Backend id() const noexcept = 0;
 
   /// Renders the complete kernel source using the shared emitter core
   /// parameterised by this backend's syntax hooks.
@@ -84,15 +78,7 @@ class Backend {
 const Backend& CudaBackend();
 const Backend& OpenClBackend();
 
-/// Lookup by IR tag / registry name. Returns nullptr when unknown.
-const Backend* FindBackend(ast::Backend id) noexcept;
-const Backend* FindBackend(std::string_view name) noexcept;
-
-/// All registered backends, built-ins first, in registration order.
-const std::vector<const Backend*>& RegisteredBackends();
-
-/// Plugs in an additional target; `backend` must outlive the process (use a
-/// static). Registration is not thread-safe — do it during start-up.
-void RegisterBackend(const Backend* backend);
+/// The built-in backend of a lowered kernel's target tag.
+const Backend& FindBackend(ast::Backend id) noexcept;
 
 }  // namespace hipacc::codegen

@@ -11,9 +11,7 @@ namespace {
 
 class CudaBackendImpl final : public Backend {
  public:
-  std::string_view name() const noexcept override { return "cuda"; }
   std::string_view display_name() const noexcept override { return "CUDA"; }
-  ast::Backend id() const noexcept override { return ast::Backend::kCuda; }
 
   std::string KernelQualifier() const override {
     return "extern \"C\" __global__ void";

@@ -11,9 +11,7 @@ namespace {
 
 class OpenClBackendImpl final : public Backend {
  public:
-  std::string_view name() const noexcept override { return "opencl"; }
   std::string_view display_name() const noexcept override { return "OpenCL"; }
-  ast::Backend id() const noexcept override { return ast::Backend::kOpenCL; }
 
   std::string KernelQualifier() const override { return "__kernel void"; }
 

@@ -9,8 +9,7 @@
 // macros the paper's exploration mode substitutes at run time.
 //
 // The structural walk is shared; target syntax is provided by the Backend
-// interface (codegen/backend.hpp), so new targets plug in without touching
-// this emitter or the compiler driver.
+// interface (codegen/backend.hpp), picked by the kernel's target tag.
 #pragma once
 
 #include <string>
@@ -20,19 +19,14 @@
 
 namespace hipacc::codegen {
 
-class Backend;
-
 /// Everything the emitter needs besides the kernel itself.
 struct EmitContext {
   hw::KernelConfig config{128, 1};
   int image_width = 0;   ///< 0 = leave IW/IH as runtime macros
   int image_height = 0;
-  /// Target override; null resolves the backend from `kernel.backend`.
-  const Backend* backend = nullptr;
 };
 
-/// Renders the complete kernel source for `ctx.backend` (or, when that is
-/// null, the registered backend matching `kernel.backend`).
+/// Renders the complete kernel source for the backend of `kernel.backend`.
 std::string EmitKernelSource(const ast::DeviceKernel& kernel,
                              const EmitContext& ctx);
 

@@ -50,10 +50,6 @@ struct CodegenOptions {
   /// one output per thread (the classic mapping); 0 = let the hardware-model
   /// heuristic pick from {1, 2, 4, 8} per device.
   int pixels_per_thread = 1;
-
-  /// Memberwise equality; the compilation cache and Retarget use it to
-  /// decide whether lowered IR can be reused.
-  bool operator==(const CodegenOptions&) const = default;
 };
 
 }  // namespace hipacc::codegen

@@ -11,8 +11,9 @@
 //   target level    (frontend key, device, image extent, forced config)
 //                   -> complete CompiledKernel, emitted source included
 //
-// A frontend hit lets Retarget-style recompiles skip parse/lower/estimate;
-// a target hit returns the cached CompiledKernel bit-identically. Lookups
+// A frontend hit lets a compile for another device, extent or forced
+// configuration skip parse/lower/estimate; a target hit returns the cached
+// CompiledKernel bit-identically. Lookups
 // report into sim::TraceSink ("cache_{hit,miss}.{frontend,target}" counters
 // plus instant events carrying the key hash). All methods are thread-safe —
 // the parallel exploration engine shares one cache across lanes.
@@ -67,7 +68,8 @@ std::string DeviceIdentity(const hw::DeviceSpec& device);
 /// Frontend-level key: source fingerprint + codegen options.
 CacheKey MakeFrontendKey(const frontend::KernelSource& source,
                          const codegen::CodegenOptions& options);
-/// Same, from a stored fingerprint (Retarget has no KernelSource at hand).
+/// Same, from an already computed fingerprint (the driver computes it once
+/// for the key and the artifact's provenance).
 CacheKey MakeFrontendKeyFromFingerprint(
     const std::string& source_fingerprint,
     const codegen::CodegenOptions& options);

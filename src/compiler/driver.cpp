@@ -9,8 +9,8 @@
 namespace hipacc::compiler {
 namespace {
 
-/// The verbose line HIPAcc prints per compiled kernel (kept stable across
-/// the pass-manager refactor; benches and users grep for it).
+/// The verbose line HIPAcc prints per compiled kernel (benches and users
+/// grep for it).
 void LogCompiled(const CompiledKernel& kernel, const CompileOptions& options) {
   LogInfo(StrFormat("compiled kernel '%s' for %s/%s: config %dx%d, "
                     "%d regs/thread, occupancy %.0f%%",
@@ -41,15 +41,13 @@ void SeedFromFrontend(CompilationContext& ctx, FrontendArtifacts fe) {
   ctx.artifact.source_hash = fe.source_hash;
 }
 
-/// Runs `pipeline`, and on success stores the results into the cache (when
-/// enabled) and emits the per-kernel log line.
-Result<CompiledKernel> RunAndFinish(PassManager pipeline,
-                                    CompilationContext& ctx,
+/// Runs the pipeline from the pass named `first`, and on success stores the
+/// results into the cache (when enabled) and emits the per-kernel log line.
+Result<CompiledKernel> RunAndFinish(CompilationContext& ctx,
+                                    std::string_view first,
                                     const CacheKey* frontend_key,
                                     const CacheKey* target_key) {
-  if (!ctx.options.dump_after.empty())
-    pipeline.set_dump_hook(ctx.options.dump_after, DumpAfterPass);
-  const Status status = pipeline.Run(ctx);
+  const Status status = RunPasses(ctx, first);
   if (ctx.options.pass_timings != nullptr)
     ctx.options.pass_timings->insert(ctx.options.pass_timings->end(),
                                      ctx.timings.begin(), ctx.timings.end());
@@ -73,23 +71,11 @@ Result<CompiledKernel> Compile(const frontend::KernelSource& source,
   CompilationContext ctx;
   ctx.source = &source;
   ctx.options = options;
-  // Cache keys (and provenance) are computed from the source the pipeline
-  // will actually compile: with fusion requested, that is the fused source.
-  // Pre-seeding ctx.fused_source lets the fuse pass reuse the result.
-  if (!options.fusion.empty()) {
-    Result<frontend::KernelSource> fused =
-        ApplyFusion(source, options.fusion);
-    if (!fused.ok()) return fused.status();
-    ctx.fused_source = std::move(fused).take();
-  }
-  const frontend::KernelSource& keyed =
-      ctx.fused_source ? *ctx.fused_source : source;
-  ctx.artifact.source_fingerprint = SourceFingerprint(keyed);
+  ctx.artifact.source_fingerprint = SourceFingerprint(source);
   ctx.artifact.source_hash = SourceHash(ctx.artifact.source_fingerprint);
 
   CompilationCache* cache = options.cache;
-  if (cache == nullptr)
-    return RunAndFinish(BuildCompilePipeline(), ctx, nullptr, nullptr);
+  if (cache == nullptr) return RunAndFinish(ctx, "parse", nullptr, nullptr);
 
   const CacheKey frontend_key = MakeFrontendKeyFromFingerprint(
       ctx.artifact.source_fingerprint, options.codegen);
@@ -112,64 +98,9 @@ Result<CompiledKernel> Compile(const frontend::KernelSource& source,
   if (std::optional<FrontendArtifacts> fe =
           cache->LookupFrontend(frontend_key, options.trace)) {
     SeedFromFrontend(ctx, std::move(*fe));
-    return RunAndFinish(BuildTargetPipeline(), ctx, nullptr, &target_key);
+    return RunAndFinish(ctx, "select_config", nullptr, &target_key);
   }
-  return RunAndFinish(BuildCompilePipeline(), ctx, &frontend_key, &target_key);
-}
-
-Result<CompiledKernel> Retarget(const CompiledKernel& kernel,
-                                const CompileOptions& options) {
-  CompilationContext ctx;
-  ctx.options = options;
-  ctx.artifact.decl = kernel.decl;
-  ctx.artifact.source_fingerprint = kernel.source_fingerprint;
-  ctx.artifact.source_hash = kernel.source_hash;
-
-  // The lowered IR is target-independent given fixed codegen options: reuse
-  // it (and the resource estimate) when the provenance matches, so Retarget
-  // only re-runs configuration selection and emission.
-  const bool reuse_ir =
-      options.codegen == kernel.codegen &&
-      kernel.device_ir.backend == options.codegen.backend &&
-      !kernel.device_ir.variants.empty();
-
-  CompilationCache* cache = options.cache;
-  if (cache != nullptr && !kernel.source_fingerprint.empty()) {
-    const CacheKey frontend_key = MakeFrontendKeyFromFingerprint(
-        kernel.source_fingerprint, options.codegen);
-    const std::string profile_salt = ProfileSalt(DecideForCompile(
-        options.profiles, options.profile_policy, kernel.source_fingerprint,
-        options.codegen, options.device, options.image_width,
-        options.image_height, options.forced_config.has_value()));
-    const CacheKey target_key =
-        MakeTargetKey(frontend_key, options.device, options.image_width,
-                      options.image_height, options.forced_config,
-                      profile_salt);
-    if (std::optional<CompiledKernel> hit =
-            cache->LookupTarget(target_key, options.trace)) {
-      LogCompiled(*hit, options);
-      return std::move(*hit);
-    }
-    if (reuse_ir) {
-      SeedFromFrontend(ctx, FrontendFromArtifact(kernel));
-      ctx.artifact.bytecode = kernel.bytecode;  // same IR, same programs
-      return RunAndFinish(BuildTargetPipeline(), ctx, nullptr, &target_key);
-    }
-    if (std::optional<FrontendArtifacts> fe =
-            cache->LookupFrontend(frontend_key, options.trace)) {
-      SeedFromFrontend(ctx, std::move(*fe));
-      return RunAndFinish(BuildTargetPipeline(), ctx, nullptr, &target_key);
-    }
-    return RunAndFinish(BuildDevicePipeline(), ctx, &frontend_key,
-                        &target_key);
-  }
-
-  if (reuse_ir) {
-    SeedFromFrontend(ctx, FrontendFromArtifact(kernel));
-    ctx.artifact.bytecode = kernel.bytecode;  // same IR, same programs
-    return RunAndFinish(BuildTargetPipeline(), ctx, nullptr, nullptr);
-  }
-  return RunAndFinish(BuildDevicePipeline(), ctx, nullptr, nullptr);
+  return RunAndFinish(ctx, "parse", &frontend_key, &target_key);
 }
 
 }  // namespace hipacc::compiler

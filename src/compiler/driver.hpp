@@ -1,16 +1,19 @@
 // Source-to-source compiler driver: kernel source + metadata in, compiled
 // artifact out. The artifact bundles the lowered IR (what the simulated
 // device executes), the emitted CUDA/OpenCL source text (what the paper's
-// compiler writes to disk), the resource estimate (the nvcc stand-in), and
-// the launch configuration chosen by Algorithm 2 — or forced by the caller,
-// as the evaluation tables do with 128x1.
+// compiler writes to disk), the resource estimate (the nvcc stand-in), the
+// launch configuration chosen by Algorithm 2 — or forced by the caller, as
+// the evaluation tables do with 128x1 — and the simulator's register
+// programs.
 //
-// Internally the driver is a thin orchestrator over the pass pipeline
-// (compiler/pass.hpp): parse -> lower -> estimate -> select_config -> emit,
-// each pass reporting diagnostics and timing into the CompilationContext.
-// When CompileOptions::cache is set, compilation is memoised at two levels
-// (compiler/cache.hpp): the target-independent frontend artifacts and the
-// fully configured CompiledKernel.
+// Compile is the driver's only entry point. It runs the fixed pass list
+// (compiler/pass.hpp): parse -> lower -> estimate -> select_config -> emit
+// -> bytecode, each pass reporting diagnostics and timing into the
+// CompilationContext. When CompileOptions::cache is set, compilation is
+// memoised at two levels (compiler/cache.hpp): a target hit returns the
+// cached CompiledKernel, and a frontend hit (the same source and codegen
+// options for another device, extent or forced configuration) starts the
+// pipeline at select_config.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +24,6 @@
 
 #include "codegen/emit.hpp"
 #include "codegen/options.hpp"
-#include "compiler/fusion.hpp"
 #include "compiler/profile.hpp"
 #include "frontend/parser.hpp"
 #include "hwmodel/device_db.hpp"
@@ -47,8 +49,8 @@ struct CompileOptions {
   /// Skip Algorithm 2 and use this configuration (evaluation tables).
   std::optional<hw::KernelConfig> forced_config;
   /// Optional observability sink: per-pass compile durations (parse, lower,
-  /// estimate, select_config, emit) are recorded as spans, cache lookups as
-  /// instant events and aggregate counters.
+  /// estimate, select_config, emit, bytecode) are recorded as spans, cache
+  /// lookups as instant events and aggregate counters.
   sim::TraceSink* trace = nullptr;
   /// Optional content-addressed memoisation of compilation results, keyed
   /// by (kernel-source fingerprint, codegen options, device, image extent).
@@ -68,12 +70,6 @@ struct CompileOptions {
   /// the named pass finishes (the CLI's --dump-after; see
   /// DefaultPassNames() for the vocabulary).
   std::string dump_after;
-  /// Point-wise consumers to inline into this kernel before parsing (the
-  /// "fuse" pass; see compiler/fusion.hpp for the legality rule). The
-  /// driver fingerprints the *fused* source, so cache entries of fused and
-  /// unfused variants never alias. Ignored by Retarget — its input artifact
-  /// is already fused.
-  std::vector<FusionRequest> fusion;
 };
 
 struct CompiledKernel {
@@ -87,8 +83,7 @@ struct CompiledKernel {
   /// all reference the same programs. Never null on a compiled kernel.
   std::shared_ptr<const sim::ProgramSet> bytecode;
 
-  /// Provenance: the codegen options the IR was lowered with. Retarget
-  /// skips re-lowering when they match the requested options.
+  /// Provenance: the codegen options the IR was lowered with.
   codegen::CodegenOptions codegen;
   /// Canonical serialisation of the kernel source this artifact came from
   /// (cache key material; empty for hand-built artifacts) and its hash.
@@ -96,17 +91,12 @@ struct CompiledKernel {
   std::uint64_t source_hash = 0;
 };
 
-/// Runs the full pipeline: parse -> lower -> estimate -> select config ->
-/// emit. Errors propagate from any stage (parse errors, unsupported
-/// backend/mode combinations, resource exhaustion).
+/// Compiles `source` for the options' device, extent and codegen options:
+/// parse -> lower -> estimate -> select_config -> emit -> bytecode, from
+/// select_config on a frontend-cache hit, not at all on a target-cache hit.
+/// Errors propagate from any pass (parse errors, unsupported backend/mode
+/// combinations, resource exhaustion).
 Result<CompiledKernel> Compile(const frontend::KernelSource& source,
                                const CompileOptions& options);
-
-/// Re-selects the launch configuration of an already-compiled kernel for a
-/// (possibly different) device and image size, re-emitting the source. When
-/// the codegen options match the kernel's provenance, the lowered IR and
-/// resource estimate are reused instead of being recomputed.
-Result<CompiledKernel> Retarget(const CompiledKernel& kernel,
-                                const CompileOptions& options);
 
 }  // namespace hipacc::compiler

@@ -900,29 +900,4 @@ Result<frontend::KernelSource> FuseHalo(const frontend::KernelSource& producer,
   return fused;
 }
 
-Result<frontend::KernelSource> ApplyFusion(
-    const frontend::KernelSource& producer,
-    const std::vector<FusionRequest>& chain) {
-  frontend::KernelSource current = producer;
-  for (const FusionRequest& request : chain) {
-    Result<frontend::KernelSource> fused = Status::Invalid("unknown kind");
-    switch (request.kind) {
-      case FuseKind::kPoint:
-        fused = FusePointwise(current, request.consumer, request.accessor);
-        break;
-      case FuseKind::kHorizontal:
-        fused = FuseHorizontal(current, request.accessor, request.consumer,
-                               request.peer_accessor, request.output_name);
-        break;
-      case FuseKind::kHalo:
-        fused = FuseHalo(current, request.consumer, request.accessor,
-                         request.image_width, request.image_height);
-        break;
-    }
-    if (!fused.ok()) return fused.status();
-    current = std::move(fused).take();
-  }
-  return current;
-}
-
 }  // namespace hipacc::compiler

@@ -1,8 +1,9 @@
-// Kernel fusion at the DSL-source level. Three fusion kinds, applied by the
-// fusion planner (compiler/fusion_planner.*) and replayed by the compiler's
-// "fuse" pass (compiler/pass.cpp) from CompileOptions::fusion so the driver
-// fingerprints the *fused* source (fused and unfused compilations never
-// collide in the cache):
+// Kernel fusion at the DSL-source level. Three mergers, one per fusion kind,
+// each building the merged kernel's source. The fusion planner
+// (compiler/fusion_planner.*) calls them to build and score candidates; the
+// graph plan compiles the accepted merge as it stands, so the driver
+// fingerprints the fused source and fused and unfused compilations never
+// collide in the cache:
 //
 //  * kPoint — producer→consumer fusion of a point-wise consumer (every
 //    accessor a 1x1 window): the producer's output pixel becomes a local
@@ -36,7 +37,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "frontend/parser.hpp"
 
@@ -57,23 +57,6 @@ Result<FusionMode> ParseFusionMode(const std::string& text);
 
 /// True when `mode` permits candidates of `kind`.
 bool FusionModeAllows(FusionMode mode, FuseKind kind) noexcept;
-
-/// One fusion step. The populated fields depend on `kind`:
-///  * kPoint / kHalo: `consumer` is the consuming kernel and `accessor` its
-///    accessor fed by the current (producer) kernel; kHalo additionally
-///    bakes `image_width` / `image_height` into the boundary remap.
-///  * kHorizontal: `consumer` is the sibling kernel, `accessor` the current
-///    kernel's accessor of the shared input, `peer_accessor` the sibling's,
-///    and `output_name` the extra-output name its image is written under.
-struct FusionRequest {
-  FuseKind kind = FuseKind::kPoint;
-  frontend::KernelSource consumer;
-  std::string accessor;
-  std::string peer_accessor;
-  std::string output_name;
-  int image_width = 0;
-  int image_height = 0;
-};
 
 /// Fuses one point-wise consumer into `producer`. The fused kernel is named
 /// "<producer>_<consumer>"; its accessor list is the producer's accessors
@@ -104,11 +87,5 @@ Result<frontend::KernelSource> FuseHalo(const frontend::KernelSource& producer,
                                         const frontend::KernelSource& consumer,
                                         const std::string& accessor,
                                         int image_width, int image_height);
-
-/// Applies a chain of fusion steps in order, each step treating the previous
-/// result as the current kernel and dispatching on the request kind.
-Result<frontend::KernelSource> ApplyFusion(
-    const frontend::KernelSource& producer,
-    const std::vector<FusionRequest>& chain);
 
 }  // namespace hipacc::compiler

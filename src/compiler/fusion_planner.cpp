@@ -241,10 +241,7 @@ struct Planner {
 
         PlannedFusion plan;
         plan.request.kind = kind;
-        plan.request.consumer = *consumer.source;
         plan.request.accessor = accessor;
-        plan.request.image_width = consumer.width;
-        plan.request.image_height = consumer.height;
         plan.fused = std::move(fused).take();
         plan.into = static_cast<int>(c);
         plan.retired = static_cast<int>(p);
@@ -314,12 +311,9 @@ struct Planner {
 
         PlannedFusion plan;
         plan.request.kind = FuseKind::kHorizontal;
-        plan.request.consumer = *sb.source;
         plan.request.accessor = a_acc;
         plan.request.peer_accessor = b_acc;
         plan.request.output_name = output_name;
-        plan.request.image_width = sa.width;
-        plan.request.image_height = sa.height;
         plan.fused = std::move(fused).take();
         plan.into = static_cast<int>(a);
         plan.retired = static_cast<int>(b);

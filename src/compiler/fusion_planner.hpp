@@ -11,13 +11,13 @@
 //    which reject rather than assume (multi-output producers, name capture,
 //    unsupported boundary modes, non-expression producer bodies, ...);
 //
-//  * profitability — the candidate's fused kernel is compiled through the
-//    normal pipeline (parse → lower → estimate → select_config) against the
-//    target device: when no launch configuration fits the device's register
-//    file / scratchpad, the candidate is declined outright. Otherwise the
-//    cost model of the executor that will run the fused stage compares it
-//    with the two stages it replaces (halo fusion re-evaluates the producer
-//    once per consumer tap). The device model weighs saved global traffic +
+//  * profitability — the candidate's fused kernel is compiled (Compile,
+//    through the caller's cache) against the target device: when no launch
+//    configuration fits the device's register file / scratchpad, the
+//    candidate is declined outright. Otherwise the cost model of the
+//    executor that will run the fused stage compares it with the two
+//    stages it replaces (halo fusion re-evaluates the producer once per
+//    consumer tap). The device model weighs saved global traffic +
 //    launch overhead against that recompute, in cycles per pixel. When
 //    stages run on the host (FusionPlannerOptions::host_stages) and the
 //    host executor runs all three kernels, the host model compares
@@ -27,9 +27,11 @@
 //    the simulator is declined.
 //
 // Each call plans ONE step; the caller applies it to its stage list and
-// calls again until no candidate is both legal and profitable. Every
-// examined candidate leaves a CandidateDecision for --explain-fusion and
-// the fuse.rejected.{legality,profitability} counters.
+// calls again until no candidate is both legal and profitable. The step
+// carries the merged source the planner built and scored: the surviving
+// stage compiles exactly that kernel. Every examined candidate leaves a
+// CandidateDecision for --explain-fusion and the
+// fuse.rejected.{legality,profitability} counters.
 #pragma once
 
 #include <optional>
@@ -100,12 +102,23 @@ struct CandidateDecision {
 /// reporting (an accepted decision always wins over earlier rejections).
 void DedupeDecisions(std::vector<CandidateDecision>* decisions);
 
+/// How one fusion step rewires the plan's edges. Point / halo: `accessor`
+/// is the consumer's accessor fed by the producer. Horizontal: `accessor`
+/// is the first sibling's accessor of the shared input, `peer_accessor`
+/// the second sibling's, and `output_name` the extra-output name the
+/// second sibling's image is written under.
+struct FusionRequest {
+  FuseKind kind = FuseKind::kPoint;
+  std::string accessor;
+  std::string peer_accessor;
+  std::string output_name;
+};
+
 /// One planned fusion step, ready to apply.
 struct PlannedFusion {
-  /// Replay request for the surviving stage's fusion chain
-  /// (CompileOptions::fusion).
   FusionRequest request;
-  /// The merged source (the surviving stage's new effective source).
+  /// The merged source the planner compiled and scored: what the surviving
+  /// stage compiles from now on.
   frontend::KernelSource fused;
   /// Index (into the planner's stage view) of the stage that absorbs the
   /// fusion: the consumer for point/halo, the first sibling for horizontal.

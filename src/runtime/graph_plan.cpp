@@ -117,7 +117,6 @@ Result<std::vector<int>> OrderAndExtents(const std::vector<Node>& nodes,
     stage.kind = node.kind;
     stage.name = node.name;
     stage.source = node.kernel;
-    stage.effective = node.kernel;
     stage.inputs = node.inputs;
     stage.scalars = node.scalars;
     stage.width = node.width;
@@ -163,7 +162,7 @@ void PlanSeparation(GraphPlan* plan) {
     if (plan->stages[s].kind != Node::Kind::kKernel) continue;
     if (plan->stages[s].inputs.size() != 1) continue;
     std::optional<compiler::SeparatedStages> sep =
-        compiler::SeparateConvolution(plan->stages[s].effective);
+        compiler::SeparateConvolution(plan->stages[s].source);
     if (!sep) continue;
     const std::string intermediate = plan->stages[s].name + ".sep_row";
     if (plan->producer.find(intermediate) != plan->producer.end()) continue;
@@ -174,8 +173,7 @@ void PlanSeparation(GraphPlan* plan) {
     GraphPlan::Stage row;
     row.kind = Node::Kind::kKernel;
     row.name = intermediate;
-    row.source = sep->row;
-    row.effective = std::move(sep->row);
+    row.source = std::move(sep->row);
     row.inputs = plan->stages[s].inputs;
     row.width = plan->stages[s].width;
     row.height = plan->stages[s].height;
@@ -183,8 +181,7 @@ void PlanSeparation(GraphPlan* plan) {
     plan->stages.push_back(std::move(row));  // may reallocate: re-index below
 
     GraphPlan::Stage& col = plan->stages[s];
-    col.source = sep->col;
-    col.effective = std::move(sep->col);
+    col.source = std::move(sep->col);
     col.inputs = {{accessor, intermediate}};
     plan->producer[intermediate] = static_cast<int>(plan->stages.size() - 1);
     if (plan->trace != nullptr) plan->trace->IncrementCounter("separate.edges");
@@ -210,7 +207,7 @@ void PlanFusion(GraphPlan* plan) {
       view[i].fusable =
           stage.kind == Node::Kind::kKernel && !stage.name.empty();
       view[i].name = stage.name;
-      view[i].source = &stage.effective;
+      view[i].source = &stage.source;
       view[i].inputs = stage.inputs;
       for (const auto& [output_name, image] : stage.extra_images)
         view[i].extra_images.push_back(image);
@@ -227,12 +224,12 @@ void PlanFusion(GraphPlan* plan) {
     GraphPlan::Stage& into = plan->stages[static_cast<std::size_t>(fusion->into)];
     GraphPlan::Stage& retired =
         plan->stages[static_cast<std::size_t>(fusion->retired)];
+    // `into` compiles the merged kernel the planner built and scored.
+    into.source = std::move(fusion->fused);
     if (fusion->request.kind == compiler::FuseKind::kHorizontal) {
       // Sibling merge: `into` absorbs `retired`, whose image it keeps
       // producing as a named extra output. The sibling's shared-input edge
       // collapsed into `into`'s accessor; its other inputs carry over.
-      into.chain.push_back(fusion->request);
-      into.effective = std::move(fusion->fused);
       for (const auto& [accessor, image] : retired.inputs)
         if (accessor != fusion->request.peer_accessor)
           into.inputs.emplace_back(accessor, image);
@@ -242,10 +239,9 @@ void PlanFusion(GraphPlan* plan) {
       plan->producer[retired.name] = fusion->into;
     } else {
       // Producer→consumer merge (point or halo): the consumer's slot now
-      // compiles the producer's source with the consumer appended to the
-      // fusion chain, consumes the producer's inputs plus its own remaining
-      // ones, and still produces the consumer's image. The intermediate
-      // image disappears.
+      // consumes the producer's inputs plus its own remaining ones, and
+      // still produces the consumer's image. The intermediate image
+      // disappears.
       for (std::size_t e = 0; e < into.inputs.size(); ++e) {
         if (into.inputs[e].first == fusion->request.accessor &&
             into.inputs[e].second == retired.name) {
@@ -254,10 +250,6 @@ void PlanFusion(GraphPlan* plan) {
           break;
         }
       }
-      into.chain = std::move(retired.chain);
-      into.chain.push_back(fusion->request);
-      into.source = retired.source;
-      into.effective = std::move(fusion->fused);
       into.inputs.insert(into.inputs.begin(), retired.inputs.begin(),
                          retired.inputs.end());
       into.scalars.insert(into.scalars.end(), retired.scalars.begin(),
@@ -311,7 +303,6 @@ Status CompileStages(GraphPlan* plan) {
     if (stage.kind != Node::Kind::kKernel) return;
     compiler::CompileOptions copts =
         MakeCompileOptions(plan->options->run, stage.width, stage.height);
-    copts.fusion = stage.chain;
     Result<compiler::CompiledKernel> compiled =
         compiler::Compile(stage.source, copts);
     if (!compiled.ok()) {

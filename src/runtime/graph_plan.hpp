@@ -60,16 +60,13 @@ Result<std::vector<int>> TopologicalOrder(
 struct GraphPlan {
   using Node = PipelineGraph::Node;
 
-  /// One schedulable stage after separation/fusion. `source` + `chain`
-  /// reproduce the compiled kernel through the driver's fuse pass;
-  /// `effective` is the materialised fused source used for further legality
-  /// checks during planning.
+  /// One schedulable stage after separation/fusion. `source` is the kernel
+  /// the stage compiles: the node's own, a separated row or column pass, or
+  /// the merged kernel the fusion planner built and scored.
   struct Stage {
     Node::Kind kind = Node::Kind::kSource;
     std::string name;
     frontend::KernelSource source;
-    std::vector<compiler::FusionRequest> chain;
-    frontend::KernelSource effective;
     std::vector<std::pair<std::string, std::string>> inputs;
     /// extra-output name -> virtual image: further images this stage
     /// produces after horizontal fusion (the absorbed siblings' outputs).

@@ -14,7 +14,6 @@
 namespace hipacc {
 namespace {
 
-using compiler::ApplyFusion;
 using compiler::FusePointwise;
 
 frontend::KernelSource Producer() {
@@ -69,13 +68,10 @@ TEST(FusePointwiseTest, RejectsNameCollision) {
 HostImage<float> RunKernel(const frontend::KernelSource& kernel,
                            const HostImage<float>& input,
                            const std::vector<std::pair<std::string, double>>&
-                               scalars,
-                           const std::vector<compiler::FusionRequest>& chain =
-                               {}) {
+                               scalars) {
   compiler::CompileOptions copts;
   copts.image_width = input.width();
   copts.image_height = input.height();
-  copts.fusion = chain;
   Result<compiler::CompiledKernel> compiled = compiler::Compile(kernel, copts);
   EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
   dsl::Image<float> in(input.width(), input.height());
@@ -102,26 +98,28 @@ TEST(FusionEquivalenceTest, FusedChainMatchesSeparateLaunchesBitExact) {
   const HostImage<float> separate =
       RunKernel(scale, blurred, {{"scale", 2.0}, {"offset", 0.25}});
 
-  // Fused through CompileOptions::fusion (the pass-manager route the graph
-  // runtime uses).
+  // Fused: the merged source compiled as it stands (what the graph runtime
+  // compiles for a fused stage).
+  const Result<frontend::KernelSource> merged =
+      FusePointwise(conv, scale, "Input");
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   const HostImage<float> fused =
-      RunKernel(conv, input, {{"scale", 2.0}, {"offset", 0.25}},
-                {compiler::FusionRequest{compiler::FuseKind::kPoint, scale, "Input"}});
+      RunKernel(merged.value(), input, {{"scale", 2.0}, {"offset", 0.25}});
 
   EXPECT_EQ(MaxAbsDiff(separate, fused), 0.0);
 }
 
-TEST(ApplyFusionTest, ChainsStepsInOrder) {
+TEST(FusePointwiseTest, ChainsStepsInOrder) {
   const frontend::KernelSource threshold = ops::ThresholdSource();
   const frontend::KernelSource scale = ops::ScaleOffsetSource();
 
-  const Result<frontend::KernelSource> fused = ApplyFusion(
-      Producer(), {compiler::FusionRequest{compiler::FuseKind::kPoint, scale, "Input"}});
+  const Result<frontend::KernelSource> fused =
+      FusePointwise(Producer(), scale, "Input");
   ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-  // One more level: threshold reads "Input", but the fused kernel's
-  // remaining accessor is still the producer's "Input" window — a second
-  // ApplyFusion step would need a matching accessor; verify the error is
-  // clean rather than silent.
+  EXPECT_EQ(fused.value().name, Producer().name + "_" + scale.name);
+  // One more level: the next step treats the merged kernel as its producer.
+  // threshold has no accessor named "Missing", so the step fails cleanly
+  // rather than silently.
   const Result<frontend::KernelSource> again = FusePointwise(
       fused.value(), threshold, "Missing");
   EXPECT_FALSE(again.ok());

@@ -1,11 +1,13 @@
 // Configuration exploration (Section V-D) and retargeting: the exploration
 // must cover all valid configurations, agree with the heuristic's pick,
 // produce bit-identical results for any worker count, serialise to the
-// BENCH_*.json schema, and Retarget must re-select per device.
+// BENCH_*.json schema, and a recompile for another device must re-select
+// the configuration.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
+#include "compiler/cache.hpp"
 #include "compiler/explore.hpp"
 #include "compiler/fusion.hpp"
 #include "ops/kernel_sources.hpp"
@@ -232,16 +234,24 @@ TEST(ExploreTest, ReportJsonMatchesBenchSchema) {
 }
 
 TEST(RetargetTest, ReSelectsPerDevice) {
+  // The second compile of the kernel, for another device through the same
+  // cache, reuses the lowered IR (a frontend hit) and re-selects the
+  // configuration for its device.
   const int n = 1024;
-  const compiler::CompiledKernel on_tesla =
-      CompileBilateral(hw::TeslaC2050(), n);
+  const frontend::KernelSource source =
+      ops::BilateralMaskSource(1, ast::BoundaryMode::kClamp);
+  compiler::CompilationCache cache;
+  compiler::CompileOptions options;
+  options.device = hw::TeslaC2050();
+  options.image_width = n;
+  options.image_height = n;
+  options.cache = &cache;
+  ASSERT_TRUE(compiler::Compile(source, options).ok());
 
-  compiler::CompileOptions amd_options;
-  amd_options.device = hw::RadeonHd5870();
-  amd_options.image_width = n;
-  amd_options.image_height = n;
-  auto on_amd = compiler::Retarget(on_tesla, amd_options);
+  options.device = hw::RadeonHd5870();
+  auto on_amd = compiler::Compile(source, options);
   ASSERT_TRUE(on_amd.ok()) << on_amd.status().ToString();
+  EXPECT_EQ(cache.stats().frontend_hits, 1);
   // AMD wavefronts are 64 wide; the border tiling uses the SIMD width in x.
   EXPECT_EQ(on_amd.value().config.config.block_x, 64);
   EXPECT_LE(on_amd.value().config.config.threads(), 256);
@@ -256,7 +266,8 @@ TEST(RetargetTest, BackendSwitchChangesEmittedSource) {
   opencl_options.device = hw::TeslaC2050();
   opencl_options.image_width = 256;
   opencl_options.image_height = 256;
-  auto opencl = compiler::Retarget(cuda, opencl_options);
+  auto opencl = compiler::Compile(
+      ops::BilateralMaskSource(1, ast::BoundaryMode::kClamp), opencl_options);
   ASSERT_TRUE(opencl.ok());
   EXPECT_NE(opencl.value().source.find("__kernel"), std::string::npos);
   EXPECT_EQ(opencl.value().source.find("__global__"), std::string::npos);

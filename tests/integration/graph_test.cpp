@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
+#include "compiler/cache.hpp"
 #include "compiler/driver.hpp"
 #include "image/metrics.hpp"
 #include "image/synthetic.hpp"
@@ -325,6 +327,91 @@ TEST(PipelineGraphTest, IspHostPlanMergesSiblingsButKeepsLumaUnfused) {
   ASSERT_EQ(outs[0].size(), outs[1].size());
   for (std::size_t i = 0; i < outs[0].size(); ++i)
     EXPECT_EQ(outs[0][i], outs[1][i]) << "output " << i;
+}
+
+TEST(PipelineGraphTest, EveryStageCompilesTheSourceItCarries) {
+  // A fused stage holds one source, the merged kernel the planner built and
+  // scored, and compiles exactly that: the kernel a plan runs is the one it
+  // scored. Every fusion kind, under the host and the device cost model.
+  struct Case {
+    const char* name;
+    std::function<void(PipelineGraph&)> build;
+    compiler::FusionMode fuse = compiler::FusionMode::kAll;
+    codegen::BorderPolicy border = codegen::BorderPolicy::kRegions;
+  };
+  const auto sobel_pair = [](PipelineGraph& graph) {
+    graph.Source("in", 128, 128)
+        .Kernel("gx", ops::ConvolutionSource("sobel_x", 3, 3,
+                                             ops::SobelMaskX(),
+                                             BoundaryMode::kClamp),
+                {{"Input", "in"}})
+        .Kernel("gy", ops::ConvolutionSource("sobel_y", 3, 3,
+                                             ops::SobelMaskY(),
+                                             BoundaryMode::kClamp),
+                {{"Input", "in"}})
+        .Output("gx")
+        .Output("gy");
+  };
+  const auto gauss_laplace = [](PipelineGraph& graph) {
+    graph.Source("in", 32, 32)
+        .Kernel("smooth",
+                ops::GaussianConvolveSource(3, 1.0f, BoundaryMode::kClamp),
+                {{"Input", "in"}})
+        .Kernel("edges",
+                ops::ConvolutionSource("laplacian", 3, 3,
+                                       ops::LaplacianMask3(),
+                                       BoundaryMode::kClamp),
+                {{"Input", "smooth"}})
+        .Output("edges");
+  };
+  const std::vector<Case> cases = {
+      {"isp256",
+       [](PipelineGraph& g) {
+         ops::BuildCameraIspGraph(g, 256, 256, BoundaryMode::kClamp);
+       }},
+      {"isp64",
+       [](PipelineGraph& g) {
+         ops::BuildCameraIspGraph(g, 64, 64, BoundaryMode::kClamp);
+       }},
+      {"multires256",
+       [](PipelineGraph& g) {
+         ops::BuildMultiresolutionGraph(g, 256, 256, 2, {2.5f, 1.8f},
+                                        BoundaryMode::kMirror);
+       }},
+      {"gauss_laplace32", gauss_laplace, compiler::FusionMode::kHalo,
+       codegen::BorderPolicy::kUniform},
+      {"sobel_pair", sobel_pair, compiler::FusionMode::kHorizontal},
+  };
+  long long fused[3] = {0, 0, 0};  // point, horizontal, halo edges
+  for (const Case& c : cases) {
+    for (const auto executor :
+         {GraphOptions::Executor::kAuto, GraphOptions::Executor::kSimulator}) {
+      PipelineGraph graph;
+      c.build(graph);
+      sim::TraceSink trace;
+      GraphOptions options;
+      options.fuse = c.fuse;
+      options.executor = executor;
+      options.run.codegen.border = c.border;
+      options.run.trace = &trace;
+      Result<runtime::GraphPlan> plan =
+          runtime::GraphPlan::Build(graph, options);
+      ASSERT_TRUE(plan.ok()) << c.name << ": " << plan.status().ToString();
+      for (const runtime::GraphPlan::Stage& stage : plan.value().stages) {
+        if (stage.kind != PipelineGraph::Node::Kind::kKernel) continue;
+        EXPECT_EQ(stage.compiled.source_fingerprint,
+                  compiler::SourceFingerprint(stage.source))
+            << c.name << " stage " << stage.name;
+      }
+      fused[0] += trace.counter("graph.fused.point");
+      fused[1] += trace.counter("graph.fused.horizontal");
+      fused[2] += trace.counter("graph.fused.halo");
+    }
+  }
+  // The plans exercise every fusion kind.
+  EXPECT_GT(fused[0], 0);
+  EXPECT_GT(fused[1], 0);
+  EXPECT_GT(fused[2], 0);
 }
 
 TEST(PipelineGraphTest, DoesNotFuseMultiConsumerOrOutputImages) {

@@ -7,11 +7,10 @@
 // extends the paper's space: each candidate is recompiled per value, so the
 // sweep covers (block config) x (pixels per thread).
 //
-// The sweep doubles as a profile source: every measured point is recorded
-// into a ProfileStore, a second compile is run with profile-guided
-// reselection enabled, and the report states the heuristic-vs-learned gap —
-// how far Algorithm 2's pick and the measured winner each sit above the
-// exploration optimum.
+// The sweep doubles as a profile source: each PPT's best point is recorded
+// into a ProfileStore, a second compile picks from that record, and the
+// report states the heuristic-vs-learned gap — how far Algorithm 2's pick
+// and the learned pick each sit above the exploration optimum.
 //
 //   --explore-jobs=N   parallel measurement workers (0 = all cores);
 //                      results are identical for every N, only wall-clock
@@ -89,9 +88,9 @@ int main(int argc, char** argv) {
 
   // Sweep the PPT axis by recompiling per value; each compile's valid
   // configuration set is explored independently and the points merged.
-  // Every measured point also lands in the profile store (disk-backed when
-  // --cache-dir enables the persistent tier), which feeds the learned pick
-  // below.
+  // Each sub-sweep's best point also lands in the profile store
+  // (disk-backed when --cache-dir enables the persistent tier), which the
+  // learned pick below reads.
   compiler::ProfileStore profiles(&support::GlobalDiskStore());
   eopts.profiles = &profiles;
   std::vector<int> ppt_values = {1, 2, 4, 8};
@@ -156,18 +155,10 @@ int main(int argc, char** argv) {
           heuristic_point->ms, 100.0 * (heuristic_point->ms / best->ms - 1.0));
   }
 
-  // The learned pick: recompile with profile-guided reselection reading the
-  // history this very sweep just recorded. Re-exploration challenges and
-  // the staleness filter are disabled — the sweep IS the re-exploration,
-  // and all its entries are equally current (the per-PPT sub-sweeps would
-  // otherwise age each other out of the freshness window) — so
-  // select_config commits to the measured winner deterministically.
-  compiler::ProfilePolicy learned_policy;
-  learned_policy.reexplore_period = 0;
-  learned_policy.freshness_window = 0;
+  // The learned pick: recompile with the profile record this very sweep
+  // just wrote, so select_config installs the fastest point swept.
   compiler::CompileOptions learned_opts = auto_opts;
   learned_opts.profiles = &profiles;
-  learned_opts.profile_policy = learned_policy;
   Result<compiler::CompiledKernel> learned =
       compiler::Compile(source, learned_opts);
   double heuristic_gap = -1.0, learned_gap = -1.0;

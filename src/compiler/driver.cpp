@@ -41,6 +41,20 @@ void SeedFromFrontend(CompilationContext& ctx, FrontendArtifacts fe) {
   ctx.artifact.source_hash = fe.source_hash;
 }
 
+/// The compile's one profile lookup: no pick without a store or when the
+/// caller forces a configuration, and an explicit pixels_per_thread pins
+/// the pick's PPT.
+std::optional<ProfileEntry> LookupPick(const CompileOptions& options,
+                                       const std::string& fingerprint) {
+  if (options.profiles == nullptr || options.forced_config) return {};
+  return DecideSelection(
+      options.profiles->Lookup(MakeProfileKey(fingerprint, options.codegen,
+                                              options.device,
+                                              options.image_width,
+                                              options.image_height)),
+      options.codegen.pixels_per_thread);
+}
+
 /// Runs the pipeline from the pass named `first`, and on success stores the
 /// results into the cache (when enabled) and emits the per-kernel log line.
 Result<CompiledKernel> RunAndFinish(CompilationContext& ctx,
@@ -73,23 +87,19 @@ Result<CompiledKernel> Compile(const frontend::KernelSource& source,
   ctx.options = options;
   ctx.artifact.source_fingerprint = SourceFingerprint(source);
   ctx.artifact.source_hash = SourceHash(ctx.artifact.source_fingerprint);
+  ctx.profile_pick = LookupPick(options, ctx.artifact.source_fingerprint);
 
   CompilationCache* cache = options.cache;
   if (cache == nullptr) return RunAndFinish(ctx, "parse", nullptr, nullptr);
 
   const CacheKey frontend_key = MakeFrontendKeyFromFingerprint(
       ctx.artifact.source_fingerprint, options.codegen);
-  // Profile-influenced artifacts carry the decision in the key: a measured
-  // winner and the heuristic may pick different configurations from the
-  // same source, and the cache must never hand one out for the other.
-  const std::string profile_salt = ProfileSalt(DecideForCompile(
-      options.profiles, options.profile_policy,
-      ctx.artifact.source_fingerprint, options.codegen, options.device,
-      options.image_width, options.image_height,
-      options.forced_config.has_value()));
-  const CacheKey target_key =
-      MakeTargetKey(frontend_key, options.device, options.image_width,
-                    options.image_height, options.forced_config, profile_salt);
+  // Profile-influenced artifacts carry the pick in the key: the pick and
+  // the heuristic may configure the same source differently, and the cache
+  // must never hand one out for the other.
+  const CacheKey target_key = MakeTargetKey(
+      frontend_key, options.device, options.image_width, options.image_height,
+      options.forced_config, ProfileSalt(ctx.profile_pick));
   if (std::optional<CompiledKernel> hit =
           cache->LookupTarget(target_key, options.trace)) {
     LogCompiled(*hit, options);

@@ -24,7 +24,6 @@
 
 #include "codegen/emit.hpp"
 #include "codegen/options.hpp"
-#include "compiler/profile.hpp"
 #include "frontend/parser.hpp"
 #include "hwmodel/device_db.hpp"
 #include "hwmodel/heuristic.hpp"
@@ -37,6 +36,7 @@ struct ProgramSet;
 namespace hipacc::compiler {
 
 class CompilationCache;
+class ProfileStore;
 struct PassTiming;
 
 struct CompileOptions {
@@ -56,13 +56,13 @@ struct CompileOptions {
   /// by (kernel-source fingerprint, codegen options, device, image extent).
   /// Null compiles from scratch every time.
   CompilationCache* cache = nullptr;
-  /// Optional measured-timing history (compiler/profile.hpp): select_config
-  /// prefers a trustworthy measured winner over the Algorithm-2/PPT
-  /// heuristic, re-lowering at the winner's pixels-per-thread if needed.
-  /// forced_config always wins over profiles; with no (fresh) history the
-  /// compile is bit-identical to a profile-less one.
+  /// Optional sweep records (compiler/profile.hpp): select_config installs
+  /// the record's fastest entry in place of the Algorithm-2/PPT heuristic,
+  /// re-lowering at its pixels-per-thread if needed. An explicit
+  /// pixels_per_thread pins the pick to that PPT, and forced_config always
+  /// wins over it; with no pick the compile is bit-identical to a
+  /// profile-less one.
   ProfileStore* profiles = nullptr;
-  ProfilePolicy profile_policy;
   /// When set, the per-pass wall-clock timings of every executed pipeline
   /// are appended here (the CLI's --print-pass-timings).
   std::vector<PassTiming>* pass_timings = nullptr;

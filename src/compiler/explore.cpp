@@ -110,28 +110,20 @@ Result<std::vector<ExplorePoint>> ExploreConfigurations(
                 return a.config.threads() < b.config.threads();
               return a.config.block_x < b.config.block_x;
             });
-  // A sweep is the richest profile source there is: one pass measures the
-  // whole configuration space, so the reselection winner is trustworthy
-  // immediately. Each point is recorded twice (two full passes) to clear
-  // min_samples — the EWMA of two identical samples is the sample — and the
-  // passes run worst-time-first so the fastest points carry the highest
-  // last_seq: however large the sweep, the winner can never age out of the
-  // freshness window on the very round that measured it.
-  if (options.profiles != nullptr && !kernel.source_fingerprint.empty()) {
-    const std::string key =
-        MakeProfileKey(kernel.source_fingerprint, kernel.codegen, device,
-                       width, height);
-    std::vector<const ExplorePoint*> by_time;
-    by_time.reserve(points.size());
-    for (const ExplorePoint& point : points) by_time.push_back(&point);
-    std::stable_sort(by_time.begin(), by_time.end(),
-                     [](const ExplorePoint* a, const ExplorePoint* b) {
-                       return a->ms > b->ms;
-                     });
-    for (int pass = 0; pass < 2; ++pass)
-      for (const ExplorePoint* point : by_time)
-        options.profiles->Record(
-            key, ProfileObservation{point->config, point->ppt, point->ms});
+  // The sweep's best point replaces the record's entry for this ppt. The
+  // points are in (threads, block_x) order, so the first minimum already
+  // breaks ties the way the pick does.
+  if (options.profiles != nullptr && !points.empty() &&
+      !kernel.source_fingerprint.empty()) {
+    const ExplorePoint& best =
+        *std::min_element(points.begin(), points.end(),
+                          [](const ExplorePoint& a, const ExplorePoint& b) {
+                            return a.ms < b.ms;
+                          });
+    options.profiles->Record(
+        MakeProfileKey(kernel.source_fingerprint, kernel.codegen, device, width,
+                       height),
+        ProfileEntry{best.config, best.ppt, best.ms});
   }
 
   if (options.trace) {

@@ -9,6 +9,11 @@
 // private output image), candidates are dealt round-robin, and results are
 // merged by candidate index — so the output is bit-identical for any worker
 // count and either engine, including the serial path.
+//
+// A sweep is also the profile store's only writer: with
+// ExploreOptions::profiles set, its best point becomes the entry for the
+// kernel's ppt in the kernel's profile record (compiler/profile.hpp), and
+// later compiles pick their configuration from that record.
 #pragma once
 
 #include <vector>
@@ -45,9 +50,9 @@ struct ExploreOptions {
   /// Optional observability sink: records the prune decision, every
   /// simulated candidate launch (per worker lane), and the merge.
   sim::TraceSink* trace = nullptr;
-  /// Optional profile sink: every measured point is recorded as an
-  /// observation under the kernel's profile key, so a sweep seeds the
-  /// profile-guided reselection in one shot (see compiler/profile.hpp).
+  /// Optional profile sink: the sweep's best point becomes the entry for
+  /// the kernel's ppt in its profile record, which later compiles pick from
+  /// (compiler/profile.hpp).
   ProfileStore* profiles = nullptr;
   /// Simulator engine of every measurement lane. Points are identical for
   /// either engine; only wall-clock time changes.

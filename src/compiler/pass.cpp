@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <iterator>
+#include <optional>
 
 #include "codegen/lower.hpp"
 #include "codegen/resource_estimator.hpp"
@@ -75,67 +76,57 @@ Status Estimate(CompilationContext& ctx) {
   return Status::Ok();
 }
 
-/// Applies a measured profile winner (compiler/profile.hpp) when one
-/// exists: re-lowers at the winner's PPT if it differs, validates the
-/// winning configuration's occupancy, and installs it. Returns false
-/// whenever the ordinary sweep + heuristic should run instead — no
-/// profiles wired, no (fresh) history, a challenge round, or a winner
-/// that no longer validates on the device ("reselect.fallback").
+/// Installs the profile pick Compile looked up (compiler/profile.hpp):
+/// re-lowers at the pick's PPT if it differs, validates the picked
+/// configuration's occupancy, and installs it. Returns false whenever the
+/// ordinary sweep + heuristic should run instead — no profiles wired, no
+/// pick, or a pick that no longer validates on the device
+/// ("reselect.fallback").
 bool TrySelectFromProfile(CompilationContext& ctx) {
   CompiledKernel& out = ctx.artifact;
   const CompileOptions& options = ctx.options;
-  const SelectionDecision decision = DecideForCompile(
-      options.profiles, options.profile_policy, out.source_fingerprint,
-      options.codegen, options.device, options.image_width,
-      options.image_height, options.forced_config.has_value());
-  if (options.profiles != nullptr && ctx.options.trace != nullptr)
-    ctx.options.trace->IncrementCounter(
-        std::string("reselect.") + to_string(decision.mode));
-  if (decision.mode != SelectionMode::kMeasured) return false;
-  const ProfileEntry& winner = decision.winner;
+  sim::TraceSink* trace = options.profiles != nullptr ? options.trace : nullptr;
+  if (trace != nullptr)
+    trace->IncrementCounter(ctx.profile_pick ? "reselect.measured"
+                                             : "reselect.no_history");
+  if (!ctx.profile_pick) return false;
+  const ProfileEntry& pick = *ctx.profile_pick;
+  const auto fall_back = [trace] {
+    if (trace != nullptr) trace->IncrementCounter("reselect.fallback");
+    return false;
+  };
   // Stage the (possibly re-lowered) IR in locals and validate before
   // committing: a fallback must leave the artifact exactly as a
   // profile-less compile would find it.
-  ast::DeviceKernel relowered_ir;
+  std::optional<ast::DeviceKernel> relowered;
   hw::KernelResources resources = out.resources;
-  bool relowered = false;
-  if (out.device_ir.ppt != winner.ppt) {
-    // The winner was measured at a different pixels-per-thread: the IR
-    // must match, or the configuration is meaningless.
+  if (out.device_ir.ppt != pick.ppt) {
+    // The pick was measured at another pixels-per-thread: the IR must
+    // match, or the configuration is meaningless.
     if (!out.decl.body) return false;  // hand-built artifact: cannot relower
     codegen::CodegenOptions copts = options.codegen;
-    copts.pixels_per_thread = winner.ppt;
+    copts.pixels_per_thread = pick.ppt;
     Result<ast::DeviceKernel> lowered = codegen::LowerKernel(out.decl, copts);
-    if (!lowered.ok()) {
-      if (ctx.options.trace != nullptr)
-        ctx.options.trace->IncrementCounter("reselect.fallback");
-      return false;
-    }
-    relowered_ir = std::move(lowered).take();
-    resources = codegen::EstimateResources(relowered_ir);
-    relowered = true;
+    if (!lowered.ok()) return fall_back();
+    relowered = std::move(lowered).take();
+    resources = codegen::EstimateResources(*relowered);
   }
   const hw::OccupancyResult occupancy =
-      hw::ComputeOccupancy(options.device, winner.config, resources);
-  if (!occupancy.valid) {
-    if (ctx.options.trace != nullptr)
-      ctx.options.trace->IncrementCounter("reselect.fallback");
-    return false;
-  }
+      hw::ComputeOccupancy(options.device, pick.config, resources);
+  if (!occupancy.valid) return fall_back();
   if (relowered) {
-    out.device_ir = std::move(relowered_ir);
+    out.device_ir = std::move(*relowered);
     out.resources = resources;
   }
-  out.config.config = winner.config;
+  out.config.config = pick.config;
   out.config.occupancy = occupancy;
   out.config.border_threads = hw::ApproxBorderThreads(
-      winner.config, options.image_width, options.image_height,
+      pick.config, options.image_width, options.image_height,
       out.device_ir.bh_window, out.device_ir.ppt);
   ctx.Note("select_config",
-           StrFormat("profile-guided config %dx%d (ppt %d, %.4f ms EWMA "
-                     "over %lld samples)",
-                     winner.config.block_x, winner.config.block_y, winner.ppt,
-                     winner.ms, static_cast<long long>(winner.samples)));
+           StrFormat("profile-guided config %dx%d (ppt %d, %.4f ms measured)",
+                     pick.config.block_x, pick.config.block_y, pick.ppt,
+                     pick.ms));
   return true;
 }
 
@@ -237,9 +228,8 @@ Status SelectPixelsPerThread(CompilationContext& ctx) {
 /// the occupancy the fatter kernel still achieves. The winning IR replaces
 /// the artifact before the ordinary configuration selection runs.
 Status Select(CompilationContext& ctx) {
-  // Profile-guided reselection first: a trustworthy measured winner
-  // replaces both the PPT sweep and the heuristic. Challenge and
-  // no-history rounds fall through and compile bit-identically to a
+  // Profile-guided reselection first: a pick replaces both the PPT sweep
+  // and the heuristic. Without one the compile is bit-identical to a
   // profile-less run.
   if (TrySelectFromProfile(ctx)) return Status::Ok();
   if (ctx.options.codegen.pixels_per_thread == 0) {

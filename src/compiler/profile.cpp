@@ -1,6 +1,7 @@
 #include "compiler/profile.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "compiler/cache.hpp"
 #include "support/atomic_file.hpp"
@@ -11,11 +12,9 @@
 namespace hipacc::compiler {
 namespace {
 
-constexpr double kEwmaAlpha = 0.5;
-
-/// Strict-weak entry ordering for winner selection: faster EWMA first, then
-/// fewer threads, then narrower block, then smaller ppt — fully
-/// deterministic for equal timings.
+/// Strict-weak entry ordering of the pick: faster first, then fewer
+/// threads, then narrower block, then smaller ppt — fully deterministic
+/// for equal timings.
 bool BetterEntry(const ProfileEntry& a, const ProfileEntry& b) {
   if (a.ms != b.ms) return a.ms < b.ms;
   if (a.config.threads() != b.config.threads())
@@ -25,102 +24,38 @@ bool BetterEntry(const ProfileEntry& a, const ProfileEntry& b) {
   return a.ppt < b.ppt;
 }
 
-void MergeObservation(ProfileHistory* history,
-                      const ProfileObservation& observation) {
-  ++history->seq;
-  for (ProfileEntry& entry : history->entries) {
-    if (entry.config == observation.config && entry.ppt == observation.ppt) {
-      entry.ms = kEwmaAlpha * observation.ms + (1.0 - kEwmaAlpha) * entry.ms;
-      ++entry.samples;
-      entry.last_seq = history->seq;
-      return;
-    }
-  }
-  ProfileEntry entry;
-  entry.config = observation.config;
-  entry.ppt = observation.ppt;
-  entry.ms = observation.ms;
-  entry.samples = 1;
-  entry.last_seq = history->seq;
-  history->entries.push_back(entry);
-}
-
-/// Two independently-grown histories of the same key (concurrent
-/// processes): keep the union, preferring the side that has seen a point
-/// more often; seq advances to cover both.
-void MergeHistories(ProfileHistory* into, const ProfileHistory& other) {
-  into->seq = std::max(into->seq, other.seq);
-  for (const ProfileEntry& theirs : other.entries) {
-    bool found = false;
-    for (ProfileEntry& ours : into->entries) {
-      if (ours.config == theirs.config && ours.ppt == theirs.ppt) {
-        found = true;
-        if (theirs.samples > ours.samples) ours = theirs;
-        break;
-      }
-    }
-    if (!found) into->entries.push_back(theirs);
-  }
+/// Reads member `name` of `object` as an integer in [lo, hi]. The range
+/// is checked on the double, so junk never reaches an integer cast.
+bool ReadInt(const support::Json& object, const char* name, int lo, int hi,
+             int* out) {
+  const support::Json* value = object.Find(name);
+  if (value == nullptr || !value->is_number()) return false;
+  const double number = value->number_value();
+  if (!(number >= lo && number <= hi) || number != std::floor(number))
+    return false;
+  *out = static_cast<int>(number);
+  return true;
 }
 
 }  // namespace
 
-const char* to_string(SelectionMode mode) noexcept {
-  switch (mode) {
-    case SelectionMode::kNoHistory: return "no_history";
-    case SelectionMode::kMeasured: return "measured";
-    case SelectionMode::kChallenge: return "challenge";
-  }
-  return "?";
-}
-
-SelectionDecision DecideSelection(const ProfileHistory& history,
-                                  const ProfilePolicy& policy) {
-  SelectionDecision decision;
+std::optional<ProfileEntry> DecideSelection(const ProfileRecord& record,
+                                            int require_ppt) {
   const ProfileEntry* winner = nullptr;
-  for (const ProfileEntry& entry : history.entries) {
-    if (policy.require_ppt > 0 && entry.ppt != policy.require_ppt) continue;
-    if (entry.samples < policy.min_samples) continue;
-    if (policy.freshness_window > 0 &&
-        entry.last_seq + policy.freshness_window < history.seq)
-      continue;  // stale: not re-observed recently enough to be trusted
+  for (const ProfileEntry& entry : record.entries) {
+    if (require_ppt > 0 && entry.ppt != require_ppt) continue;
     if (winner == nullptr || BetterEntry(entry, *winner)) winner = &entry;
   }
-  if (winner == nullptr) return decision;  // kNoHistory
-  if (policy.reexplore_period > 0 && history.seq > 0 &&
-      history.seq % policy.reexplore_period == 0) {
-    decision.mode = SelectionMode::kChallenge;
-    return decision;
-  }
-  decision.mode = SelectionMode::kMeasured;
-  decision.winner = *winner;
-  return decision;
-}
-
-SelectionDecision DecideForCompile(ProfileStore* profiles,
-                                   const ProfilePolicy& base_policy,
-                                   const std::string& source_fingerprint,
-                                   const codegen::CodegenOptions& options,
-                                   const hw::DeviceSpec& device,
-                                   int image_width, int image_height,
-                                   bool forced_config) {
-  if (profiles == nullptr || forced_config || source_fingerprint.empty())
-    return {};
-  ProfilePolicy policy = base_policy;
-  if (options.pixels_per_thread > 0)
-    policy.require_ppt = options.pixels_per_thread;
-  return DecideSelection(
-      profiles->Lookup(MakeProfileKey(source_fingerprint, options, device,
-                                      image_width, image_height)),
-      policy);
+  if (winner == nullptr) return std::nullopt;
+  return *winner;
 }
 
 std::string MakeProfileKey(const std::string& source_fingerprint,
                            const codegen::CodegenOptions& options,
                            const hw::DeviceSpec& device, int image_width,
                            int image_height) {
-  // Normalise the PPT axis out of the options: all sweeps of one kernel
-  // feed one pool, and every entry carries its own ppt.
+  // Normalise the PPT axis out of the options: the sweeps of every PPT
+  // share one record, and every entry carries its own ppt.
   codegen::CodegenOptions normalized = options;
   normalized.pixels_per_thread = 0;
   return source_fingerprint + "|" + OptionsFingerprint(normalized) +
@@ -128,152 +63,93 @@ std::string MakeProfileKey(const std::string& source_fingerprint,
          StrFormat("|extent=%dx%d", image_width, image_height);
 }
 
-std::string ProfileSalt(const SelectionDecision& decision) {
-  if (decision.mode != SelectionMode::kMeasured) return "";
-  return StrFormat("m:%dx%dx%d", decision.winner.config.block_x,
-                   decision.winner.config.block_y, decision.winner.ppt);
+std::string ProfileSalt(const std::optional<ProfileEntry>& pick) {
+  if (!pick) return "";
+  return StrFormat("m:%dx%dx%d", pick->config.block_x, pick->config.block_y,
+                   pick->ppt);
 }
 
-std::string EncodeProfileHistory(const ProfileHistory& history) {
+std::string EncodeProfileRecord(const ProfileRecord& record) {
   support::Json doc = support::Json::Object();
-  doc["v"] = 1;
-  doc["seq"] = history.seq;
+  doc["v"] = 2;
   support::Json entries = support::Json::Array();
-  for (const ProfileEntry& entry : history.entries) {
+  for (const ProfileEntry& entry : record.entries) {
     support::Json e = support::Json::Object();
     e["bx"] = entry.config.block_x;
     e["by"] = entry.config.block_y;
     e["ppt"] = entry.ppt;
     e["ms"] = entry.ms;
-    e["samples"] = entry.samples;
-    e["last_seq"] = entry.last_seq;
     entries.push_back(std::move(e));
   }
   doc["entries"] = std::move(entries);
   return doc.Dump();
 }
 
-bool DecodeProfileHistory(const std::string& payload, ProfileHistory* out) {
+bool DecodeProfileRecord(const std::string& payload, ProfileRecord* out) {
+  // Block dimensions stay small enough that threads() cannot overflow;
+  // whether a block fits the device is the occupancy check's business.
+  constexpr int kMaxBlockDim = 1 << 15;
+  constexpr int kMaxPpt = 32;  // the cap of every --ppt flag
   Result<support::Json> parsed = support::Json::Parse(payload);
   if (!parsed.ok()) return false;
   const support::Json& doc = parsed.value();
-  const support::Json* version = doc.Find("v");
-  if (version == nullptr || version->int_value() != 1) return false;
-  const support::Json* seq = doc.Find("seq");
+  int version = 0;
+  if (!ReadInt(doc, "v", 2, 2, &version)) return false;
   const support::Json* entries = doc.Find("entries");
-  if (seq == nullptr || entries == nullptr || !entries->is_array())
-    return false;
-  ProfileHistory history;
-  history.seq = seq->int_value();
+  if (entries == nullptr || !entries->is_array()) return false;
+  ProfileRecord record;
   for (const support::Json& e : entries->elements()) {
-    const support::Json* bx = e.Find("bx");
-    const support::Json* by = e.Find("by");
-    const support::Json* ppt = e.Find("ppt");
-    const support::Json* ms = e.Find("ms");
-    const support::Json* samples = e.Find("samples");
-    const support::Json* last_seq = e.Find("last_seq");
-    if (bx == nullptr || by == nullptr || ppt == nullptr || ms == nullptr ||
-        samples == nullptr || last_seq == nullptr)
-      return false;
     ProfileEntry entry;
-    entry.config.block_x = static_cast<int>(bx->int_value());
-    entry.config.block_y = static_cast<int>(by->int_value());
-    entry.ppt = static_cast<int>(ppt->int_value());
+    const support::Json* ms = e.Find("ms");
+    if (!ReadInt(e, "bx", 1, kMaxBlockDim, &entry.config.block_x) ||
+        !ReadInt(e, "by", 1, kMaxBlockDim, &entry.config.block_y) ||
+        !ReadInt(e, "ppt", 1, kMaxPpt, &entry.ppt) || ms == nullptr ||
+        !ms->is_number() || !std::isfinite(ms->number_value()) ||
+        ms->number_value() < 0.0)
+      return false;
     entry.ms = ms->number_value();
-    entry.samples = samples->int_value();
-    entry.last_seq = last_seq->int_value();
-    history.entries.push_back(entry);
+    record.entries.push_back(entry);
   }
-  *out = std::move(history);
+  *out = std::move(record);
   return true;
 }
 
 ProfileStore::ProfileStore(support::DiskStore* disk) : disk_(disk) {}
 
-ProfileHistory& ProfileStore::LoadLocked(const std::string& key) const {
-  auto it = histories_.find(key);
-  if (it != histories_.end()) return it->second;
-  ProfileHistory history;
-  if (disk_ != nullptr && disk_->enabled()) {
-    if (std::optional<std::string> payload = disk_->Get("profile", key)) {
-      ProfileHistory from_disk;
-      if (DecodeProfileHistory(*payload, &from_disk))
-        history = std::move(from_disk);
-    }
+bool ProfileStore::on_disk() const {
+  return disk_ != nullptr && disk_->enabled();
+}
+
+void ProfileStore::Record(const std::string& key, const ProfileEntry& best) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  ProfileRecord& record = records_[key];
+  // Read–replace–write under an advisory lock: re-reading the disk side
+  // keeps the entries another process recorded for other PPTs. Losing the
+  // lock race degrades to last-writer-wins, which may drop such an entry
+  // but never corrupts (writes stay atomic).
+  std::optional<support::FileLock> file_lock;
+  if (on_disk()) {
+    file_lock.emplace(disk_->root() + "/profile.lock");
+    if (std::optional<std::string> payload = disk_->Get("profile", key))
+      DecodeProfileRecord(*payload, &record);
   }
-  return histories_.emplace(key, std::move(history)).first->second;
+  auto same_ppt =
+      std::find_if(record.entries.begin(), record.entries.end(),
+                   [&](const ProfileEntry& e) { return e.ppt == best.ppt; });
+  if (same_ppt == record.entries.end())
+    record.entries.push_back(best);
+  else
+    *same_ppt = best;
+  if (on_disk()) disk_->Put("profile", key, EncodeProfileRecord(record));
 }
 
-void ProfileStore::MergeDiskLocked(const std::string& key,
-                                   ProfileHistory* history) {
-  if (std::optional<std::string> payload = disk_->Get("profile", key)) {
-    ProfileHistory from_disk;
-    if (DecodeProfileHistory(*payload, &from_disk))
-      MergeHistories(history, from_disk);
-  }
-}
-
-void ProfileStore::Record(const std::string& key,
-                          const ProfileObservation& observation) {
-  RecordBatch({{key, observation}});
-}
-
-void ProfileStore::RecordBatch(const std::vector<KeyedObservation>& batch) {
-  if (batch.empty()) return;
+ProfileRecord ProfileStore::Lookup(const std::string& key) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  ++flushes_;
-  observations_ += static_cast<long long>(batch.size());
-  if (disk_ != nullptr && disk_->enabled()) {
-    // Append-merge under an advisory lock: re-read the disk side so a
-    // concurrent process's observations survive, merge the whole batch,
-    // then write each touched key's union back once. Losing the lock race
-    // degrades to last-writer-wins, which loses samples but never corrupts
-    // (writes stay atomic). One FileLock per flush — not per observation —
-    // is what keeps streaming epochs off the lock.
-    support::FileLock file_lock(disk_->root() + "/profile.lock");
-    std::vector<const std::string*> touched;
-    for (const KeyedObservation& keyed : batch) {
-      ProfileHistory& history = LoadLocked(keyed.key);
-      bool first_touch = true;
-      for (const std::string* seen : touched)
-        if (*seen == keyed.key) {
-          first_touch = false;
-          break;
-        }
-      if (first_touch) {
-        MergeDiskLocked(keyed.key, &history);
-        touched.push_back(&keyed.key);
-      }
-      MergeObservation(&history, keyed.observation);
-    }
-    for (const std::string* key : touched)
-      disk_->Put("profile", *key, EncodeProfileHistory(histories_.at(*key)));
-  } else {
-    for (const KeyedObservation& keyed : batch)
-      MergeObservation(&LoadLocked(keyed.key), keyed.observation);
-  }
-}
-
-ProfileHistory ProfileStore::Lookup(const std::string& key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return LoadLocked(key);
-}
-
-std::size_t ProfileStore::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t n = 0;
-  for (const auto& [key, history] : histories_) n += history.entries.size();
-  return n;
-}
-
-long long ProfileStore::flush_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return flushes_;
-}
-
-long long ProfileStore::observation_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return observations_;
+  auto [it, inserted] = records_.try_emplace(key);
+  if (inserted && on_disk())
+    if (std::optional<std::string> payload = disk_->Get("profile", key))
+      DecodeProfileRecord(*payload, &it->second);
+  return it->second;
 }
 
 }  // namespace hipacc::compiler

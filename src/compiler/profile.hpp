@@ -1,191 +1,105 @@
-// Profile-guided configuration reselection.
+// Profile-guided configuration selection.
 //
 // The Algorithm-2 heuristic (hwmodel/heuristic.hpp) picks a launch
-// configuration from the static occupancy model. Every real measurement a
-// process makes — an exploration sweep, a KernelRunner::Measure — is an
-// opportunity to do better: the ProfileStore persists per-configuration
-// timings keyed by (kernel source, options, device, extent), and the
-// select_config pass prefers a trustworthy measured winner over the
-// heuristic (the ImageCL-style learned-autotuner loop the paper leaves as
-// future work).
+// configuration from the static occupancy model; an exploration sweep
+// (compiler/explore.hpp, the paper's Figure 4) measures every configuration
+// and so knows the optimum. The ProfileStore keeps that optimum for later
+// compiles (the ImageCL-style learned-autotuning loop the paper leaves as
+// future work): one record per profile key, holding the best measured
+// (config, ppt, ms) of each pixels-per-thread value swept. Each sweep
+// replaces the entry of its own PPT, and select_config installs the
+// record's fastest entry — the optimum over every point swept.
 //
-// Trust is bounded three ways, all encoded in ProfilePolicy:
-//  * min_samples — a config must have been measured repeatedly before its
-//    EWMA is believed;
-//  * freshness_window — entries that have not been re-observed within the
-//    last N observations of the key go stale and stop competing;
-//  * reexplore_period — every Nth observation round the selection
-//    deliberately falls back to the heuristic (a "challenge" round), so the
-//    incumbent keeps being re-measured and a stale winner loses its seat.
+// Measured times are the simulator's modelled times, which are
+// deterministic: a sweep is the whole truth about its points, so a record
+// keeps no averages, sample counts or ages. Launches do not feed the store
+// either; a launch can only re-observe the configuration it was compiled
+// with.
 //
-// DecideSelection is a pure function of (history, policy): the driver uses
-// it to derive a cache-key salt (profile-influenced artifacts must not alias
-// heuristic ones) and the pass re-derives the identical decision.
-//
-// A device or options change moves the profile key, so history never leaks
-// across incompatible contexts — the selection immediately falls back to
-// the heuristic and new history accumulates under the new key.
+// A device or options change moves the profile key, so a record never
+// leaks across incompatible contexts: the compile falls back to the
+// heuristic until a sweep fills the new key.
 #pragma once
 
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "codegen/options.hpp"
+#include "hwmodel/config.hpp"
 #include "hwmodel/device_spec.hpp"
-#include "hwmodel/occupancy.hpp"
 
 namespace hipacc::support {
 class DiskStore;
 }  // namespace hipacc::support
 
-namespace hipacc::sim {
-class TraceSink;
-}  // namespace hipacc::sim
-
 namespace hipacc::compiler {
 
-/// One timing measurement of a concrete (config, ppt) point.
-struct ProfileObservation {
-  hw::KernelConfig config;
-  int ppt = 1;
-  double ms = 0.0;  ///< modelled kernel time of the launch
-};
-
-/// Merged history of one (config, ppt) point.
+/// The best measured point of one sweep, at one pixels-per-thread value.
 struct ProfileEntry {
   hw::KernelConfig config;
   int ppt = 1;
-  double ms = 0.0;          ///< EWMA over observations (alpha 0.5)
-  long long samples = 0;    ///< observations merged in
-  long long last_seq = 0;   ///< key-global sequence of the latest observation
+  double ms = 0.0;  ///< modelled kernel time
 };
 
-/// Everything recorded under one profile key.
-struct ProfileHistory {
-  long long seq = 0;  ///< total observations ever recorded for this key
+/// Everything stored under one profile key: at most one entry per ppt.
+struct ProfileRecord {
   std::vector<ProfileEntry> entries;
 };
 
-/// Reselection trust policy (see file comment).
-struct ProfilePolicy {
-  int min_samples = 2;
-  long long freshness_window = 64;
-  /// Every Nth observation round re-runs the heuristic instead of the
-  /// measured winner. 0 disables challenges (always trust history).
-  long long reexplore_period = 16;
-  /// When > 0, only entries measured at exactly this pixels-per-thread may
-  /// win — callers set it to the explicitly-requested PPT so a learned
-  /// winner never overrides a user's --ppt choice. 0 (auto) competes all.
-  int require_ppt = 0;
-};
-
-enum class SelectionMode {
-  kNoHistory,  ///< no trustworthy entry — use the heuristic
-  kMeasured,   ///< use `winner` from measured history
-  kChallenge,  ///< history exists, but this round re-runs the heuristic
-};
-
-const char* to_string(SelectionMode mode) noexcept;
-
-struct SelectionDecision {
-  SelectionMode mode = SelectionMode::kNoHistory;
-  ProfileEntry winner;  ///< meaningful only when mode == kMeasured
-};
-
-/// Pure reselection decision: fresh, sufficiently-sampled entries compete on
-/// EWMA time (ties: fewer threads, then smaller block_x, then smaller ppt);
-/// challenge rounds fire when seq is a non-zero multiple of
-/// reexplore_period.
-SelectionDecision DecideSelection(const ProfileHistory& history,
-                                  const ProfilePolicy& policy);
+/// The pick: the fastest entry, among those at `require_ppt` when it is
+/// > 0 (an explicit PPT request pins the axis). Ties break on fewer
+/// threads, then a narrower block, then a smaller ppt. None when no entry
+/// competes.
+std::optional<ProfileEntry> DecideSelection(const ProfileRecord& record,
+                                            int require_ppt = 0);
 
 /// Canonical profile key. pixels_per_thread is normalised out of the
-/// options so a PPT sweep feeds one shared pool — the entry's own `ppt`
-/// field keeps the axis — and the salt of profile-influenced cache entries
-/// stays orthogonal to the PPT the caller happened to request.
+/// options so the sweeps of every PPT share one record — each entry keeps
+/// its own `ppt` — and the salt of profile-influenced cache entries stays
+/// orthogonal to the PPT the caller happened to request.
 std::string MakeProfileKey(const std::string& source_fingerprint,
                            const codegen::CodegenOptions& options,
                            const hw::DeviceSpec& device, int image_width,
                            int image_height);
 
-/// Cache-key salt of a decision: "m:<bx>x<by>x<ppt>" for a measured winner,
-/// "" otherwise (challenge and no-history rounds compile exactly like a
-/// profile-less run, so they share its cache entries bit-identically).
-std::string ProfileSalt(const SelectionDecision& decision);
+/// Cache-key salt of a pick: "m:<bx>x<by>x<ppt>", or "" without one (such
+/// a compile is a profile-less compile and shares its cache entries).
+std::string ProfileSalt(const std::optional<ProfileEntry>& pick);
 
-class ProfileStore;
-
-/// The one decision a compile makes, shared verbatim by the driver (which
-/// salts the target cache key with it) and the select_config pass (which
-/// applies it): kNoHistory when `profiles` is null, the fingerprint is
-/// empty, or the caller forces a configuration; otherwise DecideSelection
-/// under the options-adjusted policy (an explicit pixels_per_thread request
-/// pins require_ppt).
-SelectionDecision DecideForCompile(ProfileStore* profiles,
-                                   const ProfilePolicy& base_policy,
-                                   const std::string& source_fingerprint,
-                                   const codegen::CodegenOptions& options,
-                                   const hw::DeviceSpec& device,
-                                   int image_width, int image_height,
-                                   bool forced_config);
-
-/// One observation tagged with its profile key — the unit the batched
-/// feeding path accumulates off the hot path (streaming frame executors
-/// collect these per epoch and flush once, instead of taking the store's
-/// mutex and the disk FileLock per launch).
-struct KeyedObservation {
-  std::string key;
-  ProfileObservation observation;
-};
-
-/// Thread-safe observation store: in-memory EWMA merge with optional
-/// write-through to the "profile" kind of a support::DiskStore (guarded by
-/// a FileLock so concurrent processes append-merge instead of clobbering).
+/// Thread-safe store of profile records, in memory with optional
+/// write-through to the "profile" kind of a support::DiskStore.
 class ProfileStore {
  public:
   /// `disk` null = in-memory only. The store does not own the DiskStore.
   explicit ProfileStore(support::DiskStore* disk = nullptr);
 
-  /// Merges one observation under `key` and persists the merged history.
-  /// Equivalent to RecordBatch of one — every call is a full flush, so hot
-  /// loops should accumulate KeyedObservations and RecordBatch instead.
-  void Record(const std::string& key, const ProfileObservation& observation);
+  /// Replaces the entry for `best.ppt` under `key` with `best`, the best
+  /// point of one sweep. Disk-backed, this re-reads the key's record under
+  /// a FileLock, replaces the entry and writes the record back, so
+  /// processes that sweep different PPTs of one key keep each other's
+  /// entries.
+  void Record(const std::string& key, const ProfileEntry& best);
 
-  /// Merges a batch of observations in one flush: the store mutex is taken
-  /// once, and (when disk-backed) the profile FileLock is taken once with
-  /// one read-merge-write per distinct key — not one per observation.
-  /// Observations merge in batch order, so a batch replayed through
-  /// Record() one by one yields the identical history.
-  void RecordBatch(const std::vector<KeyedObservation>& batch);
-
-  /// Current merged history (loads from disk on first touch of `key`).
-  ProfileHistory Lookup(const std::string& key) const;
-
-  /// Entries across all keys touched in this process (tests/reporting).
-  std::size_t size() const;
-
-  /// Flushes performed (Record + RecordBatch calls that merged anything)
-  /// and observations merged — the batching ratio streaming runs are gated
-  /// on (flush_count ≪ observation_count under overlap).
-  long long flush_count() const;
-  long long observation_count() const;
+  /// The key's record (read from disk on the first touch of `key`).
+  ProfileRecord Lookup(const std::string& key) const;
 
  private:
-  ProfileHistory& LoadLocked(const std::string& key) const;
-  void MergeDiskLocked(const std::string& key, ProfileHistory* history);
+  bool on_disk() const;
 
   support::DiskStore* disk_ = nullptr;
   mutable std::mutex mutex_;
-  mutable std::unordered_map<std::string, ProfileHistory> histories_;
-  long long flushes_ = 0;
-  long long observations_ = 0;
+  mutable std::unordered_map<std::string, ProfileRecord> records_;
 };
 
-/// JSON codec of one history ({"v":1,"seq":N,"entries":[...]}) — the disk
-/// payload format, exposed for tests and the DESIGN.md examples.
-std::string EncodeProfileHistory(const ProfileHistory& history);
-bool DecodeProfileHistory(const std::string& payload, ProfileHistory* out);
+/// JSON codec of one record, the disk payload:
+/// {"v":2,"entries":[{"bx","by","ppt","ms"}...]}. Decoding rejects the
+/// whole record when an entry has a block dimension outside 1..32768, a
+/// ppt outside 1..32 or an ms that is negative or not finite, and reads
+/// any other version (v1 included) as no record.
+std::string EncodeProfileRecord(const ProfileRecord& record);
+bool DecodeProfileRecord(const std::string& payload, ProfileRecord* out);
 
 }  // namespace hipacc::compiler

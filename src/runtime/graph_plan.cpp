@@ -467,19 +467,6 @@ Status FrameExec::BeginKernelStage(const GraphPlan::Stage& stage,
         "graph.modelled_ns",
         std::llround(stats.value().timing.total_ms * 1e6));
   }
-  if (options.run.profiles != nullptr && !ck.source_fingerprint.empty()) {
-    // Collected locally, flushed as one ProfileStore batch when the frame
-    // retires — streaming epochs must not take the store's FileLock per
-    // launch.
-    compiler::KeyedObservation keyed;
-    keyed.key = compiler::MakeProfileKey(ck.source_fingerprint, ck.codegen,
-                                         options.run.device, stage.width,
-                                         stage.height);
-    keyed.observation = compiler::ProfileObservation{
-        ck.config.config, ck.device_ir.ppt, stats.value().timing.total_ms};
-    std::lock_guard<std::mutex> lock(mutex_);
-    observations_.push_back(std::move(keyed));
-  }
   return Status::Ok();
 }
 
@@ -612,11 +599,6 @@ void FrameExec::ReleaseRemaining() {
   for (auto& [name, buffer] : buffers_) plan_.pool->Release(std::move(buffer));
   buffers_.clear();
   refcount_.clear();
-}
-
-std::vector<compiler::KeyedObservation> FrameExec::TakeObservations() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return std::exchange(observations_, {});
 }
 
 }  // namespace hipacc::runtime

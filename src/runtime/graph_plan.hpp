@@ -9,10 +9,9 @@
 //                 afterwards, safe to execute from many frames/threads
 //                 concurrently.
 //   FrameExec   — one frame's mutable state over a plan: the live buffer
-//                 map, the remaining-consumer refcounts, the bound inputs,
-//                 each begun stage's launch (what its row bands read),
-//                 and the profile observations the frame's launches
-//                 produced. Each in-flight frame owns its own FrameExec, so
+//                 map, the remaining-consumer refcounts, the bound inputs
+//                 and each begun stage's launch (what its row bands read).
+//                 Each in-flight frame owns its own FrameExec, so
 //                 overlapped frames can never alias each other's buffers —
 //                 they draw from the shared BufferPool, which hands every
 //                 Acquire a distinct image.
@@ -32,7 +31,6 @@
 #include <vector>
 
 #include "compiler/driver.hpp"
-#include "compiler/profile.hpp"
 #include "runtime/bindings.hpp"
 #include "runtime/graph.hpp"
 #include "runtime/host_exec.hpp"
@@ -115,7 +113,7 @@ struct GraphPlan {
 class FrameExec {
  public:
   /// `epoch` is 0 for one-shot Run() and frame index + 1 in a streaming run;
-  /// it labels trace spans/launches and groups profile observations.
+  /// it labels trace spans and launches.
   FrameExec(const GraphPlan& plan, long long epoch);
 
   /// Binds this frame's source images. The pointee vectors must stay alive
@@ -144,11 +142,6 @@ class FrameExec {
   /// the pool. Safe to call after failures; idempotent.
   void ReleaseRemaining();
 
-  /// Profile observations this frame's simulated launches produced, for a
-  /// batched ProfileStore flush (empty when RunOptions::profiles is unset
-  /// or every stage ran on the host executor). Clears the internal list.
-  std::vector<compiler::KeyedObservation> TakeObservations();
-
   long long epoch() const noexcept { return epoch_; }
 
  private:
@@ -172,7 +165,6 @@ class FrameExec {
   std::map<std::string, BufferPool::ImagePtr> buffers_;
   std::map<std::string, int> refcount_;
   const PipelineGraph::InputBindings* inputs_ = nullptr;
-  std::vector<compiler::KeyedObservation> observations_;
 };
 
 }  // namespace hipacc::runtime

@@ -1,7 +1,5 @@
 #include "runtime/kernel_runner.hpp"
 
-#include "compiler/profile.hpp"
-
 namespace hipacc::runtime {
 
 KernelRunner::KernelRunner(frontend::KernelSource source)
@@ -41,35 +39,15 @@ Status KernelRunner::EnsureCompiledFor(const BindingSet& bindings) {
                         bindings.output()->height());
 }
 
-void KernelRunner::RecordProfile(const sim::LaunchStats& stats) {
-  if (options_.profiles == nullptr || !executable_) return;
-  const compiler::CompiledKernel& kernel = executable_->kernel();
-  if (kernel.source_fingerprint.empty()) return;
-  // Every launch feeds the reselection history: the incumbent keeps
-  // accumulating samples (staying fresh), and challenge rounds re-measure
-  // the heuristic's pick so a stale winner loses its seat.
-  options_.profiles->Record(
-      compiler::MakeProfileKey(kernel.source_fingerprint, kernel.codegen,
-                               options_.device, width_, height_),
-      compiler::ProfileObservation{kernel.config.config,
-                                   kernel.device_ir.ppt,
-                                   stats.timing.total_ms});
-}
-
 Result<sim::LaunchStats> KernelRunner::Run(const BindingSet& bindings) {
   HIPACC_RETURN_IF_ERROR(EnsureCompiledFor(bindings));
-  Result<sim::LaunchStats> stats = executable_->Run(bindings);
-  if (stats.ok()) RecordProfile(stats.value());
-  return stats;
+  return executable_->Run(bindings);
 }
 
 Result<sim::LaunchStats> KernelRunner::Measure(const BindingSet& bindings,
                                                int samples_per_region) {
   HIPACC_RETURN_IF_ERROR(EnsureCompiledFor(bindings));
-  Result<sim::LaunchStats> stats =
-      executable_->Measure(bindings, std::nullopt, samples_per_region);
-  if (stats.ok()) RecordProfile(stats.value());
-  return stats;
+  return executable_->Measure(bindings, std::nullopt, samples_per_region);
 }
 
 }  // namespace hipacc::runtime

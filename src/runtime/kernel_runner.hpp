@@ -5,7 +5,9 @@
 // the compiled artifact directly — no parse, no lowering, not even a cache
 // probe. Changing the device or launching on a different image extent
 // recompiles through the cache, so switching back and forth (the paper's
-// retargeting scenario) hits instead of recompiling.
+// retargeting scenario) hits instead of recompiling. With
+// RunOptions::profiles set, each compile picks its configuration from the
+// store's sweep records; launches never record into the store.
 //
 // Lives in its own library (hipacc_runtime_exec) because it sits above the
 // compiler: hipacc_compiler links hipacc_runtime, so the low-level binding
@@ -49,9 +51,6 @@ class KernelRunner {
   /// matches that extent and the current device.
   Status EnsureCompiled(int width, int height);
   Status EnsureCompiledFor(const BindingSet& bindings);
-  /// Feeds one launch's modelled time into options_.profiles (no-op when
-  /// profile-guided reselection is off).
-  void RecordProfile(const sim::LaunchStats& stats);
 
   frontend::KernelSource source_;
   RunOptions options_;

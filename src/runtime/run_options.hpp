@@ -3,7 +3,9 @@
 // structs: codegen::CodegenOptions (how kernels are compiled),
 // sim::SimulatorOptions (which simulator engine runs them), and the
 // retired KernelRunner options struct (device, forced configuration,
-// trace, cache).
+// trace, cache), plus the profile store compiles pick configurations from.
+// Runtimes only read that store; an exploration sweep
+// (compiler/explore.hpp) is what writes it.
 //
 // The chainable with_* setters cover the common knobs:
 //
@@ -44,9 +46,9 @@ struct RunOptions {
   compiler::CompilationCache* cache = nullptr;
   /// Engine and native-tier threshold of every simulated launch.
   sim::SimulatorOptions sim;
-  /// When set, compilation consults measured history for configuration
-  /// reselection (compiler/profile.hpp) and every launch this runtime
-  /// executes records its modelled time back into the store.
+  /// When set, every compile picks its configuration from the store's
+  /// sweep records (compiler/profile.hpp). Read-only: launches never
+  /// record into it; only an exploration sweep does.
   compiler::ProfileStore* profiles = nullptr;
 
   RunOptions& with_backend(ast::Backend backend) {

@@ -272,15 +272,7 @@ void FrameLoop::RetireInOrder(std::unique_lock<std::mutex>& lock) {
     const long long index = retired;
     lock.unlock();
     Status status = frame.exec->CopyOutputs(frame.outputs);
-    std::vector<compiler::KeyedObservation> observations =
-        frame.exec->TakeObservations();
     frame.exec->ReleaseRemaining();
-    // One batched flush per frame, off the per-launch hot path — the
-    // store's mutex (and, disk-backed, its FileLock) is taken once per
-    // epoch instead of once per kernel launch.
-    compiler::ProfileStore* profiles = plan.options->run.profiles;
-    if (status.ok() && profiles != nullptr && !observations.empty())
-      profiles->RecordBatch(observations);
     const double latency = clock.ElapsedMs() - frame.admit_ms;
     if (status.ok() && retirer) status = retirer(index);
     lock.lock();

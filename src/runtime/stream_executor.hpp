@@ -28,8 +28,7 @@
 // frame when the window has room.
 //
 // Ordering contract: frames are *admitted* in order, *retire* in order
-// (outputs copied, buffers released, profile observations flushed as one
-// ProfileStore::RecordBatch per frame), and only the stages in between
+// (outputs copied, buffers released), and only the stages in between
 // overlap. The retire callback for frame k runs before the one for frame
 // k+1, so a caller that reuses output images per in-flight slot reads each
 // frame's pixels before they can be overwritten.
@@ -134,8 +133,8 @@ using FrameRetirer = std::function<Status(long long frame)>;
 
 /// The frame loop (see file comment): executes frames [0, frames) of `plan`
 /// with at most `window` (>= 1) admitted but not retired, frame f as
-/// FrameExec epoch `first_epoch + f`. Worker count and trace/profile sinks
-/// come from the plan's GraphOptions. Fills `stats` and returns the first
+/// FrameExec epoch `first_epoch + f`. Worker count and trace sink come from
+/// the plan's GraphOptions. Fills `stats` and returns the first
 /// error.
 Status RunFrames(const GraphPlan& plan, long long frames, int window,
                  long long first_epoch, const FrameBinder& binder,

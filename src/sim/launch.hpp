@@ -30,8 +30,7 @@ struct Launch {
   int height = 0;
   /// Frame epoch in a streaming run (0 for one-shot launches). Purely
   /// observational: trace spans of overlapped frames separate by epoch
-  /// instead of collapsing onto one lane, and profile-store feeding batches
-  /// per epoch.
+  /// instead of collapsing onto one lane.
   long long epoch = 0;
   std::vector<BufferBinding> buffers;
   /// Mask name -> row-major coefficients (constant-memory masks; global-mask

@@ -54,7 +54,7 @@ void TouchFile(const std::string& path);
 std::string UserCacheDir(const std::string& app);
 
 /// Best-effort advisory lock via an O_CREAT|O_EXCL lock file. Used to
-/// serialise read-modify-write cycles (the profile store's append-merge);
+/// serialise read-modify-write cycles (the profile store's record updates);
 /// the data files themselves stay safe without it thanks to atomic renames.
 /// A lock older than `stale_ms` is broken (its owner crashed).
 class FileLock {

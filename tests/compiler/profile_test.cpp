@@ -1,18 +1,23 @@
-// Profile-guided configuration reselection: the pure DecideSelection policy
-// (sample/freshness/challenge/ppt gates), the history codec and EWMA merge,
-// disk-backed append-merge across store instances, and the end-to-end
-// compile behaviour — a trustworthy measured winner overrides Algorithm 2,
-// while challenge rounds, missing history, and a device change all fall
-// back bit-identically to the heuristic compile.
+// Profile-guided configuration selection: the pure DecideSelection pick
+// (fastest entry, deterministic ties, the PPT pin), the record codec and
+// its validation, the per-PPT replace semantics of the store on disk and in
+// memory, and the end-to-end compile behaviour — a sweep's optimum becomes
+// the pick, a pick overrides Algorithm 2, and an empty store, an invalid
+// disk record and a device change all fall back bit-identically to the
+// heuristic compile.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <string>
+#include <vector>
 
+#include "compiler/cache.hpp"
 #include "compiler/driver.hpp"
+#include "compiler/explore.hpp"
 #include "compiler/profile.hpp"
 #include "hwmodel/device_db.hpp"
 #include "ops/kernel_sources.hpp"
+#include "runtime/kernel_runner.hpp"
 #include "support/disk_store.hpp"
 
 namespace hipacc {
@@ -24,148 +29,141 @@ frontend::KernelSource Source() {
   return ops::BilateralMaskSource(1, ast::BoundaryMode::kClamp);
 }
 
-compiler::CompileOptions Options(const hw::DeviceSpec& device) {
+compiler::CompileOptions Options(const hw::DeviceSpec& device, int n = 512) {
   compiler::CompileOptions options;
   options.device = device;
-  options.image_width = 512;
-  options.image_height = 512;
+  options.image_width = n;
+  options.image_height = n;
   return options;
 }
 
-compiler::CompiledKernel MustCompile(const compiler::CompileOptions& options) {
+compiler::CompiledKernel MustCompile(
+    const compiler::CompileOptions& options,
+    const frontend::KernelSource& source = Source()) {
   Result<compiler::CompiledKernel> compiled =
-      compiler::Compile(Source(), options);
+      compiler::Compile(source, options);
   HIPACC_CHECK(compiled.ok());
   return std::move(compiled).take();
 }
 
-compiler::ProfileEntry Entry(hw::KernelConfig config, int ppt, double ms,
-                             long long samples, long long last_seq) {
-  compiler::ProfileEntry entry;
-  entry.config = config;
-  entry.ppt = ppt;
-  entry.ms = ms;
-  entry.samples = samples;
-  entry.last_seq = last_seq;
-  return entry;
+std::string KeyFor(const compiler::CompiledKernel& kernel,
+                   const hw::DeviceSpec& device, int n = 512) {
+  return compiler::MakeProfileKey(kernel.source_fingerprint, kernel.codegen,
+                                  device, n, n);
 }
 
-TEST(DecideSelectionTest, EmptyOrUndersampledHistoryFallsBack) {
-  compiler::ProfilePolicy policy;
-  compiler::ProfileHistory history;
-  EXPECT_EQ(compiler::DecideSelection(history, policy).mode,
-            compiler::SelectionMode::kNoHistory);
-
-  history.seq = 1;
-  history.entries.push_back(Entry({32, 2}, 1, 5.0, /*samples=*/1, 1));
-  EXPECT_EQ(compiler::DecideSelection(history, policy).mode,
-            compiler::SelectionMode::kNoHistory);
+support::DiskStoreOptions DiskAt(const char* name) {
+  const fs::path root = fs::path(::testing::TempDir()) / name;
+  fs::remove_all(root);
+  support::DiskStoreOptions options;
+  options.root = root.string();
+  return options;
 }
 
 TEST(DecideSelectionTest, WinnerIsTheFastestFreshEntry) {
-  compiler::ProfilePolicy policy;
-  compiler::ProfileHistory history;
-  history.seq = 6;
-  history.entries.push_back(Entry({32, 6}, 1, 9.0, 2, 5));
-  history.entries.push_back(Entry({64, 2}, 1, 4.0, 2, 6));
-  history.entries.push_back(Entry({16, 4}, 2, 7.0, 2, 4));
+  // Every entry is the latest sweep of its PPT, so every entry competes.
+  compiler::ProfileRecord record;
+  EXPECT_FALSE(compiler::DecideSelection(record).has_value());
+  EXPECT_EQ(compiler::ProfileSalt(std::nullopt), "");
 
-  const compiler::SelectionDecision decision =
-      compiler::DecideSelection(history, policy);
-  ASSERT_EQ(decision.mode, compiler::SelectionMode::kMeasured);
-  EXPECT_EQ(decision.winner.config, (hw::KernelConfig{64, 2}));
-  EXPECT_EQ(decision.winner.ppt, 1);
-  EXPECT_EQ(compiler::ProfileSalt(decision), "m:64x2x1");
-}
+  record.entries = {{{32, 6}, 1, 9.0}, {{64, 2}, 2, 4.0}, {{16, 4}, 4, 7.0}};
+  std::optional<compiler::ProfileEntry> pick =
+      compiler::DecideSelection(record);
+  ASSERT_TRUE(pick.has_value());
+  EXPECT_EQ(pick->config, (hw::KernelConfig{64, 2}));
+  EXPECT_EQ(pick->ppt, 2);
+  EXPECT_EQ(compiler::ProfileSalt(pick), "m:64x2x2");
 
-TEST(DecideSelectionTest, StaleEntriesStopCompeting) {
-  compiler::ProfilePolicy policy;  // freshness_window = 64
-  compiler::ProfileHistory history;
-  history.seq = 100;
-  // The fastest entry was last seen at seq 10 — 10 + 64 < 100, stale.
-  history.entries.push_back(Entry({64, 2}, 1, 4.0, 2, 10));
-  history.entries.push_back(Entry({32, 6}, 1, 9.0, 2, 99));
-
-  compiler::SelectionDecision decision =
-      compiler::DecideSelection(history, policy);
-  ASSERT_EQ(decision.mode, compiler::SelectionMode::kMeasured);
-  EXPECT_EQ(decision.winner.config, (hw::KernelConfig{32, 6}));
-
-  // Window 0 disables the filter: the old winner competes again.
-  policy.freshness_window = 0;
-  decision = compiler::DecideSelection(history, policy);
-  ASSERT_EQ(decision.mode, compiler::SelectionMode::kMeasured);
-  EXPECT_EQ(decision.winner.config, (hw::KernelConfig{64, 2}));
-
-  // If every entry is stale, the selection falls back entirely.
-  policy.freshness_window = 64;
-  history.entries[1].last_seq = 10;
-  EXPECT_EQ(compiler::DecideSelection(history, policy).mode,
-            compiler::SelectionMode::kNoHistory);
-}
-
-TEST(DecideSelectionTest, ChallengeRoundsReRunTheHeuristic) {
-  compiler::ProfilePolicy policy;  // reexplore_period = 16
-  compiler::ProfileHistory history;
-  history.entries.push_back(Entry({64, 2}, 1, 4.0, 2, 16));
-
-  history.seq = 16;
-  EXPECT_EQ(compiler::DecideSelection(history, policy).mode,
-            compiler::SelectionMode::kChallenge);
-  history.seq = 17;
-  EXPECT_EQ(compiler::DecideSelection(history, policy).mode,
-            compiler::SelectionMode::kMeasured);
-
-  // Period 0 disables challenges outright.
-  policy.reexplore_period = 0;
-  history.seq = 16;
-  EXPECT_EQ(compiler::DecideSelection(history, policy).mode,
-            compiler::SelectionMode::kMeasured);
-
-  // Challenge and no-history decisions salt to "" — they must share cache
-  // entries with profile-less compiles.
-  compiler::SelectionDecision challenge;
-  challenge.mode = compiler::SelectionMode::kChallenge;
-  EXPECT_EQ(compiler::ProfileSalt(challenge), "");
-  EXPECT_EQ(compiler::ProfileSalt(compiler::SelectionDecision{}), "");
+  // Equal times break on fewer threads, then a narrower block, then a
+  // smaller ppt, whatever the entry order.
+  record.entries = {{{32, 4}, 1, 4.0}, {{16, 4}, 8, 4.0}, {{8, 8}, 4, 4.0},
+                    {{8, 8}, 2, 4.0}};
+  pick = compiler::DecideSelection(record);
+  ASSERT_TRUE(pick.has_value());
+  EXPECT_EQ(pick->config, (hw::KernelConfig{8, 8}));
+  EXPECT_EQ(pick->ppt, 2);
 }
 
 TEST(DecideSelectionTest, RequirePptPinsTheAxis) {
-  compiler::ProfilePolicy policy;
-  policy.require_ppt = 2;
-  compiler::ProfileHistory history;
-  history.seq = 4;
-  history.entries.push_back(Entry({64, 2}, 1, 4.0, 2, 4));   // faster, wrong ppt
-  history.entries.push_back(Entry({32, 6}, 2, 9.0, 2, 4));
+  compiler::ProfileRecord record;
+  record.entries = {{{64, 2}, 1, 4.0}, {{32, 6}, 2, 9.0}};  // faster at ppt 1
 
-  const compiler::SelectionDecision decision =
-      compiler::DecideSelection(history, policy);
-  ASSERT_EQ(decision.mode, compiler::SelectionMode::kMeasured);
-  EXPECT_EQ(decision.winner.config, (hw::KernelConfig{32, 6}));
-  EXPECT_EQ(decision.winner.ppt, 2);
+  std::optional<compiler::ProfileEntry> pick =
+      compiler::DecideSelection(record, /*require_ppt=*/2);
+  ASSERT_TRUE(pick.has_value());
+  EXPECT_EQ(pick->config, (hw::KernelConfig{32, 6}));
+  EXPECT_EQ(pick->ppt, 2);
+  // No entry at the pinned PPT: no pick at all.
+  EXPECT_FALSE(compiler::DecideSelection(record, 4).has_value());
+}
+
+TEST(DecideSelectionTest, StaleEntriesStopCompeting) {
+  // A sweep after a model change replaces its PPT's entry even when the
+  // new best is slower: the stale minimum never survives to be picked.
+  compiler::ProfileStore store;
+  store.Record("key", {{64, 2}, 1, 4.0});
+  store.Record("key", {{16, 8}, 2, 6.0});
+  store.Record("key", {{32, 6}, 1, 9.0});
+
+  const compiler::ProfileRecord record = store.Lookup("key");
+  ASSERT_EQ(record.entries.size(), 2u);
+  std::optional<compiler::ProfileEntry> pick =
+      compiler::DecideSelection(record);
+  ASSERT_TRUE(pick.has_value());
+  EXPECT_EQ(pick->config, (hw::KernelConfig{16, 8}));
+  pick = compiler::DecideSelection(record, 1);
+  ASSERT_TRUE(pick.has_value());
+  EXPECT_EQ(pick->config, (hw::KernelConfig{32, 6}));
+  EXPECT_DOUBLE_EQ(pick->ms, 9.0);
 }
 
 TEST(ProfileCodecTest, HistoryRoundTripsAndRejectsJunk) {
-  compiler::ProfileHistory history;
-  history.seq = 42;
-  history.entries.push_back(Entry({32, 6}, 1, 9.25, 3, 40));
-  history.entries.push_back(Entry({8, 28}, 4, 4.5, 2, 42));
+  compiler::ProfileRecord record;
+  record.entries = {{{32, 6}, 1, 9.25}, {{8, 28}, 32, 4.5}};
 
-  compiler::ProfileHistory decoded;
-  ASSERT_TRUE(compiler::DecodeProfileHistory(
-      compiler::EncodeProfileHistory(history), &decoded));
-  EXPECT_EQ(decoded.seq, 42);
+  compiler::ProfileRecord decoded;
+  ASSERT_TRUE(compiler::DecodeProfileRecord(
+      compiler::EncodeProfileRecord(record), &decoded));
   ASSERT_EQ(decoded.entries.size(), 2u);
   EXPECT_EQ(decoded.entries[0].config, (hw::KernelConfig{32, 6}));
-  EXPECT_EQ(decoded.entries[0].samples, 3);
-  EXPECT_EQ(decoded.entries[0].last_seq, 40);
+  EXPECT_EQ(decoded.entries[0].ppt, 1);
+  EXPECT_DOUBLE_EQ(decoded.entries[0].ms, 9.25);
+  EXPECT_EQ(decoded.entries[1].config, (hw::KernelConfig{8, 28}));
+  EXPECT_EQ(decoded.entries[1].ppt, 32);
   EXPECT_DOUBLE_EQ(decoded.entries[1].ms, 4.5);
-  EXPECT_EQ(decoded.entries[1].ppt, 4);
 
-  compiler::ProfileHistory sink;
-  EXPECT_FALSE(compiler::DecodeProfileHistory("", &sink));
-  EXPECT_FALSE(compiler::DecodeProfileHistory("not json", &sink));
-  EXPECT_FALSE(compiler::DecodeProfileHistory("{\"v\":999}", &sink));
+  const std::string good = R"({"bx":32,"by":6,"ppt":1,"ms":1.5})";
+  const auto payload = [&](const std::string& bad) {
+    return R"({"v":2,"entries":[)" + good + "," + bad + "]}";
+  };
+  const std::vector<std::string> junk = {
+      "",
+      "not json",
+      "[]",
+      R"({"v":999})",
+      R"({"v":2})",
+      R"({"v":2,"entries":{}})",
+      // A version-1 history (EWMA entries) reads as no record.
+      R"({"v":1,"seq":2,"entries":[{"bx":32,"by":6,"ppt":1,"ms":1.5,)"
+      R"("samples":2,"last_seq":2}]})",
+      payload(R"({"bx":0,"by":6,"ppt":1,"ms":1.5})"),
+      payload(R"({"bx":32,"by":-1,"ppt":1,"ms":1.5})"),
+      payload(R"({"bx":4294967328,"by":6,"ppt":1,"ms":1.5})"),
+      payload(R"({"bx":32.5,"by":6,"ppt":1,"ms":1.5})"),
+      payload(R"({"bx":"32","by":6,"ppt":1,"ms":1.5})"),
+      payload(R"({"bx":32,"by":6,"ppt":0,"ms":1.5})"),
+      payload(R"({"bx":32,"by":6,"ppt":33,"ms":1.5})"),
+      payload(R"({"bx":32,"by":6,"ppt":64,"ms":1.5})"),
+      payload(R"({"bx":32,"by":6,"ppt":1024,"ms":1.5})"),
+      payload(R"({"bx":32,"by":6,"ppt":1,"ms":-0.5})"),
+      payload(R"({"bx":32,"by":6,"ppt":1,"ms":1e999})"),
+      payload(R"({"bx":32,"by":6,"ppt":1})"),
+  };
+  for (const std::string& bad : junk) {
+    compiler::ProfileRecord sink = record;
+    EXPECT_FALSE(compiler::DecodeProfileRecord(bad, &sink)) << bad;
+    EXPECT_EQ(sink.entries.size(), 2u) << "a rejected payload wrote " << bad;
+  }
 }
 
 TEST(ProfileKeyTest, KeyTracksContextButNotPpt) {
@@ -180,119 +178,48 @@ TEST(ProfileKeyTest, KeyTracksContextButNotPpt) {
                                            hw::RadeonHd5870(), 512, 512));
   EXPECT_NE(base, compiler::MakeProfileKey("fingerprint", defaults,
                                            hw::TeslaC2050(), 1024, 512));
+  codegen::CodegenOptions textured = defaults;
+  textured.texture = codegen::TexturePolicy::kLinear;
+  EXPECT_NE(base, compiler::MakeProfileKey("fingerprint", textured,
+                                           hw::TeslaC2050(), 512, 512));
 
-  // pixels_per_thread is normalised out: a PPT sweep feeds one shared pool.
+  // pixels_per_thread is normalised out: the sweeps of every PPT share one
+  // record.
   codegen::CodegenOptions ppt8 = defaults;
   ppt8.pixels_per_thread = 8;
   EXPECT_EQ(base, compiler::MakeProfileKey("fingerprint", ppt8,
                                            hw::TeslaC2050(), 512, 512));
 }
 
-TEST(ProfileStoreTest, RecordMergesIntoAnEwma) {
-  compiler::ProfileStore store;
-  store.Record("key", {{32, 2}, 1, 10.0});
-  store.Record("key", {{32, 2}, 1, 20.0});
-  store.Record("key", {{64, 2}, 1, 30.0});
-
-  const compiler::ProfileHistory history = store.Lookup("key");
-  EXPECT_EQ(history.seq, 3);
-  ASSERT_EQ(history.entries.size(), 2u);
-  for (const compiler::ProfileEntry& entry : history.entries) {
-    if (entry.config == (hw::KernelConfig{32, 2})) {
-      EXPECT_DOUBLE_EQ(entry.ms, 15.0);  // alpha 0.5 over 10 then 20
-      EXPECT_EQ(entry.samples, 2);
-      EXPECT_EQ(entry.last_seq, 2);
-    } else {
-      EXPECT_EQ(entry.config, (hw::KernelConfig{64, 2}));
-      EXPECT_EQ(entry.samples, 1);
-      EXPECT_EQ(entry.last_seq, 3);
-    }
-  }
-}
-
-TEST(ProfileStoreTest, RecordBatchMatchesSequentialRecords) {
-  // The batched feeding path must merge in batch order — replaying the same
-  // observations through Record() yields the identical history.
-  const std::vector<compiler::KeyedObservation> batch = {
-      {"a", {{32, 2}, 1, 10.0}},
-      {"a", {{32, 2}, 1, 20.0}},
-      {"b", {{64, 2}, 1, 30.0}},
-      {"a", {{64, 4}, 2, 40.0}},
-  };
-  compiler::ProfileStore batched;
-  batched.RecordBatch(batch);
-  compiler::ProfileStore sequential;
-  for (const compiler::KeyedObservation& keyed : batch)
-    sequential.Record(keyed.key, keyed.observation);
-
-  for (const char* key : {"a", "b"}) {
-    const compiler::ProfileHistory lhs = batched.Lookup(key);
-    const compiler::ProfileHistory rhs = sequential.Lookup(key);
-    EXPECT_EQ(compiler::EncodeProfileHistory(lhs),
-              compiler::EncodeProfileHistory(rhs))
-        << key;
-  }
-  // The whole batch cost one flush; the sequential replay cost one each.
-  EXPECT_EQ(batched.flush_count(), 1);
-  EXPECT_EQ(batched.observation_count(), 4);
-  EXPECT_EQ(sequential.flush_count(), 4);
-  EXPECT_EQ(sequential.observation_count(), 4);
-  // Empty batches do not count as a flush.
-  batched.RecordBatch({});
-  EXPECT_EQ(batched.flush_count(), 1);
-}
-
-TEST(ProfileStoreTest, DiskBackedBatchFlushesOncePerDistinctKey) {
-  const fs::path root = fs::path(::testing::TempDir()) / "profile_batch_disk";
-  fs::remove_all(root);
-  support::DiskStoreOptions options;
-  options.root = root.string();
-  support::DiskStore disk(options);
-
-  {
-    compiler::ProfileStore writer(&disk);
-    writer.RecordBatch({{"key", {{32, 2}, 1, 10.0}},
-                        {"key", {{32, 2}, 1, 20.0}},
-                        {"other", {{64, 2}, 1, 5.0}}});
-    EXPECT_EQ(writer.flush_count(), 1);
-    EXPECT_EQ(writer.observation_count(), 3);
-  }
-  // The single flush persisted the merged histories.
-  compiler::ProfileStore reader(&disk);
-  const compiler::ProfileHistory merged = reader.Lookup("key");
-  EXPECT_EQ(merged.seq, 2);
-  ASSERT_EQ(merged.entries.size(), 1u);
-  EXPECT_EQ(merged.entries[0].samples, 2);
-  EXPECT_EQ(reader.Lookup("other").entries.size(), 1u);
-}
-
 TEST(ProfileStoreTest, DiskBackedStoresAppendMergeAcrossInstances) {
-  const fs::path root =
-      fs::path(::testing::TempDir()) / "profile_store_merge";
-  fs::remove_all(root);
-  support::DiskStoreOptions options;
-  options.root = root.string();
-  support::DiskStore disk(options);
+  support::DiskStore disk(DiskAt("profile_store_merge"));
 
-  {
-    compiler::ProfileStore writer(&disk);
-    writer.Record("key", {{32, 2}, 1, 10.0});
-    writer.Record("key", {{32, 2}, 1, 20.0});
-  }
-  // A second instance (second process) sees the persisted history and its
-  // own observations merge on top instead of clobbering.
-  {
-    compiler::ProfileStore appender(&disk);
-    const compiler::ProfileHistory seen = appender.Lookup("key");
-    EXPECT_EQ(seen.seq, 2);
-    ASSERT_EQ(seen.entries.size(), 1u);
-    EXPECT_EQ(seen.entries[0].samples, 2);
-    appender.Record("key", {{64, 2}, 1, 5.0});
-  }
+  // Two instances (two processes) that both looked the key up before
+  // either swept, then swept different PPTs: the second write re-reads the
+  // first under the lock, so both entries survive.
+  compiler::ProfileStore first(&disk);
+  compiler::ProfileStore second(&disk);
+  EXPECT_TRUE(first.Lookup("key").entries.empty());
+  EXPECT_TRUE(second.Lookup("key").entries.empty());
+  first.Record("key", {{32, 2}, 1, 10.0});
+  second.Record("key", {{64, 2}, 2, 5.0});
+
   compiler::ProfileStore reader(&disk);
-  const compiler::ProfileHistory merged = reader.Lookup("key");
-  EXPECT_EQ(merged.seq, 3);
-  EXPECT_EQ(merged.entries.size(), 2u);
+  compiler::ProfileRecord merged = reader.Lookup("key");
+  ASSERT_EQ(merged.entries.size(), 2u);
+  EXPECT_EQ(compiler::DecideSelection(merged, 1)->config,
+            (hw::KernelConfig{32, 2}));
+  EXPECT_EQ(compiler::DecideSelection(merged)->config,
+            (hw::KernelConfig{64, 2}));
+
+  // A re-sweep of one PPT replaces only that PPT's entry on disk.
+  first.Record("key", {{16, 4}, 1, 12.0});
+  merged = compiler::ProfileStore(&disk).Lookup("key");
+  ASSERT_EQ(merged.entries.size(), 2u);
+  EXPECT_EQ(compiler::DecideSelection(merged, 1)->config,
+            (hw::KernelConfig{16, 4}));
+  EXPECT_EQ(compiler::DecideSelection(merged, 2)->config,
+            (hw::KernelConfig{64, 2}));
 }
 
 TEST(ProfileReselectionTest, MeasuredWinnerOverridesTheHeuristic) {
@@ -302,21 +229,16 @@ TEST(ProfileReselectionTest, MeasuredWinnerOverridesTheHeuristic) {
   const hw::KernelConfig heuristic = baseline.config.config;
 
   // Prove the alternative configuration is valid for this kernel before
-  // seeding it as the measured winner.
+  // seeding it as the pick.
   const hw::KernelConfig alternative{64, 2};
   ASSERT_NE(alternative, heuristic);
   compiler::CompileOptions forced = Options(device);
   forced.forced_config = alternative;
   MustCompile(forced);
 
-  const std::string key = compiler::MakeProfileKey(
-      baseline.source_fingerprint, baseline.codegen, device, 512, 512);
   compiler::ProfileStore profiles;
   const int ppt = baseline.device_ir.ppt;
-  for (int i = 0; i < 2; ++i) {
-    profiles.Record(key, {alternative, ppt, 1.0});
-    profiles.Record(key, {heuristic, ppt, 50.0});
-  }
+  profiles.Record(KeyFor(baseline, device), {alternative, ppt, 1.0});
 
   compiler::CompileOptions learned_opts = Options(device);
   learned_opts.profiles = &profiles;
@@ -324,37 +246,118 @@ TEST(ProfileReselectionTest, MeasuredWinnerOverridesTheHeuristic) {
   EXPECT_EQ(learned.config.config, alternative);
   EXPECT_EQ(learned.device_ir.ppt, ppt);
 
-  // forced_config always wins over history.
+  // forced_config always wins over the pick.
   compiler::CompileOptions pinned = Options(device);
   pinned.profiles = &profiles;
   pinned.forced_config = heuristic;
   EXPECT_EQ(MustCompile(pinned).config.config, heuristic);
 }
 
-TEST(ProfileReselectionTest, NoHistoryAndChallengeAreBitIdenticalFallbacks) {
+TEST(ProfileReselectionTest, NoHistoryIsABitIdenticalFallback) {
   const hw::DeviceSpec device = hw::TeslaC2050();
-  const compiler::CompiledKernel baseline = MustCompile(Options(device));
+  compiler::CompilationCache cache;
+  compiler::CompileOptions plain = Options(device);
+  plain.cache = &cache;
+  const compiler::CompiledKernel baseline = MustCompile(plain);
 
-  // Empty history: the profiled compile is the heuristic compile.
+  // An empty store: the profiled compile is the heuristic compile, down to
+  // sharing its cache entry.
   compiler::ProfileStore empty;
-  compiler::CompileOptions no_history = Options(device);
+  compiler::CompileOptions no_history = plain;
   no_history.profiles = &empty;
   const compiler::CompiledKernel fallback = MustCompile(no_history);
   EXPECT_EQ(fallback.source, baseline.source);
   EXPECT_EQ(fallback.config.config, baseline.config.config);
+  EXPECT_EQ(cache.stats().target_hits, 1);
+  EXPECT_EQ(cache.stats().target_misses, 1);
+}
 
-  // A challenge round with a seeded (faster) winner also falls back.
-  const std::string key = compiler::MakeProfileKey(
-      baseline.source_fingerprint, baseline.codegen, device, 512, 512);
+TEST(ProfileReselectionTest, InvalidDiskRecordCompilesLikeTheHeuristic) {
+  // A stored ppt above the --ppt cap would make select_config re-lower at
+  // that ppt (hundreds of ms at ppt 64, growing linearly) before the
+  // occupancy check could reject it. The decoder drops such a record, so
+  // the compile is the heuristic one.
+  const hw::DeviceSpec device = hw::TeslaC2050();
+  const compiler::CompiledKernel baseline = MustCompile(Options(device));
+  support::DiskStore disk(DiskAt("profile_store_invalid"));
+  const auto compile_from_disk = [&](const std::string& payload) {
+    disk.Put("profile", KeyFor(baseline, device), payload);
+    compiler::ProfileStore profiles(&disk);
+    compiler::CompileOptions options = Options(device);
+    options.profiles = &profiles;
+    return MustCompile(options);
+  };
+
+  // The same record at a valid ppt is picked up from disk...
+  ASSERT_NE(baseline.config.config, (hw::KernelConfig{64, 2}));
+  EXPECT_EQ(compile_from_disk(
+                R"({"v":2,"entries":[{"bx":64,"by":2,"ppt":1,"ms":0.01}]})")
+                .config.config,
+            (hw::KernelConfig{64, 2}));
+  // ...and at ppt 64 it reads as no record.
+  const compiler::CompiledKernel compiled = compile_from_disk(
+      R"({"v":2,"entries":[{"bx":64,"by":2,"ppt":64,"ms":0.01}]})");
+  EXPECT_EQ(compiled.source, baseline.source);
+  EXPECT_EQ(compiled.config.config, baseline.config.config);
+  EXPECT_EQ(compiled.device_ir.ppt, baseline.device_ir.ppt);
+}
+
+TEST(ProfileReselectionTest, SweepOptimumIsThePick) {
+  // A sweep over every PPT into one store. The auto-PPT compile must pick
+  // the optimum over all points; a default (PPT 1) compile and a
+  // KernelRunner must pick the best PPT-1 point.
+  constexpr int n = 128;
+  const hw::DeviceSpec device = hw::TeslaC2050();
+  const frontend::KernelSource source =
+      ops::GaussianSource(3, 1.0f, ast::BoundaryMode::kClamp);
+  dsl::Image<float> in(n, n), out(n, n);
+  runtime::BindingSet bindings;
+  bindings.Input("Input", in).Output(out);
   compiler::ProfileStore profiles;
-  const int ppt = baseline.device_ir.ppt;
-  for (int i = 0; i < 4; ++i) profiles.Record(key, {{64, 2}, ppt, 1.0});
-  compiler::CompileOptions challenge_opts = Options(device);
-  challenge_opts.profiles = &profiles;
-  challenge_opts.profile_policy.reexplore_period = 4;  // seq == 4 challenges
-  const compiler::CompiledKernel challenged = MustCompile(challenge_opts);
-  EXPECT_EQ(challenged.source, baseline.source);
-  EXPECT_EQ(challenged.config.config, baseline.config.config);
+  compiler::ExploreOptions explore;
+  explore.jobs = 2;
+  explore.profiles = &profiles;
+  std::vector<compiler::ExplorePoint> points;
+  for (const int ppt : {1, 2, 4, 8}) {
+    compiler::CompileOptions options = Options(device, n);
+    options.codegen.pixels_per_thread = ppt;
+    Result<std::vector<compiler::ExplorePoint>> swept =
+        compiler::ExploreConfigurations(MustCompile(options, source), device,
+                                        bindings, explore);
+    ASSERT_TRUE(swept.ok()) << swept.status().ToString();
+    points.insert(points.end(), swept.value().begin(), swept.value().end());
+  }
+  const compiler::ExplorePoint* best = nullptr;
+  const compiler::ExplorePoint* best_ppt1 = nullptr;
+  for (const compiler::ExplorePoint& p : points) {
+    if (best == nullptr || p.ms < best->ms) best = &p;
+    if (p.ppt == 1 && (best_ppt1 == nullptr || p.ms < best_ppt1->ms))
+      best_ppt1 = &p;
+  }
+  ASSERT_NE(best, nullptr);
+  ASSERT_NE(best_ppt1, nullptr);
+
+  compiler::CompileOptions auto_ppt = Options(device, n);
+  auto_ppt.codegen.pixels_per_thread = 0;
+  auto_ppt.profiles = &profiles;
+  const compiler::CompiledKernel learned = MustCompile(auto_ppt, source);
+  EXPECT_EQ(learned.config.config, best->config);
+  EXPECT_EQ(learned.device_ir.ppt, best->ppt);
+
+  compiler::CompileOptions ppt1 = Options(device, n);
+  ppt1.profiles = &profiles;
+  const compiler::CompiledKernel pinned = MustCompile(ppt1, source);
+  EXPECT_EQ(pinned.config.config, best_ppt1->config);
+  EXPECT_EQ(pinned.device_ir.ppt, 1);
+
+  compiler::CompilationCache cache;
+  runtime::KernelRunner runner(
+      source, runtime::RunOptions().with_cache(&cache).with_profiles(
+                  &profiles));
+  ASSERT_TRUE(runner.Measure(bindings).ok());
+  ASSERT_NE(runner.compiled(), nullptr);
+  EXPECT_EQ(runner.compiled()->config.config, best_ppt1->config);
+  EXPECT_EQ(runner.compiled()->device_ir.ppt, 1);
 }
 
 TEST(ProfileReselectionTest, DeviceChangeRecoversToTheHeuristic) {
@@ -362,15 +365,13 @@ TEST(ProfileReselectionTest, DeviceChangeRecoversToTheHeuristic) {
   const hw::DeviceSpec radeon = hw::RadeonHd5870();
   const compiler::CompiledKernel baseline = MustCompile(Options(tesla));
 
-  // Seed a dominant winner under the Tesla key.
-  const std::string tesla_key = compiler::MakeProfileKey(
-      baseline.source_fingerprint, baseline.codegen, tesla, 512, 512);
+  // Seed a dominant pick under the Tesla key.
   compiler::ProfileStore profiles;
-  const int ppt = baseline.device_ir.ppt;
-  for (int i = 0; i < 2; ++i) profiles.Record(tesla_key, {{64, 2}, ppt, 1.0});
+  profiles.Record(KeyFor(baseline, tesla),
+                  {{64, 2}, baseline.device_ir.ppt, 1.0});
 
-  // The device change moves the profile key, so the stale Tesla history
-  // never leaks: the Radeon compile matches its profile-less twin exactly.
+  // The device change moves the profile key, so the Tesla record never
+  // leaks: the Radeon compile matches its profile-less twin exactly.
   compiler::CompileOptions radeon_opts = Options(radeon);
   radeon_opts.codegen.backend = ast::Backend::kOpenCL;
   const compiler::CompiledKernel radeon_baseline = MustCompile(radeon_opts);
@@ -380,15 +381,13 @@ TEST(ProfileReselectionTest, DeviceChangeRecoversToTheHeuristic) {
   EXPECT_EQ(recovered.source, radeon_baseline.source);
   EXPECT_EQ(recovered.config.config, radeon_baseline.config.config);
 
-  // And new measurements immediately accumulate under the new key,
-  // rebuilding trust for the new context.
-  const std::string radeon_key =
-      compiler::MakeProfileKey(recovered.source_fingerprint, recovered.codegen,
-                               radeon, 512, 512);
-  EXPECT_NE(radeon_key, tesla_key);
+  // A sweep under the new key starts the new context's record.
+  const std::string radeon_key = KeyFor(recovered, radeon);
+  EXPECT_NE(radeon_key, KeyFor(baseline, tesla));
+  EXPECT_TRUE(profiles.Lookup(radeon_key).entries.empty());
   profiles.Record(radeon_key,
                   {recovered.config.config, recovered.device_ir.ppt, 2.0});
-  EXPECT_EQ(profiles.Lookup(radeon_key).seq, 1);
+  EXPECT_EQ(profiles.Lookup(radeon_key).entries.size(), 1u);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Streaming frame executor: differential bit-identity against the one-shot
 // graph path (serial and overlap windows, every boundary mode), cross-frame
-// aliasing stress at full window depth, in-order retirement, per-epoch
-// profile batching, streaming CLI flags, failure propagation from the
-// bind/retire callbacks and from a stage failing beside running row bands,
-// and the throughput model's failure path.
+// aliasing stress at full window depth, in-order retirement, compiles that
+// a profile store does not repeat, streaming CLI flags, failure propagation
+// from the bind/retire callbacks and from a stage failing beside running
+// row bands, and the throughput model's failure path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "compiler/cache.hpp"
 #include "compiler/profile.hpp"
 #include "image/synthetic.hpp"
 #include "ops/isp.hpp"
@@ -248,24 +249,37 @@ TEST(StreamExecutorTest, FramesRetireInOrderAndStatsCount) {
   EXPECT_EQ(trace.counter("stream.runs"), 1);
 }
 
-// Streaming must not take the profile store's lock per launch: every frame
-// flushes its simulated-launch observations as ONE RecordBatch at retire.
-TEST(StreamExecutorTest, ProfileObservationsBatchPerFrame) {
-  const HostImage<float> gain = ops::MakeVignettingGain(kSize, kSize);
+// Launches never feed the profile store: a launch can only re-observe the
+// configuration it was compiled with, and a store that changed under a
+// running graph would salt new target keys and recompile stages for that
+// same configuration. So with a store and one cache, only the first run of
+// a graph compiles anything.
+TEST(StreamExecutorTest, ProfiledRunsCompileOnlyOnce) {
+  constexpr int n = 64;
+  const HostImage<float> gain = ops::MakeVignettingGain(n, n);
+  const HostImage<float> raw = MakeNoiseImage(n, n, 977u);
+  HostImage<float> y(n, n), u(n, n), v(n, n);
   compiler::ProfileStore store;
+  compiler::CompilationCache cache;
   runtime::GraphOptions options = StreamGraphOptions();
   options.executor = runtime::GraphOptions::Executor::kSimulator;
   options.run.profiles = &store;
+  options.run.cache = &cache;
 
-  const int frames = 3;
-  StreamFrames(ast::BoundaryMode::kClamp, frames, gain,
-               runtime::StreamMode::kOverlap, 2, options);
-  // One flush per frame; each frame contributed one observation per
-  // simulated kernel launch (>= 1), merged in that single flush.
-  EXPECT_EQ(store.flush_count(), frames);
-  EXPECT_GE(store.observation_count(), store.flush_count());
-  EXPECT_EQ(store.observation_count() % frames, 0);
-  EXPECT_GT(store.size(), 0u);
+  runtime::PipelineGraph graph;
+  ops::BuildCameraIspGraph(graph, n, n, ast::BoundaryMode::kClamp);
+  std::vector<long long> misses;
+  for (int run = 0; run < 3; ++run) {
+    const long long before = cache.stats().target_misses;
+    const Status status =
+        graph.Run({{"raw", &raw}, {"gain", &gain}},
+                  {{"y_dn", &y}, {"u", &u}, {"v", &v}}, options);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    misses.push_back(cache.stats().target_misses - before);
+  }
+  EXPECT_GT(misses[0], 0);
+  EXPECT_EQ(misses[1], 0);
+  EXPECT_EQ(misses[2], 0);
 }
 
 TEST(StreamExecutorTest, ModelledOverlapAtLeastMatchesSerial) {

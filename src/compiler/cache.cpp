@@ -2,9 +2,7 @@
 
 #include <cstdio>
 
-#include "compiler/disk_cache.hpp"
 #include "sim/trace.hpp"
-#include "support/disk_store.hpp"
 #include "support/hash.hpp"
 #include "support/string_utils.hpp"
 
@@ -126,115 +124,41 @@ CacheKey MakeTargetKey(const CacheKey& frontend_key,
   return KeyFromCanonical(std::move(canonical));
 }
 
-support::DiskStore* CompilationCache::disk() const {
-  if (disk_overridden_) return disk_override_;
-  support::DiskStore& global = support::GlobalDiskStore();
-  return global.enabled() ? &global : nullptr;
-}
-
-void CompilationCache::set_disk_store(support::DiskStore* store) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  disk_override_ = store;
-  disk_overridden_ = true;
-}
-
 std::optional<FrontendArtifacts> CompilationCache::LookupFrontend(
     const CacheKey& key, sim::TraceSink* trace) {
   std::optional<FrontendArtifacts> hit;
-  bool from_disk = false;
-  bool disk_miss = false;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     hit = Lookup<FrontendArtifacts>(frontend_, key);
-    if (!hit.has_value()) {
-      if (support::DiskStore* store = disk()) {
-        if (std::optional<std::string> payload =
-                store->Get("frontend", key.canonical))
-          hit = DecodeFrontendArtifacts(*payload);
-        from_disk = hit.has_value();
-        disk_miss = !from_disk;
-        // Promote: later lookups in this process are memory hits.
-        if (from_disk) Insert(frontend_, key, *hit);
-      }
-    }
     (hit ? stats_.frontend_hits : stats_.frontend_misses)++;
-    if (from_disk) ++stats_.disk_hits;
   }
-  if (trace != nullptr) {
+  if (trace != nullptr)
     trace->RecordCacheAccess("frontend", hit.has_value(), key.hex());
-    if (from_disk) trace->IncrementCounter("cache.disk.hit");
-    if (disk_miss) trace->IncrementCounter("cache.disk.miss");
-  }
   return hit;
 }
 
 std::optional<CompiledKernel> CompilationCache::LookupTarget(
     const CacheKey& key, sim::TraceSink* trace) {
   std::optional<CompiledKernel> hit;
-  bool from_disk = false;
-  bool disk_miss = false;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     hit = Lookup<CompiledKernel>(target_, key);
-    if (!hit.has_value()) {
-      if (support::DiskStore* store = disk()) {
-        if (std::optional<std::string> payload =
-                store->Get("target", key.canonical))
-          hit = DecodeCompiledKernel(*payload);
-        from_disk = hit.has_value();
-        disk_miss = !from_disk;
-        if (from_disk) Insert(target_, key, *hit);
-      }
-    }
     (hit ? stats_.target_hits : stats_.target_misses)++;
-    if (from_disk) ++stats_.disk_hits;
   }
-  if (trace != nullptr) {
+  if (trace != nullptr)
     trace->RecordCacheAccess("target", hit.has_value(), key.hex());
-    if (from_disk) trace->IncrementCounter("cache.disk.hit");
-    if (disk_miss) trace->IncrementCounter("cache.disk.miss");
-  }
   return hit;
 }
 
 void CompilationCache::StoreFrontend(const CacheKey& key,
-                                     FrontendArtifacts value,
-                                     sim::TraceSink* trace) {
-  support::DiskStore::PutResult put;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (support::DiskStore* store = disk()) {
-      put = store->Put("frontend", key.canonical,
-                       EncodeFrontendArtifacts(value));
-      if (put.stored) ++stats_.disk_stores;
-    }
-    Insert(frontend_, key, std::move(value));
-  }
-  if (trace != nullptr && put.stored) {
-    trace->IncrementCounter("cache.disk.store");
-    if (put.evicted > 0)
-      trace->IncrementCounter("cache.disk.evict",
-                              static_cast<long long>(put.evicted));
-  }
+                                     FrontendArtifacts value) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  Insert(frontend_, key, std::move(value));
 }
 
-void CompilationCache::StoreTarget(const CacheKey& key, CompiledKernel value,
-                                   sim::TraceSink* trace) {
-  support::DiskStore::PutResult put;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (support::DiskStore* store = disk()) {
-      put = store->Put("target", key.canonical, EncodeCompiledKernel(value));
-      if (put.stored) ++stats_.disk_stores;
-    }
-    Insert(target_, key, std::move(value));
-  }
-  if (trace != nullptr && put.stored) {
-    trace->IncrementCounter("cache.disk.store");
-    if (put.evicted > 0)
-      trace->IncrementCounter("cache.disk.evict",
-                              static_cast<long long>(put.evicted));
-  }
+void CompilationCache::StoreTarget(const CacheKey& key, CompiledKernel value) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  Insert(target_, key, std::move(value));
 }
 
 CompilationCache::Stats CompilationCache::stats() const {

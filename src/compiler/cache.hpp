@@ -1,4 +1,4 @@
-// Content-addressed compilation cache (two levels).
+// Content-addressed compilation cache (two levels, in memory).
 //
 // Keys are canonical serialisations of everything a compilation result
 // depends on; a 64-bit FNV-1a hash indexes the store while the full
@@ -18,11 +18,9 @@
 // plus instant events carrying the key hash). All methods are thread-safe —
 // the parallel exploration engine shares one cache across lanes.
 //
-// Both levels optionally persist through a support::DiskStore (the
-// "cache.disk.*" counters; see compiler/disk_cache.hpp for the artifact
-// serialisation): an in-memory miss falls through to disk, a decodable disk
-// entry is promoted into memory, and stores write through — so a second
-// process with a warm cache directory skips the pipeline entirely.
+// The cache lives for one process and never touches the disk: its products
+// recompile in ~2 ms per kernel. What costs seconds, the JIT toolchain's
+// shared objects, persists in sim::jit::JitCache through support::DiskStore.
 #pragma once
 
 #include <cstdint>
@@ -85,14 +83,13 @@ CacheKey MakeTargetKey(const CacheKey& frontend_key,
                        const std::optional<hw::KernelConfig>& forced_config,
                        const std::string& profile_salt = "");
 
-/// Target-independent products of the pipeline's first three passes.
+/// Target-independent products of the pipeline's first three passes. The
+/// frontend key fixes the source fingerprint and every codegen option, so
+/// a hit takes those from the compile that looked it up.
 struct FrontendArtifacts {
   ast::KernelDecl decl;
   ast::DeviceKernel device_ir;
   hw::KernelResources resources;
-  codegen::CodegenOptions codegen;
-  std::string source_fingerprint;
-  std::uint64_t source_hash = 0;
 };
 
 class CompilationCache {
@@ -102,37 +99,25 @@ class CompilationCache {
     long long frontend_misses = 0;
     long long target_hits = 0;
     long long target_misses = 0;
-    /// Persistent-tier traffic (in-memory misses that the disk satisfied /
-    /// artifacts written through to disk). Disk hits also count in
-    /// frontend_hits / target_hits above.
-    long long disk_hits = 0;
-    long long disk_stores = 0;
 
     long long hits() const { return frontend_hits + target_hits; }
     long long misses() const { return frontend_misses + target_misses; }
   };
 
   /// Lookups count a hit or miss in stats and, when `trace` is non-null,
-  /// report the access to the sink. An in-memory miss falls through to the
-  /// persistent tier (when one is attached): a decodable disk entry counts
-  /// as a hit, is promoted into memory, and bumps "cache.disk.hit".
+  /// report the access to the sink.
   std::optional<FrontendArtifacts> LookupFrontend(
       const CacheKey& key, sim::TraceSink* trace = nullptr);
   std::optional<CompiledKernel> LookupTarget(const CacheKey& key,
                                              sim::TraceSink* trace = nullptr);
 
-  /// Stores overwrite an existing entry with the same canonical key and
-  /// write through to the persistent tier ("cache.disk.store" /
-  /// "cache.disk.evict" counters when `trace` is given).
-  void StoreFrontend(const CacheKey& key, FrontendArtifacts value,
-                     sim::TraceSink* trace = nullptr);
-  void StoreTarget(const CacheKey& key, CompiledKernel value,
-                   sim::TraceSink* trace = nullptr);
+  /// Stores overwrite an existing entry with the same canonical key.
+  void StoreFrontend(const CacheKey& key, FrontendArtifacts value);
+  void StoreTarget(const CacheKey& key, CompiledKernel value);
 
-  /// Overrides the persistent tier. By default the cache follows
-  /// support::GlobalDiskStore() (disabled until a tool configures it);
-  /// passing nullptr pins this cache to in-memory-only operation.
-  void set_disk_store(support::DiskStore* store);
+  /// No-op, kept for callers that pinned the cache to memory before it
+  /// lost its disk tier; it is always in memory only.
+  void set_disk_store(support::DiskStore*) {}
 
   Stats stats() const;
   /// Number of stored entries across both levels.
@@ -140,7 +125,6 @@ class CompilationCache {
   void Clear();
 
  private:
-  support::DiskStore* disk() const;
   /// Hash-indexed buckets; each slot keeps the canonical key alongside the
   /// value and is only returned when the canonical strings match.
   template <typename V>
@@ -155,13 +139,9 @@ class CompilationCache {
   Store<FrontendArtifacts> frontend_;
   Store<CompiledKernel> target_;
   Stats stats_;
-  /// Persistent tier: follow the global store unless overridden.
-  support::DiskStore* disk_override_ = nullptr;
-  bool disk_overridden_ = false;
 };
 
-/// Process-wide cache shared by the runtime execute path and the CLI
-/// (unless --no-cache).
+/// Process-wide cache of the runtimes whose RunOptions name no cache.
 CompilationCache& GlobalCompilationCache();
 
 }  // namespace hipacc::compiler

@@ -21,24 +21,14 @@ void LogCompiled(const CompiledKernel& kernel, const CompileOptions& options) {
                     100.0 * kernel.config.occupancy.occupancy));
 }
 
-FrontendArtifacts FrontendFromArtifact(const CompiledKernel& kernel) {
-  FrontendArtifacts fe;
-  fe.decl = kernel.decl;
-  fe.device_ir = kernel.device_ir;
-  fe.resources = kernel.resources;
-  fe.codegen = kernel.codegen;
-  fe.source_fingerprint = kernel.source_fingerprint;
-  fe.source_hash = kernel.source_hash;
-  return fe;
-}
-
+/// The frontend key fixes the source fingerprint (Compile stamped it and
+/// its hash already) and every codegen option, so the hit supplies only the
+/// pass products.
 void SeedFromFrontend(CompilationContext& ctx, FrontendArtifacts fe) {
   ctx.artifact.decl = std::move(fe.decl);
   ctx.artifact.device_ir = std::move(fe.device_ir);
   ctx.artifact.resources = fe.resources;
-  ctx.artifact.codegen = fe.codegen;
-  ctx.artifact.source_fingerprint = std::move(fe.source_fingerprint);
-  ctx.artifact.source_hash = fe.source_hash;
+  ctx.artifact.codegen = ctx.options.codegen;
 }
 
 /// The compile's one profile lookup: no pick without a store or when the
@@ -69,10 +59,10 @@ Result<CompiledKernel> RunAndFinish(CompilationContext& ctx,
   CompilationCache* cache = ctx.options.cache;
   if (cache != nullptr) {
     if (frontend_key != nullptr)
-      cache->StoreFrontend(*frontend_key, FrontendFromArtifact(ctx.artifact),
-                           ctx.options.trace);
-    if (target_key != nullptr)
-      cache->StoreTarget(*target_key, ctx.artifact, ctx.options.trace);
+      cache->StoreFrontend(*frontend_key,
+                           {ctx.artifact.decl, ctx.artifact.device_ir,
+                            ctx.artifact.resources});
+    if (target_key != nullptr) cache->StoreTarget(*target_key, ctx.artifact);
   }
   LogCompiled(ctx.artifact, ctx.options);
   return std::move(ctx.artifact);

@@ -1,7 +1,7 @@
 // Umbrella public header: everything an application needs to write, compile,
 // and run DSL kernels — the DSL classes (Listing 1), the source-to-source
-// compiler and its cached execute path, the pipeline graph runtime, the
-// built-in operators, and the host-image utilities. Examples and downstream
+// compiler, its compilation cache and simulated executables, the pipeline
+// graph runtime, the built-in operators, and the host-image utilities. Examples and downstream
 // code include just this header; the fine-grained headers below remain the
 // internal layering (and stay includable individually).
 #pragma once
@@ -29,12 +29,10 @@
 #include "compiler/explore.hpp"
 #include "compiler/kernel_file.hpp"
 
-// Runtime: argument binding, cached kernel launches, consolidated
-// RunOptions, and the pipeline graph (DAG scheduling, buffer pooling,
-// point-wise fusion).
+// Runtime: argument binding, consolidated RunOptions, and the pipeline
+// graph (DAG scheduling, buffer pooling, point-wise fusion).
 #include "runtime/bindings.hpp"
 #include "runtime/graph.hpp"
-#include "runtime/kernel_runner.hpp"
 #include "runtime/run_options.hpp"
 
 // Built-in operators: kernel sources, DSL reference classes, masks,

@@ -1,18 +1,17 @@
-// One options struct for the cached execute path and the pipeline graph
-// runtime, consolidating what used to be spread over three overlapping
-// structs: codegen::CodegenOptions (how kernels are compiled),
-// sim::SimulatorOptions (which simulator engine runs them), and the
-// retired KernelRunner options struct (device, forced configuration,
-// trace, cache), plus the profile store compiles pick configurations from.
-// Runtimes only read that store; an exploration sweep
+// One options struct for the pipeline graph runtime, consolidating
+// codegen::CodegenOptions (how kernels are compiled), sim::SimulatorOptions
+// (which simulator engine runs them), the device, forced configuration,
+// trace and compilation cache, plus the profile store compiles pick
+// configurations from. Runtimes only read that store; an exploration sweep
 // (compiler/explore.hpp) is what writes it.
 //
 // The chainable with_* setters cover the common knobs:
 //
-//   runner.Run(...) with RunOptions()
-//       .with_device(hw::TeslaC2050())
-//       .with_texture(codegen::TexturePolicy::kLinear)
-//       .with_trace(&sink);
+//   runtime::GraphOptions options;
+//   options.run = RunOptions()
+//                     .with_device(hw::TeslaC2050())
+//                     .with_texture(codegen::TexturePolicy::kLinear)
+//                     .with_trace(&sink);
 #pragma once
 
 #include <optional>

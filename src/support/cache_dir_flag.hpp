@@ -1,7 +1,8 @@
 // Shared --cache-dir=PATH|off flag for every user-facing binary (the
 // compiler CLI, benchmarks, examples): steers the process-wide persistent
-// cache tier (support/disk_store.hpp) that backs the compilation cache, the
-// JIT object cache, and the profile store.
+// cache tier (support/disk_store.hpp) that holds the JIT object cache's
+// shared objects and disk-backed profile records. Compilation products are
+// never persisted; they recompile in milliseconds.
 //
 // Libraries and tests stay hermetic — GlobalDiskStore() starts disabled —
 // so enabling-by-default is an explicit, binary-level decision made by
@@ -24,7 +25,7 @@ inline CliParser& RegisterCacheDirFlag(CliParser& cli) {
   ConfigureGlobalDiskStore(std::move(defaults));
   return cli.Value(
       "cache-dir", "PATH|off",
-      "persistent compilation/JIT cache directory (default: "
+      "persistent JIT object and profile cache directory (default: "
       "$HIPACC_CACHE_DIR, else ~/.cache/hipacc; off disables)",
       [](const std::string& value) -> Status {
         DiskStoreOptions options;

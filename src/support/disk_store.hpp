@@ -1,6 +1,7 @@
-// Content-addressed on-disk blob store — the persistent tier shared by the
-// compiler's CompilationCache, the simulator's JitCache, and the profile
-// store (tinygrad's @diskcache idiom, grown a schema).
+// Content-addressed on-disk blob store — the persistent tier of what costs
+// seconds or carries measurements across processes: the simulator's
+// JitCache (compiled .so bytes) and the profile store (sweep records).
+// tinygrad's @diskcache idiom, grown a schema.
 //
 // Layout:   <root>/v<schema>/<kind>/<fnv16hex-of-canonical>
 // Each file is a self-describing frame:
@@ -17,7 +18,10 @@
 //
 // Versioning: the schema version is baked into both the directory name and
 // the frame header. Bumping kSchemaVersion orphans old entries wholesale
-// (they age out by LRU eviction) without any migration code.
+// (they age out by LRU eviction) without any migration code. Kind
+// directories no consumer reads any more (`frontend/` and `target/` from
+// builds that persisted compiler artifacts) age out the same way: eviction
+// walks every kind directory under the version root.
 #pragma once
 
 #include <cstdint>
@@ -63,8 +67,8 @@ class DiskStore {
   bool enabled() const;
   std::string root() const;
 
-  /// Looks up `canonical` under `kind` ("frontend", "target", "jit",
-  /// "profile"). Returns the payload, or nullopt on miss/corruption.
+  /// Looks up `canonical` under `kind` ("jit" or "profile"). Returns the
+  /// payload, or nullopt on miss/corruption.
   /// Hits refresh the entry's mtime (LRU touch).
   std::optional<std::string> Get(const std::string& kind,
                                  const std::string& canonical);
@@ -117,8 +121,9 @@ class DiskStore {
 ///                 else ~/.cache/hipacc, else disabled.
 std::string ResolveCacheDir(const std::string& spec);
 
-/// The process-wide persistent tier consulted by CompilationCache and
-/// JitCache by default. Starts disabled; tools and benches enable it via
+/// The process-wide persistent tier: JitCache persists .so bytes through
+/// it, and a ProfileStore constructed over it keeps its records there.
+/// Starts disabled; tools and benches enable it via
 /// ConfigureGlobalDiskStore after flag parsing.
 DiskStore& GlobalDiskStore();
 

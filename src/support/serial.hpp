@@ -1,44 +1,30 @@
-// Minimal binary (de)serialisation for cache artifacts. Little-endian
-// fixed-width integers, IEEE doubles via memcpy, and length-prefixed
-// strings. The reader is fully bounds-checked and never throws: any
-// truncated or malformed buffer flips a sticky error flag, subsequent
-// reads return zero values, and the caller checks `ok()` once at the end —
-// exactly the failure discipline a cache wants, where a corrupt entry must
-// decode as "miss", never as UB.
+// Minimal binary (de)serialisation for DiskStore frames. Little-endian
+// fixed-width integers and length-prefixed strings. The reader is fully
+// bounds-checked and never throws: frames are input from outside the
+// program, so any truncated or malformed buffer flips a sticky error flag,
+// subsequent reads return zero values, and the caller checks `AtEnd()` once
+// at the end — a corrupt entry must decode as "miss", never as UB.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace hipacc::support {
 
 class BinaryWriter {
  public:
-  void U8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void Bool(bool v) { U8(v ? 1 : 0); }
   void U32(std::uint32_t v) {
     for (int i = 0; i < 4; ++i) out_.push_back(static_cast<char>(v >> (8 * i)));
   }
   void U64(std::uint64_t v) {
     for (int i = 0; i < 8; ++i) out_.push_back(static_cast<char>(v >> (8 * i)));
   }
-  void I32(std::int32_t v) { U32(static_cast<std::uint32_t>(v)); }
-  void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
-  void F64(double v) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    U64(bits);
-  }
   void Str(std::string_view s) {
     U64(s.size());
     out_.append(s.data(), s.size());
   }
 
-  const std::string& data() const noexcept { return out_; }
   std::string Take() { return std::move(out_); }
 
  private:
@@ -49,11 +35,6 @@ class BinaryReader {
  public:
   explicit BinaryReader(std::string_view data) : data_(data) {}
 
-  std::uint8_t U8() {
-    if (!Need(1)) return 0;
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-  bool Bool() { return U8() != 0; }
   std::uint32_t U32() {
     if (!Need(4)) return 0;
     std::uint32_t v = 0;
@@ -74,14 +55,6 @@ class BinaryReader {
     pos_ += 8;
     return v;
   }
-  std::int32_t I32() { return static_cast<std::int32_t>(U32()); }
-  std::int64_t I64() { return static_cast<std::int64_t>(U64()); }
-  double F64() {
-    const std::uint64_t bits = U64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
   std::string Str() {
     const std::uint64_t n = U64();
     if (!Need(n)) return {};
@@ -90,10 +63,8 @@ class BinaryReader {
     return s;
   }
 
-  /// True iff every read so far was in-bounds. A decode is valid only when
-  /// `ok()` holds AND the caller consumed what it expected (`AtEnd()` for
-  /// whole-buffer decodes).
-  bool ok() const noexcept { return ok_; }
+  /// True iff every read so far was in-bounds and consumed the whole
+  /// buffer: a frame decodes only when this holds at the end.
   bool AtEnd() const noexcept { return ok_ && pos_ == data_.size(); }
 
  private:

@@ -1,12 +1,17 @@
 // Compilation cache: key construction, hit/miss semantics at both levels,
 // bit-identical cached artifacts, collision safety (same kernel name with
-// different source must miss), trace counters, and stats accounting.
+// different source must miss), trace counters, stats accounting, and that
+// compiles never touch the persistent store.
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <string>
 
 #include "compiler/cache.hpp"
 #include "compiler/driver.hpp"
 #include "ops/kernel_sources.hpp"
 #include "sim/trace.hpp"
+#include "support/disk_store.hpp"
 
 namespace hipacc {
 namespace {
@@ -183,6 +188,43 @@ TEST(CacheTest, RetargetPopulatesAndHitsCache) {
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(cache.stats().target_hits, 1);
   EXPECT_EQ(first.value().source, again.value().source);
+}
+
+/// Points GlobalDiskStore at a fresh directory for one test, restoring the
+/// disabled default on exit.
+struct DiskStoreGuard {
+  explicit DiskStoreGuard(const std::string& root) {
+    std::filesystem::remove_all(root);
+    support::DiskStoreOptions options;
+    options.root = root;
+    support::ConfigureGlobalDiskStore(std::move(options));
+  }
+  ~DiskStoreGuard() { support::ConfigureGlobalDiskStore({}); }
+};
+
+TEST(CacheTest, CompilesNeverTouchTheDiskStore) {
+  // The cache lives in memory: with the persistent tier enabled, a cold
+  // compile and a compile through a fresh cache (a second process, as far
+  // as the cache can tell) neither read nor write it.
+  const std::string root = ::testing::TempDir() + "/cache_test_disk_store";
+  DiskStoreGuard guard(root);
+  compiler::CompilationCache cold;
+  ASSERT_TRUE(compiler::Compile(Source(), Options(&cold)).ok());
+  compiler::CompilationCache fresh;
+  ASSERT_TRUE(compiler::Compile(Source(), Options(&fresh)).ok());
+  EXPECT_EQ(fresh.stats().target_misses, 1);
+
+  const support::DiskStoreStats stats = support::GlobalDiskStore().stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.stores, 0u);
+  if (std::filesystem::exists(root)) {
+    for (const auto& entry :
+         std::filesystem::recursive_directory_iterator(root)) {
+      EXPECT_NE(entry.path().filename().string(), "frontend") << entry.path();
+      EXPECT_NE(entry.path().filename().string(), "target") << entry.path();
+    }
+  }
 }
 
 }  // namespace

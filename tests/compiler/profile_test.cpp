@@ -17,7 +17,7 @@
 #include "compiler/profile.hpp"
 #include "hwmodel/device_db.hpp"
 #include "ops/kernel_sources.hpp"
-#include "runtime/kernel_runner.hpp"
+#include "runtime/run_options.hpp"
 #include "support/disk_store.hpp"
 
 namespace hipacc {
@@ -304,8 +304,9 @@ TEST(ProfileReselectionTest, InvalidDiskRecordCompilesLikeTheHeuristic) {
 
 TEST(ProfileReselectionTest, SweepOptimumIsThePick) {
   // A sweep over every PPT into one store. The auto-PPT compile must pick
-  // the optimum over all points; a default (PPT 1) compile and a
-  // KernelRunner must pick the best PPT-1 point.
+  // the optimum over all points; a default (PPT 1) compile and a runtime's
+  // compile (RunOptions mapped by MakeCompileOptions) must pick the best
+  // PPT-1 point.
   constexpr int n = 128;
   const hw::DeviceSpec device = hw::TeslaC2050();
   const frontend::KernelSource source =
@@ -351,13 +352,13 @@ TEST(ProfileReselectionTest, SweepOptimumIsThePick) {
   EXPECT_EQ(pinned.device_ir.ppt, 1);
 
   compiler::CompilationCache cache;
-  runtime::KernelRunner runner(
-      source, runtime::RunOptions().with_cache(&cache).with_profiles(
-                  &profiles));
-  ASSERT_TRUE(runner.Measure(bindings).ok());
-  ASSERT_NE(runner.compiled(), nullptr);
-  EXPECT_EQ(runner.compiled()->config.config, best_ppt1->config);
-  EXPECT_EQ(runner.compiled()->device_ir.ppt, 1);
+  const compiler::CompiledKernel runtime_pick = MustCompile(
+      runtime::MakeCompileOptions(
+          runtime::RunOptions().with_cache(&cache).with_profiles(&profiles), n,
+          n),
+      source);
+  EXPECT_EQ(runtime_pick.config.config, best_ppt1->config);
+  EXPECT_EQ(runtime_pick.device_ir.ppt, 1);
 }
 
 TEST(ProfileReselectionTest, DeviceChangeRecoversToTheHeuristic) {

@@ -1,8 +1,9 @@
 // DiskStore behaviour: round trips, the disabled no-op mode, corruption
 // self-repair, schema-version invalidation, LRU eviction, dedup of racing
-// writers, and thread safety of concurrent get-or-put on one key. The
-// compiler- and JIT-level consumers of the store are covered in
-// tests/compiler/disk_cache_test.cpp and tests/sim/jit_test.cpp.
+// writers, and thread safety of concurrent get-or-put on one key. Its
+// consumers are covered in tests/sim/jit_test.cpp (JIT objects) and
+// tests/compiler/profile_test.cpp (profile records);
+// tests/compiler/cache_test.cpp checks that compiles never touch it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -148,14 +149,17 @@ TEST(DiskStoreTest, LruEvictionUnderSizeCap) {
   options.max_bytes = 6 * 1024;  // fits one 4 KiB payload, not two
   DiskStore store(options);
 
+  // The old entry sits under a kind no consumer reads any more, as entries
+  // an older build left behind do: eviction walks every kind directory, so
+  // it still counts toward the cap and ages out.
   ASSERT_TRUE(store.Put("target", "old", payload).stored);
   for (const fs::path& file : EntryFiles(root)) Backdate(file, 60);
-  const DiskStore::PutResult put = store.Put("target", "new", payload);
+  const DiskStore::PutResult put = store.Put("jit", "new", payload);
   EXPECT_TRUE(put.stored);
   EXPECT_GE(put.evicted, 1u);
 
   EXPECT_FALSE(store.Get("target", "old").has_value());
-  const std::optional<std::string> kept = store.Get("target", "new");
+  const std::optional<std::string> kept = store.Get("jit", "new");
   ASSERT_TRUE(kept.has_value());
   EXPECT_EQ(*kept, payload);
   EXPECT_GE(store.stats().evictions, 1u);

@@ -38,9 +38,10 @@ class SimulatedExecutable {
     return simulator_.Execute(holder.value().launch);
   }
 
-  /// Sampled measurement (modelled time); optionally overrides the launch
-  /// configuration, as the exploration mode does. `samples_per_region`
-  /// bounds how many blocks per boundary region the simulator interprets.
+  /// Sampled measurement (modelled time, no output pixel written);
+  /// optionally overrides the launch configuration, as the exploration mode
+  /// does. `samples_per_region` bounds how many blocks per boundary region
+  /// the simulator interprets.
   Result<sim::LaunchStats> Measure(
       const runtime::BindingSet& bindings,
       std::optional<hw::KernelConfig> config_override = std::nullopt,

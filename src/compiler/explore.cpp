@@ -69,19 +69,15 @@ Result<std::vector<ExplorePoint>> ExploreConfigurations(
   // independent of scheduling.
   std::vector<std::optional<ExplorePoint>> slots(candidates.size());
   const auto measure_lane = [&](int worker) {
-    // Private measurement lane: own simulator state and a private output
-    // image, so concurrent candidates never write the same buffer. Inputs
-    // are shared read-only.
-    dsl::Image<float> lane_out(width, height);
-    runtime::BindingSet lane_bindings = bindings;
-    lane_bindings.Output(lane_out);
-    SimulatedExecutable exe(kernel, device, options.sim);
+    // Private measurement lane: own simulator state. Measure writes no
+    // pixel, so every lane shares the caller's images.
+    SimulatedExecutable exe(kernel, device);
     exe.set_trace(options.trace, worker);
     for (size_t i = static_cast<size_t>(worker); i < candidates.size();
          i += jobs) {
       const hw::HeuristicChoice& candidate = *candidates[i];
       Result<sim::LaunchStats> stats = exe.Measure(
-          lane_bindings, candidate.config, options.samples_per_region);
+          bindings, candidate.config, options.samples_per_region);
       if (!stats.ok()) continue;  // invalid at launch time: skip, like nvcc
       ExplorePoint point;
       point.config = candidate.config;

@@ -2,13 +2,14 @@
 // valid configuration of a compiled kernel on the simulated device. The
 // paper JIT-compiles each configuration with substituted macros; here each
 // configuration re-launches the kernel's register programs with different
-// region constants, on the engine ExploreOptions::sim selects.
+// region constants, in the simulator's sampled Measure (the VM's model-only
+// walk, which writes no pixel).
 //
 // The sweep is embarrassingly parallel across candidates: each worker owns a
-// full measurement lane (its own SimulatedExecutable, engine state, and a
-// private output image), candidates are dealt round-robin, and results are
-// merged by candidate index — so the output is bit-identical for any worker
-// count and either engine, including the serial path.
+// full measurement lane (its own SimulatedExecutable and simulator state),
+// candidates are dealt round-robin, and results are merged by candidate
+// index — so the output is bit-identical for any worker count, including
+// the serial path.
 //
 // A sweep is also the profile store's only writer: with
 // ExploreOptions::profiles set, its best point becomes the entry for the
@@ -54,9 +55,6 @@ struct ExploreOptions {
   /// the kernel's ppt in its profile record, which later compiles pick from
   /// (compiler/profile.hpp).
   ProfileStore* profiles = nullptr;
-  /// Simulator engine of every measurement lane. Points are identical for
-  /// either engine; only wall-clock time changes.
-  sim::SimulatorOptions sim;
 };
 
 /// Measures every valid configuration. Obviously-invalid candidates (failed

@@ -165,7 +165,7 @@ Result<HostLaunch> HostLaunch::Prepare(const sim::Launch& launch, int halo_x,
   return HostLaunch(std::move(plan));
 }
 
-void HostLaunch::RunRows(int y0, int y1) const {
+[[gnu::aligned(64)]] void HostLaunch::RunRows(int y0, int y1) const {
   const ExecPlan& plan = *plan_;
   sim::LaneFile<kLaneWidth>& file = sim::LaneFile<kLaneWidth>::ForThread();
   sim::LaneGroup<kLaneWidth> g;

@@ -74,7 +74,10 @@ class HostLaunch {
   static Result<HostLaunch> Prepare(const sim::Launch& launch, int halo_x,
                                     int halo_y);
 
-  /// Writes output rows [y0, y1) of the bound output buffers in place.
+  /// Writes output rows [y0, y1) of the bound output buffers in place. The
+  /// lane interpreter's loops are inlined into it, and its definition starts
+  /// on a cache line so their placement, and so their speed, does not move
+  /// with the size of unrelated code linked before it.
   void RunRows(int y0, int y1) const;
 
   HostLaunch(HostLaunch&&) noexcept;

@@ -1,6 +1,7 @@
 #include "sim/bytecode.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
 #include <utility>
@@ -24,6 +25,67 @@ constexpr int kMaxUnrollNodes = 20000;
 constexpr std::size_t kMaxCodeLength = 100000;
 constexpr int kMaxRegisters = 60000;
 constexpr int kMaxMaskSlots = 250;
+/// MarkObserved keeps a live set per jump target; a program whose sets would
+/// pass this many 64-bit words (8 MB) stays fully observed instead.
+constexpr std::size_t kMaxLiveWords = std::size_t{1} << 20;
+
+/// What each op reads and writes, for MarkObserved. A value op reads its
+/// operands only when observed; every other op reads them wherever it runs
+/// (the roots).
+enum : std::uint8_t {
+  kValueOp = 1,       // observed iff its destination is live after it
+  kKillsDst = 2,      // writes every lane of its destination
+  kReadsA = 4,
+  kReadsB = 8,        // kCall: two-argument builtins only
+  kReadsC = 16,
+  kReadsDst = 32,
+  kReadsCoords = 64,  // its kReg coordinates
+};
+constexpr std::uint8_t kLiveness[] = {
+    /*kConst*/ kValueOp | kKillsDst,
+    /*kCopy*/ kValueOp | kKillsDst | kReadsA,
+    /*kConvert*/ kValueOp | kKillsDst | kReadsA,
+    /*kUnary*/ kValueOp | kKillsDst | kReadsA,
+    /*kBinary*/ kValueOp | kKillsDst | kReadsA | kReadsB,
+    /*kSelect*/ kValueOp | kKillsDst | kReadsA | kReadsB | kReadsC,
+    /*kCall*/ kValueOp | kKillsDst | kReadsA,
+    /*kThreadIdx*/ kValueOp | kKillsDst,
+    // Writes only the masked lanes, so it never kills; a compound assign
+    // also reads the destination, which therefore stays live.
+    /*kAssign*/ kValueOp | kReadsA,
+    /*kLoadImage*/ kKillsDst | kReadsCoords,  // masked-off lanes get 0
+    /*kLoadShared*/ kKillsDst | kReadsCoords,
+    /*kLoadConst*/ kKillsDst | kReadsCoords,
+    /*kStore*/ kReadsCoords,  // not its value: stored pixels are unobserved
+    /*kBarrier*/ 0,
+    /*kAccount*/ 0,
+    /*kMaskIf*/ kReadsA,
+    /*kJumpIfNone*/ 0,
+    /*kLoopInit*/ kKillsDst | kReadsA,
+    /*kLoopHead*/ kReadsA | kReadsB,
+    /*kLoopInc*/ kReadsDst,
+};
+static_assert(std::size(kLiveness) ==
+              static_cast<std::size_t>(Op::kLoopInc) + 1);
+
+bool IsJump(Op op) {
+  return op == Op::kJumpIfNone || op == Op::kLoopHead || op == Op::kLoopInc;
+}
+
+bool ReadsSecondArgument(VmBuiltin fn) {
+  switch (fn) {
+    case VmBuiltin::kAtan2:
+    case VmBuiltin::kPow:
+    case VmBuiltin::kFmod:
+    case VmBuiltin::kFmin:
+    case VmBuiltin::kFmax:
+    case VmBuiltin::kMin:
+    case VmBuiltin::kMax:
+      return true;
+    default:
+      return false;
+  }
+}
 
 /// A subtree the compiler evaluated at compile time: its warp-uniform value,
 /// its runtime type, and the metric cost the interpreter would have paid to
@@ -953,6 +1015,85 @@ const Program* ProgramSet::Find(ast::Region region) const {
   return nullptr;
 }
 
+void MarkObserved(Program* prog) {
+  std::vector<Insn>& code = prog->code;
+  const auto size = static_cast<std::int32_t>(code.size());
+  const std::size_t words =
+      (static_cast<std::size_t>(prog->num_regs) + 63) / 64;
+  // Every jump target keeps the live set on entry to it. Jumps go forward,
+  // except kLoopInc's back edge, so one reverse sweep is exact for a program
+  // without loops; a looped one sweeps until no target's set changes.
+  std::vector<std::int32_t> slot(code.size(), -1);
+  std::int32_t targets = 0;
+  bool looped = false;
+  for (const Insn& I : code) {
+    if (!IsJump(I.op)) continue;
+    looped = looped || I.op == Op::kLoopInc;
+    if (I.jump >= 0 && I.jump < size && slot[I.jump] < 0)
+      slot[I.jump] = targets++;
+  }
+  const std::size_t total = (static_cast<std::size_t>(targets) + 1) * words;
+  if (total > kMaxLiveWords) {
+    for (Insn& I : code) I.observed = true;
+    return;
+  }
+  std::vector<std::uint64_t> sets(total, 0);
+  std::uint64_t* live = sets.data();  // at the sweep position
+  const auto target_set = [&](std::int32_t pc) -> std::uint64_t* {
+    if (pc < 0 || pc >= size || slot[pc] < 0) return nullptr;
+    return live + (static_cast<std::size_t>(slot[pc]) + 1) * words;
+  };
+  const auto bit = [](std::uint16_t r) { return std::uint64_t{1} << (r % 64); };
+  const auto use = [&](std::uint16_t r) { live[r / 64] |= bit(r); };
+  const auto use_coord = [&](const Coord& c) {
+    if (c.kind == CoordKind::kReg) use(c.reg);
+  };
+
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    std::fill_n(live, words, 0);
+    for (std::int32_t pc = size - 1; pc >= 0; --pc) {
+      Insn& I = code[static_cast<std::size_t>(pc)];
+      // Live out: the fall-through's set, the jump target's, or both.
+      if (const std::uint64_t* jumped = IsJump(I.op) ? target_set(I.jump)
+                                                     : nullptr;
+          I.op == Op::kLoopInc) {
+        if (jumped)
+          std::copy_n(jumped, words, live);
+        else
+          std::fill_n(live, words, 0);
+      } else if (jumped) {
+        for (std::size_t w = 0; w < words; ++w) live[w] |= jumped[w];
+      }
+      const std::uint8_t e = kLiveness[static_cast<std::size_t>(I.op)];
+      const bool observed =
+          !(e & kValueOp) || (live[I.dst / 64] & bit(I.dst)) != 0;
+      I.observed = observed;
+      if (e & kKillsDst) live[I.dst / 64] &= ~bit(I.dst);
+      if (observed) {
+        if (e & kReadsA) use(I.a);
+        if ((e & kReadsB) ||
+            (I.op == Op::kCall &&
+             ReadsSecondArgument(static_cast<VmBuiltin>(I.sub))))
+          use(I.b);
+        if (e & kReadsC) use(I.c);
+        if (e & kReadsDst) use(I.dst);
+        if (e & kReadsCoords) {
+          use_coord(I.cx);
+          use_coord(I.cy);
+        }
+      }
+      if (std::uint64_t* entry = target_set(pc);
+          entry && !std::equal(live, live + words, entry)) {
+        std::copy_n(live, words, entry);
+        changed = true;
+      }
+    }
+    changed = changed && looped;
+  }
+}
+
 Result<std::shared_ptr<const ProgramSet>> CompileToBytecode(
     const ast::DeviceKernel& kernel) {
   Stopwatch sw;
@@ -965,6 +1106,7 @@ Result<std::shared_ptr<const ProgramSet>> CompileToBytecode(
     set->total_instructions += prog.code.size();
     set->programs.push_back(std::move(prog));
   }
+  for (Program& prog : set->programs) MarkObserved(&prog);
   set->compile_ms = sw.ElapsedMs();
   set->jit_state = std::make_shared<jit::TierState>();
   return std::shared_ptr<const ProgramSet>(std::move(set));

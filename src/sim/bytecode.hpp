@@ -85,6 +85,10 @@ struct Coord {
 /// instruction plus any work folded into it.
 struct Insn {
   Op op = Op::kAccount;
+  /// A value instruction (kConst .. kAssign) whose result reaches an
+  /// address, a mask or a loop bound (MarkObserved). Measure charges an
+  /// unobserved one without computing it; every other op is observed.
+  bool observed = true;
   ast::ScalarType type = ast::ScalarType::kFloat;  // result / decl type
   std::uint8_t sub = 0;   // UnaryOp/BinaryOp/AssignOp/VmBuiltin/ThreadIndexKind
                           // (kLoadImage: 1 = texture path)
@@ -104,6 +108,8 @@ struct Insn {
   ast::RegionChecks checks;
   float cvalue = 0.0f;
 };
+// `observed` sits in the padding after `op`.
+static_assert(sizeof(Insn) == 72, "Insn grew");
 
 /// Scalar parameter seeding: the lane interpreter re-seeds these registers
 /// per lane group (the body may overwrite them), exactly like the oracle's
@@ -156,6 +162,16 @@ struct ProgramSet {
 /// never produces.
 Result<std::shared_ptr<const ProgramSet>> CompileToBytecode(
     const ast::DeviceKernel& kernel);
+
+/// Sets Insn::observed over `prog` by one backward liveness pass. The roots
+/// are what the model reads wherever it runs: the kReg coordinates of loads
+/// and stores, kMaskIf's condition, kLoopHead's variable and bound,
+/// kLoopInit's source and kLoopInc's variable. A value instruction is
+/// observed iff its destination is live after it, and an observed one makes
+/// its operands live. A store's value operand is no root, so what reaches
+/// only stored pixels goes unobserved. CompileToBytecode runs it on every
+/// program.
+void MarkObserved(Program* prog);
 
 // ---- Lane arithmetic shared by the compiler's constant folder and the lane
 // ---- interpreter (lanes.hpp), and kept textually identical to the tests'

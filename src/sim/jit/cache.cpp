@@ -111,7 +111,7 @@ JitCache::Outcome JitCache::GetOrCompile(const ProgramSet& ps) {
     if (module.ok()) {
       program = resolve(module.value(), &error);
       if (program && !so_bytes.empty())
-        out.disk_stored = disk.Put("jit", canonical, so_bytes).stored;
+        out.disk_stored = disk.Put("jit", canonical, so_bytes);
     } else {
       error = module.status().ToString();
     }

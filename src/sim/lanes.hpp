@@ -7,7 +7,10 @@
 //  - the bytecode VM (vm.cpp) runs one warp of a simulated thread block,
 //    kWidth = kMaxWarpWidth, with the model observed: instruction, ALU and
 //    SFU counts, out-of-bounds violations, and the lane addresses of every
-//    memory instruction handed to the block's MemoryModel;
+//    memory instruction handed to the block's MemoryModel. Its model-only
+//    walk (the sampled Measure) computes just what the model observes: it
+//    skips the lanes of unobserved value instructions (Insn::observed) and
+//    writes no pixel;
 //  - the host executor (runtime/host_exec.cpp) runs a segment of one output
 //    row, kWidth = 256, with the model compiled out.
 //
@@ -177,14 +180,19 @@ inline bool AnyLane(const std::uint8_t* mk, int n) {
 
 /// Runs `prog`, one of `bind.programs`' programs, over the lane group `g` in
 /// the register file `f`. With kModel, reports to `model` what the simulator
-/// observes; without, `model` is unused. Fails, like the oracle, when an
+/// observes; without, `model` and `model_only` are unused. With `model_only`,
+/// computes only what the model observes: an unobserved instruction is
+/// charged and typed as its full form would be but its lanes are skipped,
+/// and stores record their addresses without writing a pixel. (A LaneModel
+/// field would grow the `LaneModel{}` the host executor passes and shift the
+/// host instantiation's register allocation.) Fails, like the oracle, when an
 /// instruction touches a buffer or constant mask the launch left unbound or
 /// stores to a read-only buffer; a launch that passed CheckBindings never
 /// fails.
 template <int kWidth, bool kModel>
 Status RunLanes(const Program& prog, const LaunchBindings& bind,
                 const LaneGroup<kWidth>& g, LaneFile<kWidth>& f,
-                const LaneModel& model) {
+                const LaneModel& model, bool model_only = false) {
   using namespace ast;
   using namespace lanes_detail;
   const int n = g.n;
@@ -281,6 +289,25 @@ Status RunLanes(const Program& prog, const LaunchBindings& bind,
       ++tally.insns;
       tally.alu += I.alu_cost;
       tally.sfu += I.sfu_cost;
+      // Only value instructions are ever unobserved.
+      if (model_only && !I.observed) {
+        switch (I.op) {
+          case Op::kCopy: f.types[I.dst] = f.types[I.a]; break;
+          case Op::kThreadIdx: f.types[I.dst] = ScalarType::kInt; break;
+          case Op::kAssign: break;
+          case Op::kBinary: {
+            const bool fm =
+                Promote(f.types[I.a], f.types[I.b]) == ScalarType::kFloat;
+            if (static_cast<BinaryOp>(I.sub) == BinaryOp::kDiv)
+              tally.alu += fm ? 5 : 16;
+            f.types[I.dst] = I.type;
+            break;
+          }
+          default: f.types[I.dst] = I.type; break;
+        }
+        ++pc;
+        continue;
+      }
     }
     switch (I.op) {
       case Op::kConst:
@@ -637,12 +664,13 @@ Status RunLanes(const Program& prog, const LaunchBindings& bind,
               "write to unbound or read-only buffer " +
               ps.buffer_names[static_cast<std::size_t>(I.buffer)]);
         const double* v = f.reg(I.a);
+        const bool write = !kModel || !model_only;
         begin_access();
         if (const std::int64_t at =
                 row_start(I, buf->width, buf->height, buf->stride);
             at >= 0) {
           for (int l = 0; l < n; ++l) {
-            buf->data[at + l] = static_cast<float>(v[l]);
+            if (write) buf->data[at + l] = static_cast<float>(v[l]);
             record(static_cast<std::uint64_t>(at + l));
           }
         } else {
@@ -659,7 +687,7 @@ Status RunLanes(const Program& prog, const LaunchBindings& bind,
             }
             const std::uint64_t addr =
                 static_cast<std::uint64_t>(py) * buf->stride + px;
-            buf->data[addr] = static_cast<float>(v[l]);
+            if (write) buf->data[addr] = static_cast<float>(v[l]);
             record(addr);
           }
         }

@@ -19,17 +19,19 @@ namespace hipacc::sim {
 namespace {
 
 /// The block function of a launch on the product engines, over the
-/// launch's bindings resolved once: the native warp functions once the tier
-/// is hot and the bindings pass CheckBindings (with engine == kNative), else
-/// the bytecode VM (counted as jit.vm under kNative). The warp functions
-/// check bindings before any side effect, while the VM fails mid-program, so
-/// a launch that fails the check runs on the VM to fail the same way.
+/// launch's bindings resolved once. A sampled launch runs the VM's
+/// model-only walk whatever the engine: Measure observes, Execute computes.
+/// Execute runs the native warp functions once the tier is hot and the
+/// bindings pass CheckBindings (with engine == kNative), else the bytecode
+/// VM (counted as jit.vm under kNative). The warp functions check bindings
+/// before any side effect, while the VM fails mid-program, so a launch that
+/// fails the check runs on the VM to fail the same way.
 BlockFn ResolveExecutor(const Launch& launch, const SimulatorOptions& options,
-                        TraceSink* trace) {
+                        bool sampled, TraceSink* trace) {
   const ProgramSet& programs = *launch.programs;
   LaunchBindings bindings = ResolveBindings(programs, launch);
   const jit::NativeProgram* native = nullptr;
-  if (options.engine == ExecEngine::kNative) {
+  if (options.engine == ExecEngine::kNative && !sampled) {
     if (CheckBindings(programs, launch).ok())
       native = jit::AcquireNative(programs, options.jit_threshold, trace);
     else if (trace)
@@ -45,11 +47,11 @@ BlockFn ResolveExecutor(const Launch& launch, const SimulatorOptions& options,
       return jit::RunBlockNative(l, bindings, *native, device, bx, by,
                                  metrics, executed_insns);
     };
-  return [bindings = std::move(bindings)](
+  return [bindings = std::move(bindings), sampled](
              const Launch& l, const hw::DeviceSpec& device, int bx, int by,
              Metrics* metrics, std::uint64_t* executed_insns) {
     return RunBlockBytecode(l, bindings, device, bx, by, metrics,
-                            executed_insns);
+                            executed_insns, /*model_only=*/sampled);
   };
 }
 
@@ -242,7 +244,7 @@ Result<LaunchStats> Simulator::Run(
       launch.kernel->ppt);
 
   const BlockFn run_block =
-      block ? block : ResolveExecutor(launch, options_, trace_);
+      block ? block : ResolveExecutor(launch, options_, stats.sampled, trace_);
   std::uint64_t executed_insns = 0;
   Result<Metrics> total =
       stats.sampled

@@ -6,9 +6,12 @@
 // slightly at the image edges, which the per-region samples capture.
 //
 // Both run through one launch driver (Run), parameterised by the function
-// that executes one thread block. Execute and Measure run the launch's
-// register programs on the engine the options select: the bytecode VM
-// (vm.hpp) or the native tier (jit/). Tests pass a reference executor.
+// that executes one thread block. Execute runs the launch's register
+// programs on the engine the options select: the bytecode VM (vm.hpp) or
+// the native tier (jit/). Measure observes rather than computes: it runs the
+// VM's model-only walk, which skips the values no address, mask or loop
+// bound reads (Insn::observed) and writes no pixel, so its metrics equal a
+// full run's. Tests pass a reference executor.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +73,7 @@ class Simulator {
   }
 
   /// Executes up to `samples_per_region` blocks of each populated region
-  /// and extrapolates. Output buffers are only partially written.
+  /// on the VM's model-only walk and extrapolates. Writes no output pixel.
   Result<LaunchStats> Measure(const Launch& launch,
                               int samples_per_region = 3) const {
     return Run(launch, nullptr, samples_per_region);
@@ -79,7 +82,8 @@ class Simulator {
   /// The launch driver behind Execute (`samples_per_region` unset: every
   /// block) and Measure: validates, runs `block` on the chosen blocks, models
   /// the time and records the trace span. A null `block` runs the launch's
-  /// programs on the engine options() selects.
+  /// programs: sampled, on the VM's model-only walk; otherwise on the engine
+  /// options() selects.
   Result<LaunchStats> Run(const Launch& launch, const BlockFn& block,
                           std::optional<int> samples_per_region) const;
 

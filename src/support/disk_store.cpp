@@ -109,11 +109,10 @@ std::optional<std::string> DiskStore::Get(const std::string& kind,
   return payload;
 }
 
-DiskStore::PutResult DiskStore::Put(const std::string& kind,
-                                    const std::string& canonical,
-                                    const std::string& payload) {
+bool DiskStore::Put(const std::string& kind, const std::string& canonical,
+                    const std::string& payload) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (options_.root.empty()) return {};
+  if (options_.root.empty()) return false;
   const std::string path = PathFor(kind, canonical);
   const std::string frame = EncodeFrame(kind, canonical, payload);
   // Dedup read: when several threads/processes race get-or-compile on one
@@ -121,21 +120,19 @@ DiskStore::PutResult DiskStore::Put(const std::string& kind,
   if (std::optional<std::string> existing = ReadFileIfExists(path);
       existing.has_value() && *existing == frame) {
     ++stats_.dedup;
-    return {};
+    return false;
   }
   if (!EnsureDirs(StrFormat("%s/%s", version_root_.c_str(), kind.c_str()))
            .ok())
-    return {};
-  if (!WriteFileAtomic(path, frame).ok()) return {};
+    return false;
+  if (!WriteFileAtomic(path, frame).ok()) return false;
   ++stats_.stores;
-  PutResult result;
-  result.stored = true;
-  result.evicted = EvictIfNeeded();
-  return result;
+  EvictIfNeeded();
+  return true;
 }
 
-std::uint64_t DiskStore::EvictIfNeeded() {
-  if (options_.max_bytes == 0) return 0;
+void DiskStore::EvictIfNeeded() {
+  if (options_.max_bytes == 0) return;
   std::vector<DirEntry> entries;
   std::uint64_t total = 0;
   for (const std::string& kind : ListSubdirs(version_root_)) {
@@ -144,8 +141,7 @@ std::uint64_t DiskStore::EvictIfNeeded() {
       entries.push_back(std::move(entry));
     }
   }
-  if (total <= options_.max_bytes) return 0;
-  std::uint64_t evicted = 0;
+  if (total <= options_.max_bytes) return;
   std::sort(entries.begin(), entries.end(),
             [](const DirEntry& a, const DirEntry& b) {
               return a.mtime != b.mtime ? a.mtime < b.mtime : a.path < b.path;
@@ -155,9 +151,7 @@ std::uint64_t DiskStore::EvictIfNeeded() {
     RemoveFileQuiet(entry.path);
     total -= std::min(total, entry.size);
     ++stats_.evictions;
-    ++evicted;
   }
-  return evicted;
 }
 
 DiskStoreStats DiskStore::stats() const {

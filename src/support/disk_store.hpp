@@ -73,18 +73,14 @@ class DiskStore {
   std::optional<std::string> Get(const std::string& kind,
                                  const std::string& canonical);
 
-  /// What one Put did — callers forward these into trace counters.
-  struct PutResult {
-    bool stored = false;          ///< a frame was written
-    std::uint64_t evicted = 0;    ///< LRU entries removed afterwards
-  };
-
-  /// Stores `payload` for `canonical`. Skips the write when an identical
-  /// frame is already present (the common loser-of-a-race case). Triggers
-  /// LRU eviction when the store exceeds max_bytes. Failures are swallowed:
-  /// the disk tier is an accelerator, never a correctness dependency.
-  PutResult Put(const std::string& kind, const std::string& canonical,
-                const std::string& payload);
+  /// Stores `payload` for `canonical` and returns whether a frame was
+  /// written. Skips the write when an identical frame is already present
+  /// (the common loser-of-a-race case). Triggers LRU eviction when the store
+  /// exceeds max_bytes (counted in DiskStoreStats::evictions). Failures are
+  /// swallowed: the disk tier is an accelerator, never a correctness
+  /// dependency.
+  bool Put(const std::string& kind, const std::string& canonical,
+           const std::string& payload);
 
   DiskStoreStats stats() const;
 
@@ -104,7 +100,7 @@ class DiskStore {
   std::optional<std::string> DecodeFrame(const std::string& frame,
                                          const std::string& kind,
                                          const std::string& canonical) const;
-  std::uint64_t EvictIfNeeded();
+  void EvictIfNeeded();
 
   DiskStoreOptions options_;
   std::uint32_t schema_ = kDiskStoreSchemaVersion;

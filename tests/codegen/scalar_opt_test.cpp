@@ -155,10 +155,11 @@ TEST(ScalarOptTest, HoistedTemporariesAreDeclaredBeforeUse) {
   int hoisted = 0;
   for (const auto& child : optimized->body) {
     VisitExprs(child, [&](const Expr& e) {
-      if (e.kind == ExprKind::kVarRef && e.name[0] == '_')
+      if (e.kind == ExprKind::kVarRef && e.name[0] == '_') {
         EXPECT_TRUE(declared.count(e.name))
             << e.name << " is read before its declaration in\n"
             << PrintStmt(optimized);
+      }
     });
     if (child->kind == StmtKind::kDecl) {
       declared.insert(child->name);

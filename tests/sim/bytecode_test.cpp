@@ -566,6 +566,220 @@ TEST(BytecodeCompilerTest, ControlFlowPastTheMaskBudgetFailsToCompile) {
       << deep.status().ToString();
 }
 
+// ---- The observed slice (sim::MarkObserved) --------------------------------
+
+/// A hand-assembled instruction: `op` writing `dst` from `a` and `b`.
+sim::Insn Make(sim::Op op, std::uint16_t dst = 0, std::uint16_t a = 0,
+               std::uint16_t b = 0) {
+  sim::Insn i;
+  i.op = op;
+  i.dst = dst;
+  i.a = a;
+  i.b = b;
+  return i;
+}
+
+sim::Insn Const(std::uint16_t dst, double value) {
+  sim::Insn i = Make(sim::Op::kConst, dst);
+  i.type = ast::ScalarType::kInt;
+  i.imm = value;
+  return i;
+}
+
+/// A global-memory read at (`cx`, `cy`) into `dst`, under mask slot `mask`.
+sim::Insn Load(std::uint16_t dst, sim::Coord cx, sim::Coord cy,
+               std::uint16_t mask = 0) {
+  sim::Insn i = Make(sim::Op::kLoadImage, dst);
+  i.cx = cx;
+  i.cy = cy;
+  i.mask = mask;
+  i.buffer = 0;
+  return i;
+}
+
+sim::Insn Store(std::uint16_t value) {
+  sim::Insn i = Make(sim::Op::kStore, 0, value);
+  i.cx = sim::Coord{sim::CoordKind::kGidX, 0, 0};
+  i.cy = sim::Coord{sim::CoordKind::kGidY, 0, 0};
+  i.buffer = 1;
+  return i;
+}
+
+sim::Coord Reg(std::uint16_t reg) { return {sim::CoordKind::kReg, reg, 0}; }
+
+sim::Program Marked(std::vector<sim::Insn> code, int num_regs,
+                    int num_masks) {
+  sim::Program prog;
+  prog.code = std::move(code);
+  prog.num_regs = num_regs;
+  prog.num_masks = num_masks;
+  sim::MarkObserved(&prog);
+  return prog;
+}
+
+TEST(ObservedSliceTest, MaskedAssignDoesNotKill) {
+  // r1 is -4 in every lane, then 4 in the lanes of mask 1; the load reads
+  // both values, so the full kConst stays observed. Kernel-level parity
+  // cannot catch a pass that lets kAssign kill: a compiled then-block sits
+  // behind a kJumpIfNone whose skip path keeps the variable live.
+  const sim::Program prog = Marked(
+      {
+          Make(sim::Op::kThreadIdx, 0),                  // 0: r0 = gid_x
+          Make(sim::Op::kMaskIf, 1, 0, 2),               // 1: split by r0
+          Const(1, -4),                                  // 2: r1 = -4
+          Const(2, 4),                                   // 3: r2 = 4
+          [] {                                           // 4: r1 = r2 (mask 1)
+            sim::Insn i = Make(sim::Op::kAssign, 1, 2);
+            i.type = ast::ScalarType::kInt;
+            i.mask = 1;
+            return i;
+          }(),
+          Load(3, Reg(1), {sim::CoordKind::kGidY, 0, 0}),  // 5
+          Store(3),                                      // 6
+      },
+      4, 3);
+  EXPECT_TRUE(prog.code[0].observed);
+  EXPECT_TRUE(prog.code[2].observed) << "the masked assign killed r1";
+  EXPECT_TRUE(prog.code[3].observed);
+  EXPECT_TRUE(prog.code[4].observed);
+}
+
+TEST(ObservedSliceTest, BackEdgeKeepsTheCoordinateUpdateObserved) {
+  // for (i = 0; i <= 4; i++) { v = Input(off, 0); off = off + 2; }: the
+  // update reaches the load only through kLoopInc's back edge.
+  sim::Insn head = Make(sim::Op::kLoopHead, 1, 3, 1);  // mask 1, r3 <= r1
+  head.jump = 10;
+  sim::Insn inc = Make(sim::Op::kLoopInc, 3);
+  inc.mask = 1;
+  inc.imm = 1.0;
+  inc.jump = 4;
+  sim::Insn update = Make(sim::Op::kAssign, 2, 6);  // off = r6 (mask 1)
+  update.type = ast::ScalarType::kInt;
+  update.mask = 1;
+  sim::Insn add = Make(sim::Op::kBinary, 6, 2, 5);  // r6 = off + r5
+  add.type = ast::ScalarType::kInt;
+  add.sub = static_cast<std::uint8_t>(ast::BinaryOp::kAdd);
+  const sim::Program prog = Marked(
+      {
+          Const(0, 0),                               // 0: lo
+          Const(1, 4),                               // 1: hi
+          Const(2, -4),                              // 2: off = -4
+          Make(sim::Op::kLoopInit, 3, 0),            // 3: i = lo
+          head,                                      // 4
+          Load(4, Reg(2), {sim::CoordKind::kImm, 0, 0}, 1),  // 5
+          Const(5, 2),                               // 6
+          add,                                       // 7
+          update,                                    // 8
+          inc,                                       // 9: back to 4
+          Store(4),                                  // 10
+      },
+      7, 2);
+  for (std::size_t pc = 0; pc < prog.code.size(); ++pc)
+    EXPECT_TRUE(prog.code[pc].observed) << "pc " << pc;
+}
+
+TEST(ObservedSliceTest, OnlyAddressesMasksAndLoopBoundsAreRoots) {
+  sim::Insn exp = Make(sim::Op::kCall, 7, 0);  // r7 = exp(r0)
+  exp.sub = static_cast<std::uint8_t>(sim::VmBuiltin::kExp);
+  sim::Insn mul = Make(sim::Op::kBinary, 8, 7, 5);  // r8 = r7 * r5
+  mul.sub = static_cast<std::uint8_t>(ast::BinaryOp::kMul);
+  sim::Insn head = Make(sim::Op::kLoopHead, 3, 6, 2);  // mask 3, r6 <= r2
+  head.jump = 12;
+  sim::Insn inc = Make(sim::Op::kLoopInc, 6);
+  inc.mask = 3;
+  inc.imm = 1.0;
+  inc.jump = 10;
+  const sim::Program prog = Marked(
+      {
+          Const(0, 1.5),                                  // 0
+          Const(1, 1),                                    // 1
+          Const(2, 3),                                    // 2
+          Const(3, 0),                                    // 3
+          Const(4, 7),                                    // 4
+          Make(sim::Op::kMaskIf, 1, 1, 2),                // 5: by r1
+          Load(5, Reg(4), {sim::CoordKind::kImm, 0, 0}),  // 6: at (r4, 0)
+          exp,                                            // 7
+          mul,                                            // 8
+          Make(sim::Op::kLoopInit, 6, 3),                 // 9: r6 = r3
+          head,                                           // 10
+          inc,                                            // 11: back to 10
+          Store(8),                                       // 12
+      },
+      9, 4);
+  EXPECT_FALSE(prog.code[0].observed) << "reaches only a stored value";
+  EXPECT_TRUE(prog.code[1].observed) << "a kMaskIf condition";
+  EXPECT_TRUE(prog.code[2].observed) << "a kLoopHead bound";
+  EXPECT_TRUE(prog.code[3].observed) << "a kLoopInit source";
+  EXPECT_TRUE(prog.code[4].observed) << "a kReg coordinate";
+  EXPECT_FALSE(prog.code[7].observed);
+  EXPECT_FALSE(prog.code[8].observed);
+  for (const std::size_t pc : {5u, 6u, 9u, 10u, 11u, 12u})
+    EXPECT_TRUE(prog.code[pc].observed) << "pc " << pc;
+}
+
+/// The last instruction before `pc` in program order that writes `reg`.
+const sim::Insn* LastWriter(const sim::Program& prog, std::size_t pc,
+                            std::uint16_t reg) {
+  while (pc-- > 0) {
+    const sim::Insn& I = prog.code[pc];
+    if (I.op != sim::Op::kStore && I.op != sim::Op::kMaskIf &&
+        I.op != sim::Op::kLoopHead && I.op != sim::Op::kJumpIfNone &&
+        I.op != sim::Op::kBarrier && I.op != sim::Op::kAccount &&
+        I.dst == reg)
+      return &I;
+  }
+  return nullptr;
+}
+
+TEST(ObservedSliceTest, CompiledBilateralObservesItsCoordinatesOnly) {
+  // Listing 1 with a runtime sigma_d: the window loops stay loops, so
+  // Input(xf, yf) reads register coordinates gid + xf and gid + yf. Every
+  // exp weights a value that reaches only the stored pixel.
+  compiler::CompileOptions options;
+  options.device = hw::TeslaC2050();
+  options.image_width = 256;
+  options.image_height = 256;
+  Result<compiler::CompiledKernel> compiled = compiler::Compile(
+      ops::BilateralSource(2, BoundaryMode::kClamp), options);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const sim::Program* prog =
+      compiled.value().bytecode->Find(ast::Region::kInterior);
+  ASSERT_NE(prog, nullptr);
+
+  int exps = 0;
+  int reg_loads = 0;
+  for (std::size_t pc = 0; pc < prog->code.size(); ++pc) {
+    const sim::Insn& I = prog->code[pc];
+    if (I.op == sim::Op::kCall &&
+        static_cast<sim::VmBuiltin>(I.sub) == sim::VmBuiltin::kExp) {
+      ++exps;
+      EXPECT_FALSE(I.observed) << "exp at pc " << pc;
+    }
+    if (I.op != sim::Op::kLoadImage) continue;
+    for (const sim::Coord& c : {I.cx, I.cy}) {
+      if (c.kind != sim::CoordKind::kReg) continue;
+      ++reg_loads;
+      // gid + offset: a kBinary over a kThreadIdx, all of it observed.
+      const sim::Insn* sum = LastWriter(*prog, pc, c.reg);
+      ASSERT_NE(sum, nullptr) << "pc " << pc;
+      EXPECT_EQ(sum->op, sim::Op::kBinary) << "pc " << pc;
+      EXPECT_TRUE(sum->observed) << "pc " << pc;
+      const std::size_t at = static_cast<std::size_t>(sum - prog->code.data());
+      bool from_index = false;
+      for (const std::uint16_t operand : {sum->a, sum->b}) {
+        const sim::Insn* w = LastWriter(*prog, at, operand);
+        if (w && w->op == sim::Op::kThreadIdx) {
+          from_index = true;
+          EXPECT_TRUE(w->observed) << "pc " << pc;
+        }
+      }
+      EXPECT_TRUE(from_index) << "pc " << pc;
+    }
+  }
+  EXPECT_EQ(exps, 3);
+  EXPECT_GE(reg_loads, 2);
+}
+
 TEST(OracleParityTest, MeasureMatchesTheOracleOnFig4Configurations) {
   // The Figure 4 kernel (13x13 bilateral, constant mask, Clamp) at 256x256
   // on a few configurations, including 512-thread blocks and PPT 8: the

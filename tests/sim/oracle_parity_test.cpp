@@ -3,9 +3,12 @@
 // (13x13 bilateral, 4096x4096, Tesla C2050, PPT 1/2/4/8), the sampled
 // measurement on the bytecode VM must equal the oracle's — configuration,
 // occupancy, border threads, every metric counter and the modelled time —
-// and the VM must finish the sweep faster than the oracle.
+// and the VM must finish the sweep faster than the oracle. The VM's Measure
+// computes only what the model observes (sim::MarkObserved) while the
+// oracle computes every value, so the parity also proves the skipped values
+// unobservable.
 //
-// The two sweeps take about 45 s on four cores, so ctest does not register
+// The two sweeps take about 70 s on four cores, so ctest does not register
 // this binary; CI runs it as its own step:
 //
 //   build/tests/sim/oracle_parity_test

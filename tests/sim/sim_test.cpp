@@ -268,23 +268,5 @@ TEST(SimulatorTest, DegenerateRegionLaunchRejected) {
   EXPECT_NE(st.message().find("too small"), std::string::npos);
 }
 
-TEST(SimulatorOptionsTest, ParseExecEngineAcceptsBothEngines) {
-  // The --sim-engine flag surface: both engine names the help text
-  // advertises must parse, and the rejection message must list them so a
-  // typo points at the full choice set. The tree-walking interpreter is a
-  // test oracle, not an engine the product can select.
-  ASSERT_TRUE(ParseExecEngine("bytecode").ok());
-  EXPECT_EQ(ParseExecEngine("bytecode").value(), ExecEngine::kBytecode);
-  ASSERT_TRUE(ParseExecEngine("native").ok());
-  EXPECT_EQ(ParseExecEngine("native").value(), ExecEngine::kNative);
-  for (const char* bad_name : {"ast", "jit"}) {
-    const Result<ExecEngine> bad = ParseExecEngine(bad_name);
-    ASSERT_FALSE(bad.ok()) << bad_name;
-    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(bad.status().message().find("'bytecode'"), std::string::npos);
-    EXPECT_NE(bad.status().message().find("'native'"), std::string::npos);
-  }
-}
-
 }  // namespace
 }  // namespace hipacc::sim

@@ -50,9 +50,8 @@ TEST(DiskStoreTest, PutGetRoundTrip) {
   ASSERT_TRUE(store.enabled());
 
   EXPECT_FALSE(store.Get("target", "key-a").has_value());
-  const DiskStore::PutResult put = store.Put("target", "key-a", "payload-a");
-  EXPECT_TRUE(put.stored);
-  EXPECT_EQ(put.evicted, 0u);
+  EXPECT_TRUE(store.Put("target", "key-a", "payload-a"));
+  EXPECT_EQ(store.stats().evictions, 0u);
 
   const std::optional<std::string> got = store.Get("target", "key-a");
   ASSERT_TRUE(got.has_value());
@@ -72,26 +71,25 @@ TEST(DiskStoreTest, DisabledStoreIsANoOp) {
   DiskStore store;  // empty root
   EXPECT_FALSE(store.enabled());
   EXPECT_FALSE(store.Get("target", "key").has_value());
-  const DiskStore::PutResult put = store.Put("target", "key", "payload");
-  EXPECT_FALSE(put.stored);
+  EXPECT_FALSE(store.Put("target", "key", "payload"));
   EXPECT_FALSE(store.Get("target", "key").has_value());
 }
 
 TEST(DiskStoreTest, DedupSkipsIdenticalFrame) {
   DiskStore store(RootedOptions(FreshRoot("dedup")));
-  EXPECT_TRUE(store.Put("jit", "key", "same-bytes").stored);
-  EXPECT_FALSE(store.Put("jit", "key", "same-bytes").stored);
+  EXPECT_TRUE(store.Put("jit", "key", "same-bytes"));
+  EXPECT_FALSE(store.Put("jit", "key", "same-bytes"));
   EXPECT_EQ(store.stats().stores, 1u);
   EXPECT_EQ(store.stats().dedup, 1u);
   // A changed payload for the same key is rewritten, not deduped.
-  EXPECT_TRUE(store.Put("jit", "key", "new-bytes").stored);
+  EXPECT_TRUE(store.Put("jit", "key", "new-bytes"));
   EXPECT_EQ(*store.Get("jit", "key"), "new-bytes");
 }
 
 TEST(DiskStoreTest, CorruptEntryIsAMissAndSelfRepairs) {
   const std::string root = FreshRoot("corrupt");
   DiskStore store(RootedOptions(root));
-  ASSERT_TRUE(store.Put("target", "key", "good payload").stored);
+  ASSERT_TRUE(store.Put("target", "key", "good payload"));
 
   const std::vector<fs::path> files = EntryFiles(root);
   ASSERT_EQ(files.size(), 1u);
@@ -105,7 +103,7 @@ TEST(DiskStoreTest, CorruptEntryIsAMissAndSelfRepairs) {
   EXPECT_FALSE(store.Get("target", "key").has_value());
   EXPECT_EQ(store.stats().corrupt, 1u);
   EXPECT_TRUE(EntryFiles(root).empty());
-  EXPECT_TRUE(store.Put("target", "key", "good payload").stored);
+  EXPECT_TRUE(store.Put("target", "key", "good payload"));
   EXPECT_EQ(*store.Get("target", "key"), "good payload");
 
   // Truncation (the crash-mid-write shape WriteFileAtomic prevents, but a
@@ -120,7 +118,7 @@ TEST(DiskStoreTest, CorruptEntryIsAMissAndSelfRepairs) {
 TEST(DiskStoreTest, SchemaVersionBumpInvalidatesOldEntries) {
   const std::string root = FreshRoot("version");
   DiskStore v_current(RootedOptions(root));
-  ASSERT_TRUE(v_current.Put("target", "key", "old-schema payload").stored);
+  ASSERT_TRUE(v_current.Put("target", "key", "old-schema payload"));
 
   DiskStoreOptions bumped = RootedOptions(root);
   bumped.schema_version_override = kDiskStoreSchemaVersion + 1;
@@ -130,7 +128,7 @@ TEST(DiskStoreTest, SchemaVersionBumpInvalidatesOldEntries) {
   // The bumped store sees an empty cache and repopulates under its own
   // version directory; the old store still reads its own entries.
   EXPECT_FALSE(v_next.Get("target", "key").has_value());
-  EXPECT_TRUE(v_next.Put("target", "key", "new-schema payload").stored);
+  EXPECT_TRUE(v_next.Put("target", "key", "new-schema payload"));
   EXPECT_EQ(*v_next.Get("target", "key"), "new-schema payload");
   EXPECT_EQ(*v_current.Get("target", "key"), "old-schema payload");
 }
@@ -152,11 +150,10 @@ TEST(DiskStoreTest, LruEvictionUnderSizeCap) {
   // The old entry sits under a kind no consumer reads any more, as entries
   // an older build left behind do: eviction walks every kind directory, so
   // it still counts toward the cap and ages out.
-  ASSERT_TRUE(store.Put("target", "old", payload).stored);
+  ASSERT_TRUE(store.Put("target", "old", payload));
   for (const fs::path& file : EntryFiles(root)) Backdate(file, 60);
-  const DiskStore::PutResult put = store.Put("jit", "new", payload);
-  EXPECT_TRUE(put.stored);
-  EXPECT_GE(put.evicted, 1u);
+  EXPECT_TRUE(store.Put("jit", "new", payload));
+  EXPECT_GE(store.stats().evictions, 1u);
 
   EXPECT_FALSE(store.Get("target", "old").has_value());
   const std::optional<std::string> kept = store.Get("jit", "new");
@@ -172,17 +169,17 @@ TEST(DiskStoreTest, GetRefreshesLruRecency) {
   options.max_bytes = 10 * 1024;  // fits two payloads, not three
   DiskStore store(options);
 
-  ASSERT_TRUE(store.Put("target", "a", payload).stored);
+  ASSERT_TRUE(store.Put("target", "a", payload));
   const std::vector<fs::path> after_a = EntryFiles(root);
   ASSERT_EQ(after_a.size(), 1u);
   Backdate(after_a[0], 180);
-  ASSERT_TRUE(store.Put("target", "b", payload).stored);
+  ASSERT_TRUE(store.Put("target", "b", payload));
   for (const fs::path& file : EntryFiles(root))
     if (file != after_a[0]) Backdate(file, 120);
   // Touch "a": its mtime refreshes to now, leaving "b" least recently used.
   ASSERT_TRUE(store.Get("target", "a").has_value());
 
-  ASSERT_TRUE(store.Put("target", "c", payload).stored);
+  ASSERT_TRUE(store.Put("target", "c", payload));
   EXPECT_TRUE(store.Get("target", "a").has_value());
   EXPECT_FALSE(store.Get("target", "b").has_value());
   EXPECT_TRUE(store.Get("target", "c").has_value());
@@ -207,7 +204,7 @@ TEST(DiskStoreTest, ConcurrentGetOrPutYieldsOneConsistentEntry) {
           ASSERT_EQ(*hit, payload);
           continue;
         }
-        if (local.Put("jit", "raced-key", payload).stored) stored[i] = 1;
+        if (local.Put("jit", "raced-key", payload)) stored[i] = 1;
       }
     });
   }
@@ -256,8 +253,9 @@ TEST(ResolveCacheDirTest, SpecAndEnvironmentSemantics) {
   // With no override at all the default lands under the user cache dir.
   ::unsetenv("HIPACC_CACHE_DIR");
   const std::string fallback = ResolveCacheDir("");
-  if (!fallback.empty())
+  if (!fallback.empty()) {
     EXPECT_NE(fallback.find("hipacc"), std::string::npos) << fallback;
+  }
 }
 
 }  // namespace

@@ -87,7 +87,6 @@ Result<PassReport> RunPass(const std::vector<Case>& cases) {
 
     sim::SimulatorOptions so;
     so.engine = sim::ExecEngine::kNative;
-    so.jit_threshold = 1;
     sim::Simulator simulator(hw::TeslaC2050(), so);
     simulator.set_trace(&trace);
     Result<sim::LaunchStats> stats =

@@ -1,9 +1,9 @@
 // Native-tier speedup report: wall-clock of the simulator's two execution
 // engines (the bytecode VM and the native tier) on the interpreter
 // workloads, plus the jit trace counters, written to BENCH_jit.json. The
-// native rows tier up during an untimed warm launch (threshold 1), so the
-// measured loop sees only the dlopen'd code; the one-off host-compile cost
-// is reported separately.
+// native rows compile on an untimed warm launch (a set compiles on its
+// first native Execute), so the measured loop sees only the dlopen'd code;
+// the one-off host-compile cost is reported separately.
 //
 // The ratios this records are bounded by what the engines share: the
 // memory/timing model and libm calls are identical across engines, so
@@ -93,7 +93,6 @@ Result<Timed> MeasureCase(const Case& c, int repeats) {
   timed.fused =
       sim::jit::EmitNativeSource(*compiled.value().bytecode).has_value();
   sim::SimulatorOptions so;
-  so.jit_threshold = 1;
   for (const sim::ExecEngine engine :
        {sim::ExecEngine::kBytecode, sim::ExecEngine::kNative}) {
     so.engine = engine;

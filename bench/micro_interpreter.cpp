@@ -4,8 +4,9 @@
 // wall-clock, not modelled device time, so the engines' dispatch overhead is
 // directly comparable; the native rows should be well under the bytecode
 // rows, except Bilateral9: its runtime-bounded loops do not fuse, so its
-// native row runs the VM. Native rows tier up during a warm-up launch, so
-// the measured loop never includes the toolchain. The bytecode and host
+// native row runs the VM. A native row compiles on its warm-up launch (a
+// set compiles on its first native Execute), so the measured loop never
+// includes the toolchain. The bytecode and host
 // rows run the two instantiations of the one lane interpreter
 // (sim/lanes.hpp): warps with the device model, and 256-pixel row segments
 // without it; a host row is HostLaunch::Prepare plus RunRows over the whole
@@ -56,7 +57,6 @@ void RunEngineBench(benchmark::State& state, Workload& w,
                     sim::ExecEngine engine) {
   sim::SimulatorOptions options;
   options.engine = engine;
-  options.jit_threshold = 1;
   const sim::Simulator simulator(hw::TeslaC2050(), options);
   if (engine == sim::ExecEngine::kNative) {
     // Tier up outside the timed loop: the first launch pays the one-off

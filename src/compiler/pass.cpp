@@ -51,8 +51,8 @@ Status Parse(CompilationContext& ctx) {
 }
 
 /// Lower: KernelDecl -> DeviceKernel under the requested codegen options.
-/// Also stamps the artifact's codegen provenance, which the frontend cache
-/// stores with the IR.
+/// Also stamps the artifact's codegen provenance (a frontend-cache hit
+/// stamps it from the options instead, since the key fixes them).
 Status Lower(CompilationContext& ctx) {
   Result<ast::DeviceKernel> lowered =
       codegen::LowerKernel(ctx.artifact.decl, ctx.options.codegen);

@@ -4,11 +4,15 @@
 //
 // The backing store is host memory laid out with a device-specific padded
 // stride: the runtime queries `stride()` exactly like HIPAcc's generated
-// host code passes the padded stride to kernels for coalesced accesses.
+// host code passes the padded stride to kernels for coalesced accesses. It
+// comes from calloc, so its pixels read zero but its pages are not touched
+// until written: an image that is only sampled (a Measure reads a few
+// blocks) costs no page faults beyond those blocks.
 #pragma once
 
+#include <cstdlib>
 #include <cstring>
-#include <vector>
+#include <memory>
 
 #include "image/host_image.hpp"
 #include "support/span2d.hpp"
@@ -29,11 +33,14 @@ constexpr int PaddedStride(int width) noexcept {
 template <typename T>
 class Image {
  public:
-  /// Allocates a width x height image with padded stride on the device.
+  /// Allocates a zero-filled width x height image with padded stride on
+  /// the device.
   Image(int width, int height)
-      : width_(width), height_(height), stride_(PaddedStride(width)),
-        pixels_(static_cast<size_t>(stride_) * height) {
+      : width_(width), height_(height), stride_(PaddedStride(width)) {
     HIPACC_CHECK(width > 0 && height > 0);
+    pixels_.reset(static_cast<T*>(
+        std::calloc(static_cast<size_t>(stride_) * height, sizeof(T))));
+    HIPACC_CHECK(pixels_ != nullptr);
   }
 
   int width() const noexcept { return width_; }
@@ -49,7 +56,7 @@ class Image {
   void CopyFrom(const T* host_data) {
     HIPACC_CHECK(host_data != nullptr);
     for (int y = 0; y < height_; ++y)
-      std::memcpy(pixels_.data() + static_cast<size_t>(y) * stride_,
+      std::memcpy(pixels_.get() + static_cast<size_t>(y) * stride_,
                   host_data + static_cast<size_t>(y) * width_,
                   sizeof(T) * static_cast<size_t>(width_));
   }
@@ -64,7 +71,7 @@ class Image {
     HIPACC_CHECK(host_data != nullptr);
     for (int y = 0; y < height_; ++y)
       std::memcpy(host_data + static_cast<size_t>(y) * width_,
-                  pixels_.data() + static_cast<size_t>(y) * stride_,
+                  pixels_.get() + static_cast<size_t>(y) * stride_,
                   sizeof(T) * static_cast<size_t>(width_));
   }
 
@@ -76,9 +83,9 @@ class Image {
   }
 
   /// Device-side view including the padded stride.
-  Span2D<T> span() { return Span2D<T>(pixels_.data(), width_, height_, stride_); }
+  Span2D<T> span() { return Span2D<T>(pixels_.get(), width_, height_, stride_); }
   Span2D<const T> span() const {
-    return Span2D<const T>(pixels_.data(), width_, height_, stride_);
+    return Span2D<const T>(pixels_.get(), width_, height_, stride_);
   }
 
   /// Direct pixel access used by the executor and the simulator.
@@ -88,10 +95,14 @@ class Image {
   }
 
  private:
+  struct Free {
+    void operator()(T* p) const noexcept { std::free(p); }
+  };
+
   int width_;
   int height_;
   int stride_;
-  std::vector<T> pixels_;
+  std::unique_ptr<T[], Free> pixels_;
 };
 
 }  // namespace hipacc::dsl

@@ -454,7 +454,7 @@ Status FrameExec::BeginKernelStage(const GraphPlan::Stage& stage,
         "stage '" + stage.name +
         "' is not supported by the host executor (GraphOptions::Executor::"
         "kHost): " + HostSupports(stage).message());
-  sim::Simulator simulator(options.run.device, options.run.sim);
+  sim::Simulator simulator(options.run.device);
   Result<sim::LaunchStats> stats = simulator.Execute(launch);
   if (!stats.ok()) return stats.status();
   if (plan_.trace != nullptr) {

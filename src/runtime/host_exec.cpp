@@ -153,14 +153,15 @@ double HostLaunch::CostPerPixel(const ProgramSet& programs, int width,
 
 Result<HostLaunch> HostLaunch::Prepare(const sim::Launch& launch, int halo_x,
                                        int halo_y) {
-  HIPACC_CHECK(launch.programs != nullptr);  // every launch carries them
+  // Every launch carries its kernel and programs.
+  HIPACC_CHECK(launch.kernel != nullptr && launch.programs != nullptr);
   const ProgramSet& ps = *launch.programs;
   auto plan = std::make_unique<Plan>();
   plan->width = launch.width;
   plan->height = launch.height;
   HIPACC_RETURN_IF_ERROR(PlanRegions(ps, launch.width, launch.height, halo_x,
                                      halo_y, plan.get()));
-  HIPACC_RETURN_IF_ERROR(sim::CheckBindings(ps, launch));
+  HIPACC_RETURN_IF_ERROR(sim::CheckBindings(launch));
   plan->bind = sim::ResolveBindings(ps, launch);
   return HostLaunch(std::move(plan));
 }
@@ -178,10 +179,7 @@ Result<HostLaunch> HostLaunch::Prepare(const sim::Launch& launch, int halo_x,
       const Program& prog = *plan.grid[row][col];
       for (int x0 = xs[col]; x0 < xs[col + 1]; x0 += kLaneWidth) {
         g.SetRow(x0, y, std::min(kLaneWidth, xs[col + 1] - x0));
-        // Prepare checked the bindings, so the interpreter cannot fail.
-        const Status ran =
-            sim::RunLanes<kLaneWidth, false>(prog, plan.bind, g, file, {});
-        HIPACC_CHECK(ran.ok());
+        sim::RunLanes<kLaneWidth, false>(prog, plan.bind, g, file, {});
       }
     }
   }

@@ -23,14 +23,15 @@
 // is the matching cost model the fusion planner scores host stages with.
 //
 // A launch runs in two steps. HostLaunch::Prepare plans the nine-region
-// partition and binds the launch (sim::ResolveBindings, after
-// sim::CheckBindings); it is the only step that can fail. RunRows then
-// writes any band of output rows, and is infallible. The region is picked
-// per row, so every cut of the rows into bands gives the same values, and
-// disjoint bands may run on different threads at once: the graph runtime's
-// frame loop (runtime/stream_executor.hpp) spreads one stage's bands over
-// its idle workers. Each thread keeps its own register file across bands
-// and launches.
+// partition, checks the launch's bindings (sim::CheckBindings, the check
+// Simulator::Validate makes) and binds it (sim::ResolveBindings); it is the
+// only step that can fail. RunRows then writes any band of output rows, and
+// is infallible. The region is picked per row, so every cut of the rows
+// into bands gives the same values, and disjoint bands may run on different
+// threads at once: the graph runtime's frame loop
+// (runtime/stream_executor.hpp) spreads one stage's bands over its idle
+// workers. Each thread keeps its own register file across bands and
+// launches.
 //
 // Programs the executor cannot prove equivalent fail Supports (and Prepare)
 // with Unimplemented: scratchpad staging (kLoadShared), texture/hardware
@@ -69,8 +70,8 @@ class HostLaunch {
   /// Prepares `launch.programs` over the launch's iteration space, with the
   /// halo as in Supports. Buffers are bound by pointer, so `launch` must
   /// outlive the HostLaunch. Fails with Supports' Unimplemented status, or
-  /// with sim::CheckBindings' Invalid status when an instruction touches an
-  /// unbound buffer or mask or stores to a read-only buffer.
+  /// with sim::CheckBindings' Invalid status when the launch leaves a kernel
+  /// buffer or constant mask unbound or binds an output read-only.
   static Result<HostLaunch> Prepare(const sim::Launch& launch, int halo_x,
                                     int halo_y);
 

@@ -1,9 +1,9 @@
 // One options struct for the pipeline graph runtime, consolidating
-// codegen::CodegenOptions (how kernels are compiled), sim::SimulatorOptions
-// (which simulator engine runs them), the device, forced configuration,
-// trace and compilation cache, plus the profile store compiles pick
-// configurations from. Runtimes only read that store; an exploration sweep
-// (compiler/explore.hpp) is what writes it.
+// codegen::CodegenOptions (how kernels are compiled), the device, forced
+// configuration, trace and compilation cache, plus the profile store
+// compiles pick configurations from. Runtimes only read that store; an
+// exploration sweep (compiler/explore.hpp) is what writes it. Stages on the
+// simulator run its default engine, the bytecode VM.
 //
 // The chainable with_* setters cover the common knobs:
 //
@@ -20,7 +20,6 @@
 #include "codegen/options.hpp"
 #include "hwmodel/config.hpp"
 #include "hwmodel/device_db.hpp"
-#include "sim/options.hpp"
 
 namespace hipacc::compiler {
 class CompilationCache;
@@ -43,8 +42,6 @@ struct RunOptions {
   /// Compilation results are memoised here; null for the process-wide
   /// GlobalCompilationCache().
   compiler::CompilationCache* cache = nullptr;
-  /// Engine and native-tier threshold of every simulated launch.
-  sim::SimulatorOptions sim;
   /// When set, every compile picks its configuration from the store's
   /// sweep records (compiler/profile.hpp). Read-only: launches never
   /// record into it; only an exploration sweep does.
@@ -88,10 +85,6 @@ struct RunOptions {
   }
   RunOptions& with_profiles(compiler::ProfileStore* p) {
     profiles = p;
-    return *this;
-  }
-  RunOptions& with_sim_engine(sim::ExecEngine engine) {
-    sim.engine = engine;
     return *this;
   }
 };

@@ -410,8 +410,7 @@ Status StreamExecutor::MeasureStageCosts() {
         Result<sim::LaunchStats> stats = holder.status();
         if (holder.ok()) {
           holder.value().launch.programs = ck.bytecode.get();
-          sim::Simulator simulator(graph_options_.run.device,
-                                   graph_options_.run.sim);
+          sim::Simulator simulator(graph_options_.run.device);
           stats = simulator.Measure(holder.value().launch);
         }
         for (BufferPool::ImagePtr& image : held)

@@ -50,10 +50,7 @@ Result<BlockState::Plan> BlockState::Begin() {
   plan.threads = launch.config.threads();
   plan.warps = (plan.threads + warp_size - 1) / warp_size;
 
-  if (kernel.smem) {
-    const Status staged = StageScratchpad(plan.warps, plan.threads);
-    if (!staged.ok()) return staged;
-  }
+  if (kernel.smem) StageScratchpad(plan.warps, plan.threads);
   return plan;
 }
 
@@ -87,11 +84,10 @@ void BlockState::BuildWarpContext(int warp, int threads) {
 }
 
 // ---- scratchpad staging (Listing 7) ----------------------------------------
-Status BlockState::StageScratchpad(int warps, int threads) {
+void BlockState::StageScratchpad(int warps, int threads) {
   const SmemPlan& plan = *launch.kernel->smem;
   const BufferBinding* src = launch.FindBuffer(plan.accessor);
-  if (!src)
-    return Status::Invalid("unbound staged accessor " + plan.accessor);
+  HIPACC_CHECK(src != nullptr);
   const int bx = launch.config.block_x;
   const int by = launch.config.block_y;
   const int ppt = launch.kernel->ppt;
@@ -142,7 +138,6 @@ Status BlockState::StageScratchpad(int warps, int threads) {
     }
   }
   metrics->alu_ops += 1;  // barrier
-  return Status::Ok();
 }
 
 }  // namespace hipacc::sim

@@ -78,7 +78,9 @@ struct BlockState {
   int tile_h = 0;
 
  private:
-  Status StageScratchpad(int warps, int threads);
+  /// Fills the tile from the staged accessor, a kernel buffer the launch
+  /// bound (CheckBindings).
+  void StageScratchpad(int warps, int threads);
 };
 
 }  // namespace hipacc::sim

@@ -130,8 +130,8 @@ struct Program {
 };
 
 /// All region programs of one kernel plus the name tables a Launch binds to
-/// (ResolveBindings, launch.hpp; bindings stay lazy: a missing buffer only
-/// errors when an instruction touches it, like the oracle).
+/// (ResolveBindings, launch.hpp, after CheckBindings: the tables hold only
+/// names of the kernel's buffers and masks).
 struct ProgramSet {
   std::string kernel_name;
   std::vector<Program> programs;

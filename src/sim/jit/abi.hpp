@@ -18,7 +18,7 @@ namespace hipacc::sim::jit {
 /// only the device's warp_size are live (trailing mask lanes stay zero).
 inline constexpr int kJitMaxWarp = 64;
 
-inline constexpr int kJitAbiVersion = 2;
+inline constexpr int kJitAbiVersion = 3;
 
 /// Memory-instruction kinds reported through JitWarpCtx::mem_access.
 inline constexpr int kJitMemGlobalRead = 0;
@@ -27,29 +27,20 @@ inline constexpr int kJitMemShared = 2;
 inline constexpr int kJitMemConstant = 3;
 inline constexpr int kJitMemTexture = 4;
 
-/// Error codes returned by a warp function as (code << 16) | table_index.
-/// The host maps them back onto the exact VM Status messages.
-inline constexpr int kJitErrLoadUnbound = 1;
-inline constexpr int kJitErrStoreUnbound = 2;
-inline constexpr int kJitErrMaskUnbound = 3;
-
-/// One launch-bound image buffer (ProgramSet::buffer_names order). `bound`
-/// is 0 for names the launch did not bind — legal until an instruction
-/// touches the slot, exactly like the VM's lazy binding.
+/// One launch-bound image buffer (ProgramSet::buffer_names order). The
+/// launch passed CheckBindings, so every slot an instruction touches is
+/// bound, and every stored one writable.
 struct JitBuffer {
   float* data = nullptr;
   int width = 0;
   int height = 0;
   int stride = 0;
-  int writable = 0;
-  int bound = 0;
 };
 
 /// One constant-mask table (ProgramSet::const_masks order).
 struct JitMaskTable {
   const float* data = nullptr;
   unsigned long long size = 0;
-  int bound = 0;
 };
 
 /// Per-memory-instruction callback into the host memory model: `addrs`
@@ -102,7 +93,7 @@ struct JitWarpCtx {
   const JitBuffer* buffers = nullptr;
   const JitMaskTable* mask_tables = nullptr;
 
-  // Metric accumulators (flushed once per warp call on every exit path).
+  // Metric accumulators (flushed once per warp call).
   unsigned long long* alu = nullptr;
   unsigned long long* sfu = nullptr;
   unsigned long long* oob = nullptr;
@@ -112,8 +103,8 @@ struct JitWarpCtx {
   void* host = nullptr;
 };
 
-/// Signature of a generated per-warp region function. Returns 0 on success
-/// or (error code << 16) | table index.
-using JitWarpFn = int (*)(JitWarpCtx*);
+/// Signature of a generated per-warp region function. It cannot fail: the
+/// host checks a launch's bindings before any block runs.
+using JitWarpFn = void (*)(JitWarpCtx*);
 
 }  // namespace hipacc::sim::jit

@@ -129,8 +129,7 @@ JitCache::Outcome JitCache::GetOrCompile(const ProgramSet& ps) {
   return out;
 }
 
-const NativeProgram* AcquireNative(const ProgramSet& ps, int threshold,
-                                   TraceSink* trace) {
+const NativeProgram* AcquireNative(const ProgramSet& ps, TraceSink* trace) {
   TierState* ts = ps.jit_state.get();
   if (!ts) return nullptr;
 
@@ -140,13 +139,6 @@ const NativeProgram* AcquireNative(const ProgramSet& ps, int threshold,
     return fast;
   }
   if (ts->phase.load(std::memory_order_relaxed) == 2) {
-    if (trace) trace->IncrementCounter("jit.vm");
-    return nullptr;
-  }
-
-  const std::uint64_t launch =
-      ts->launches.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (launch < static_cast<std::uint64_t>(threshold > 0 ? threshold : 1)) {
     if (trace) trace->IncrementCounter("jit.vm");
     return nullptr;
   }

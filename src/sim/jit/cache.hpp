@@ -10,8 +10,8 @@
 //    under the same identity, so a warm second process pays a dlopen
 //    instead of a toolchain run ("cache.disk.*" counters).
 //  - TierState: per-ProgramSet tiering (hung off ProgramSet::jit_state, so
-//    the target-level compilation cache shares it for free). Counts
-//    launches, flips to the native program at the configured threshold, and
+//    the target-level compilation cache shares it for free). The set's first
+//    native launch compiles it; the state then holds the native program, or
 //    latches the VM when the set does not fuse or the toolchain fails, so a
 //    broken toolchain is probed exactly once.
 #pragma once
@@ -56,9 +56,8 @@ struct NativeProgram {
 /// Per-ProgramSet tiering state. Created by CompileToBytecode; shared by
 /// every Simulator (and exploration lane) holding the same ProgramSet.
 struct TierState {
-  std::atomic<std::uint64_t> launches{0};
-  /// 0 = cold (VM), 1 = native ready, 2 = latched to the VM (the set does
-  /// not fuse, or the toolchain failed).
+  /// 0 = not compiled yet, 1 = native ready, 2 = latched to the VM (the set
+  /// does not fuse, or the toolchain failed).
   std::atomic<int> phase{0};
   std::mutex mu;
   std::shared_ptr<const NativeProgram> program;  // guarded by mu
@@ -112,14 +111,13 @@ class JitCache {
   std::atomic<std::uint64_t> compiles_{0};
 };
 
-/// The tiering decision for one launch with engine == kNative. Counts the
-/// launch, compiles through JitCache once the threshold is reached, and
-/// returns the native program when ready (else nullptr: run the VM). A set
-/// that does not fuse is latched to the VM without an error or a warning.
-/// Emits jit.hit / jit.compile / jit.cache_hit / jit.vm / jit.error trace
-/// counters on `trace` when attached.
-const NativeProgram* AcquireNative(const ProgramSet& ps, int threshold,
-                                   TraceSink* trace);
+/// The tiering decision for one launch with engine == kNative. Compiles
+/// through JitCache on the set's first launch and returns the native
+/// program when ready (else nullptr: run the VM). A set that does not fuse
+/// is latched to the VM without an error or a warning. Emits jit.hit /
+/// jit.compile / jit.cache_hit / jit.vm / jit.error trace counters on
+/// `trace` when attached.
+const NativeProgram* AcquireNative(const ProgramSet& ps, TraceSink* trace);
 
 }  // namespace jit
 }  // namespace hipacc::sim

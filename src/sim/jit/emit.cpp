@@ -101,19 +101,6 @@ static inline int jit_resolve(int c, int n, int mode, int check_lo,
   }
   return jit_reflect(c, n, mode);
 }
-// Accumulates metric deltas in locals; the destructor flushes them on
-// every exit path (including error returns), like the lane interpreter's.
-struct JitFlush {
-  hipacc::sim::jit::JitWarpCtx* c;
-  unsigned long long alu = 0, sfu = 0, oob = 0, n = 0;
-  explicit JitFlush(hipacc::sim::jit::JitWarpCtx* ctx) : c(ctx) {}
-  ~JitFlush() {
-    *c->alu += alu;
-    *c->sfu += sfu;
-    *c->oob += oob;
-    *c->insns += n;
-  }
-};
 )jit";
 
 /// Emits the body of one region program as one extern "C" function.
@@ -128,7 +115,7 @@ class FnEmitter {
   bool Emit(const std::string& symbol) {
     if (!AnalyzeFusion()) return false;
     out_ += StrFormat(
-        "\nextern \"C\" int %s(hipacc::sim::jit::JitWarpCtx* ctx) {\n",
+        "\nextern \"C\" void %s(hipacc::sim::jit::JitWarpCtx* ctx) {\n",
         symbol.c_str());
     EmitFusedBody();
     out_ += "}\n";
@@ -304,36 +291,25 @@ class FnEmitter {
     return "0";
   }
 
-  /// First use of a global buffer: binding check (program order, before any
-  /// side effect) plus hoisted field loads shared by every insn on it.
-  void FuseBuffer(int b, bool store) {
+  /// First use of a global buffer: hoisted field loads shared by every insn
+  /// on it.
+  void FuseBuffer(int b) {
     if (!fbuf_seen_.insert(b).second) return;
-    fchecks_ += StrFormat(
-        "  const hipacc::sim::jit::JitBuffer* b%d = &ctx->buffers[%d];\n", b,
-        b);
-    fchecks_ += store ? StrFormat(
-                            "  if (!b%d->bound || !b%d->writable) return (2 "
-                            "<< 16) | %d;\n",
-                            b, b, b)
-                      : StrFormat("  if (!b%d->bound) return (1 << 16) | %d;\n",
-                                  b, b);
     fdecls_ += StrFormat(
+        "  const hipacc::sim::jit::JitBuffer* b%d = &ctx->buffers[%d];\n"
         "  const int bw%d = b%d->width; const int bh%d = b%d->height;\n"
         "  const int bs%d = b%d->stride; float* const bp%d = b%d->data;\n",
-        b, b, b, b, b, b, b, b);
+        b, b, b, b, b, b, b, b, b, b);
   }
 
   void FuseMaskTable(int t) {
     if (!fmask_seen_.insert(t).second) return;
-    fchecks_ += StrFormat(
+    fdecls_ += StrFormat(
         "  const hipacc::sim::jit::JitMaskTable* mt%d = "
         "&ctx->mask_tables[%d];\n"
-        "  if (!mt%d->bound) return (3 << 16) | %d;\n",
-        t, t, t, t);
-    fdecls_ += StrFormat(
         "  const float* md%d = mt%d->data;"
         " const unsigned long long ms%d = mt%d->size;\n",
-        t, t, t, t);
+        t, t, t, t, t, t);
   }
 
   /// Declares the per-step address buffer and schedules the post-loop
@@ -502,7 +478,7 @@ class FnEmitter {
     const bool hw = I.hw_bh || tex;
     const int mode = static_cast<int>(I.boundary);
     const int K = I.buffer;
-    FuseBuffer(K, /*store=*/false);
+    FuseBuffer(K);
     FuseMemSlot(step, tex ? 4 : 0);
     // Loaded pixels are floats: the result lives in the float local
     // (res F), and every written value — pixel, boundary constant, masked
@@ -533,7 +509,7 @@ class FnEmitter {
         "&violation);\n"
         "        const int ry = jit_resolve(cy, bh%d, %d, %d, %d, %d, "
         "&violation);\n"
-        "        if (violation) ++fl.oob;\n"
+        "        if (violation) ++oob;\n"
         "        if (rx < 0 || ry < 0) { f%u = %s; }\n"
         "        else { const unsigned long long ad =\n"
         "                   (unsigned long long)ry * bs%d + rx;\n"
@@ -559,7 +535,7 @@ class FnEmitter {
         "    if (!m%u) { f%u = 0.0f; } else {\n"
         "      const int sx = %s; const int sy = %s;\n"
         "      if (sx < 0 || sx >= tw || sy < 0 || sy >= th) {\n"
-        "        ++fl.oob; f%u = 0.0f;\n"
+        "        ++oob; f%u = 0.0f;\n"
         "      } else {\n"
         "        const unsigned long long ad =\n"
         "            (unsigned long long)sy * tw + sx;\n"
@@ -579,7 +555,7 @@ class FnEmitter {
         "    if (!m%u) { f%u = 0.0f; } else {\n"
         "      const unsigned long long ad =\n"
         "          (unsigned long long)(%s) * %d + (%s);\n"
-        "      if (ad >= ms%d) { ++fl.oob; f%u = 0.0f; }\n"
+        "      if (ad >= ms%d) { ++oob; f%u = 0.0f; }\n"
         "      else { f%u = md%d[ad]; a%d[n%d++] = ad; }\n"
         "    }\n",
         I.mask, I.dst, FusedCoord(I.cy).c_str(), width,
@@ -591,7 +567,7 @@ class FnEmitter {
 
   void EmitFusedStore(int step, const Insn& I) {
     const int K = I.buffer;
-    FuseBuffer(K, /*store=*/true);
+    FuseBuffer(K);
     // The VM narrows to float at write time, so the deferred value is
     // buffered as the float actually stored.
     fdecls_ += StrFormat(
@@ -612,7 +588,7 @@ class FnEmitter {
         "    if (!sm%d[l]) continue;\n"
         "    const int px = sx%d[l]; const int py = sy%d[l];\n"
         "    if (px < 0 || px >= bw%d || py < 0 || py >= bh%d) {\n"
-        "      ++fl.oob; continue;\n"
+        "      ++oob; continue;\n"
         "    }\n"
         "    const unsigned long long ad = (unsigned long long)py * bs%d + "
         "px;\n"
@@ -864,8 +840,7 @@ class FnEmitter {
     }
 
     out_ += "  const int W = ctx->warp_size;\n";
-    out_ += fchecks_;
-    out_ += "  JitFlush fl(ctx);\n";
+    out_ += "  unsigned long long oob = 0;\n";
     out_ += fdecls_;
     out_ += "  for (int l = 0; l < W; ++l) {\n";
     for (int r = 0; r < num_regs; ++r) {
@@ -890,11 +865,10 @@ class FnEmitter {
     out_ += fbody_;
     out_ += "  }\n";
     out_ += fpost_;
-    out_ += StrFormat("  fl.n += %lluull;\n",
+    out_ += StrFormat("  *ctx->insns += %lluull;\n  *ctx->oob += oob;\n",
                       static_cast<unsigned long long>(schedule_.size()));
-    if (falu_) out_ += StrFormat("  fl.alu += %lluull;\n", falu_);
-    if (fsfu_) out_ += StrFormat("  fl.sfu += %lluull;\n", fsfu_);
-    out_ += "  return 0;\n";
+    if (falu_) out_ += StrFormat("  *ctx->alu += %lluull;\n", falu_);
+    if (fsfu_) out_ += StrFormat("  *ctx->sfu += %lluull;\n", fsfu_);
   }
 
   const ProgramSet& ps_;
@@ -914,7 +888,7 @@ class FnEmitter {
   std::vector<int> ty_;
   std::vector<char> res_;
   std::set<int> fbuf_seen_, fmask_seen_;
-  std::string fchecks_, fdecls_, fbody_, fpost_;
+  std::string fdecls_, fbody_, fpost_;
   bool ftile_ = false;
   unsigned long long falu_ = 0, fsfu_ = 0;
 };

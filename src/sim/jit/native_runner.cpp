@@ -57,22 +57,6 @@ void MemAccessThunk(void* host, int kind, const unsigned long long* addrs,
   }
 }
 
-Status MapError(const ProgramSet& ps, int rc) {
-  const int code = rc >> 16;
-  const std::size_t index = static_cast<std::size_t>(rc & 0xffff);
-  switch (code) {
-    case kJitErrLoadUnbound:
-      return Status::Invalid("unbound buffer " + ps.buffer_names[index]);
-    case kJitErrStoreUnbound:
-      return Status::Invalid("write to unbound or read-only buffer " +
-                             ps.buffer_names[index]);
-    case kJitErrMaskUnbound:
-      return Status::Invalid("unbound constant mask " +
-                             ps.const_masks[index].name);
-  }
-  return Status::Internal("native tier returned unknown error code");
-}
-
 }  // namespace
 
 Status RunBlockNative(const Launch& launch, const LaunchBindings& bindings,
@@ -83,9 +67,7 @@ Status RunBlockNative(const Launch& launch, const LaunchBindings& bindings,
   HIPACC_CHECK(launch.kernel != nullptr && metrics != nullptr);
   const ProgramSet& ps = *bindings.programs;
   BlockState st(launch, device, block_x_idx, block_y_idx, metrics);
-  Result<BlockState::Plan> begun = st.Begin();
-  if (!begun.ok()) return begun.status();
-  const BlockState::Plan plan = begun.value();
+  HIPACC_ASSIGN_OR_RETURN(const BlockState::Plan plan, st.Begin());
   const Program* prog = ps.Find(plan.region);
   const JitWarpFn fn = native.Find(plan.region);
   if (!prog || !fn)
@@ -94,28 +76,13 @@ Status RunBlockNative(const Launch& launch, const LaunchBindings& bindings,
 
   NativeScratch& scratch = ThreadScratch();
   scratch.buffers.clear();
-  for (const BufferBinding* bound : bindings.buffers) {
-    JitBuffer jb;
-    if (bound) {
-      jb.data = bound->data;
-      jb.width = bound->width;
-      jb.height = bound->height;
-      jb.stride = bound->stride;
-      jb.writable = bound->writable ? 1 : 0;
-      jb.bound = 1;
-    }
-    scratch.buffers.push_back(jb);
-  }
+  for (const BufferBinding* buf : bindings.buffers)
+    scratch.buffers.push_back(
+        JitBuffer{buf->data, buf->width, buf->height, buf->stride});
   scratch.mask_tables.clear();
-  for (const LaunchBindings::Mask& mask : bindings.masks) {
-    JitMaskTable mt;
-    if (mask.data) {
-      mt.data = mask.data->data();
-      mt.size = mask.data->size();
-      mt.bound = 1;
-    }
-    scratch.mask_tables.push_back(mt);
-  }
+  for (const LaunchBindings::Mask& mask : bindings.masks)
+    scratch.mask_tables.push_back(
+        JitMaskTable{mask.data->data(), mask.data->size()});
 
   // The generated code only reads the parameter registers, so they are
   // seeded once per block rather than once per lane group as in the VM.
@@ -159,23 +126,13 @@ Status RunBlockNative(const Launch& launch, const LaunchBindings& bindings,
   ctx.buffers = scratch.buffers.data();
   ctx.mask_tables = scratch.mask_tables.data();
   // The ABI counters are unsigned long long (self-contained header);
-  // Metrics uses std::uint64_t. Accumulate locally and flush on every exit
-  // path — including error returns — like the lane interpreter.
-  struct Counters {
-    Metrics* m;
-    std::uint64_t* out_insns;
-    unsigned long long alu = 0, sfu = 0, oob = 0, insns = 0;
-    ~Counters() {
-      m->alu_ops += alu;
-      m->sfu_calls += sfu;
-      m->oob_violations += oob;
-      if (out_insns) *out_insns += insns;
-    }
-  } c{metrics, executed_insns};
-  ctx.alu = &c.alu;
-  ctx.sfu = &c.sfu;
-  ctx.oob = &c.oob;
-  ctx.insns = &c.insns;
+  // Metrics uses std::uint64_t. Accumulate locally and flush once, when
+  // the block ends, like the lane interpreter.
+  unsigned long long alu = 0, sfu = 0, oob = 0, insns = 0;
+  ctx.alu = &alu;
+  ctx.sfu = &sfu;
+  ctx.oob = &oob;
+  ctx.insns = &insns;
   ctx.mem_access = &MemAccessThunk;
   ctx.host = &host;
 
@@ -189,9 +146,12 @@ Status RunBlockNative(const Launch& launch, const LaunchBindings& bindings,
       gid_xi[i] = static_cast<int>(st.gid_x[i]);
       gid_yi[i] = static_cast<int>(st.gid_y[i]);
     }
-    const int rc = fn(&ctx);
-    if (rc != 0) return MapError(ps, rc);
+    fn(&ctx);
   }
+  metrics->alu_ops += alu;
+  metrics->sfu_calls += sfu;
+  metrics->oob_violations += oob;
+  if (executed_insns) *executed_insns += insns;
   return Status::Ok();
 }
 

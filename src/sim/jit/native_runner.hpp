@@ -1,10 +1,9 @@
 // Native execution engine: runs one thread block of a compiled ProgramSet
 // through its dlopened warp functions (cache.hpp) with the same observable
-// behaviour — outputs, metrics, memory-model call sequence, and error
-// texts — as the bytecode VM's RunBlockBytecode. The warp functions check
-// bindings before any side effect, while the VM fails mid-program after
-// partial metrics and model calls, so only a launch that passes
-// CheckBindings (launch.hpp) runs here.
+// behaviour — outputs, metrics and memory-model call sequence — as the
+// bytecode VM's RunBlockBytecode. Like the VM it runs only launches that
+// Simulator::Validate accepted, bindings included (CheckBindings), so the
+// warp functions carry no binding checks and cannot fail.
 #pragma once
 
 #include <cstdint>
@@ -17,9 +16,9 @@
 
 namespace hipacc::sim::jit {
 
-/// Executes one thread block through the native warp functions of a launch
-/// that passed CheckBindings, over its ResolveBindings. `executed_insns`
-/// accumulates dispatched instruction counts like the VM.
+/// Executes one thread block of a validated launch through the native warp
+/// functions, over its ResolveBindings. `executed_insns` accumulates
+/// dispatched instruction counts like the VM.
 Status RunBlockNative(const Launch& launch, const LaunchBindings& bindings,
                       const NativeProgram& native,
                       const hw::DeviceSpec& device, int block_x_idx,

@@ -185,30 +185,29 @@ inline bool AnyLane(const std::uint8_t* mk, int n) {
 /// charged and typed as its full form would be but its lanes are skipped,
 /// and stores record their addresses without writing a pixel. (A LaneModel
 /// field would grow the `LaneModel{}` the host executor passes and shift the
-/// host instantiation's register allocation.) Fails, like the oracle, when an
-/// instruction touches a buffer or constant mask the launch left unbound or
-/// stores to a read-only buffer; a launch that passed CheckBindings never
-/// fails.
+/// host instantiation's register allocation.) The launch passed
+/// CheckBindings, so every buffer and constant mask an instruction touches is
+/// bound and every stored buffer is writable: the interpreter cannot fail.
 template <int kWidth, bool kModel>
-Status RunLanes(const Program& prog, const LaunchBindings& bind,
-                const LaneGroup<kWidth>& g, LaneFile<kWidth>& f,
-                const LaneModel& model, bool model_only = false) {
+void RunLanes(const Program& prog, const LaunchBindings& bind,
+              const LaneGroup<kWidth>& g, LaneFile<kWidth>& f,
+              const LaneModel& model, bool model_only = false) {
   using namespace ast;
   using namespace lanes_detail;
   const int n = g.n;
-  const ProgramSet& ps = *bind.programs;
   f.Fit(prog);
   if (g.dense)
     std::memset(f.mask(0), 1, static_cast<std::size_t>(n));
   else
     std::memcpy(f.mask(0), g.active.data(), static_cast<std::size_t>(n));
-  const auto program = static_cast<std::size_t>(&prog - ps.programs.data());
+  const auto program =
+      static_cast<std::size_t>(&prog - bind.programs->programs.data());
   for (const LaunchBindings::Seed& seed : bind.seeds[program]) {
     f.types[seed.reg] = seed.type;
     std::fill_n(f.reg(seed.reg), n, seed.value);
   }
 
-  // Model counters, kept in locals and flushed on every exit path.
+  // Model counters, kept in locals and flushed when the program ends.
   struct Tally {
     const LaneModel& model;
     std::uint64_t insns = 0, alu = 0, sfu = 0;
@@ -497,10 +496,6 @@ Status RunLanes(const Program& prog, const LaunchBindings& bind,
       case Op::kLoadImage: {
         const BufferBinding* buf =
             bind.buffers[static_cast<std::size_t>(I.buffer)];
-        if (!buf)
-          return Status::Invalid(
-              "unbound buffer " +
-              ps.buffer_names[static_cast<std::size_t>(I.buffer)]);
         double* d = f.reg(I.dst);
         const int bw = buf->width;
         const int bh = buf->height;
@@ -608,10 +603,6 @@ Status RunLanes(const Program& prog, const LaunchBindings& bind,
       case Op::kLoadConst: {
         const LaunchBindings::Mask& mb =
             bind.masks[static_cast<std::size_t>(I.buffer)];
-        if (!mb.data)
-          return Status::Invalid(
-              "unbound constant mask " +
-              ps.const_masks[static_cast<std::size_t>(I.buffer)].name);
         double* d = f.reg(I.dst);
         const std::uint8_t* mk = f.mask(I.mask);
         const std::size_t size = mb.data->size();
@@ -659,10 +650,6 @@ Status RunLanes(const Program& prog, const LaunchBindings& bind,
       case Op::kStore: {
         const BufferBinding* buf =
             bind.buffers[static_cast<std::size_t>(I.buffer)];
-        if (!buf || !buf->writable)
-          return Status::Invalid(
-              "write to unbound or read-only buffer " +
-              ps.buffer_names[static_cast<std::size_t>(I.buffer)]);
         const double* v = f.reg(I.a);
         const bool write = !kModel || !model_only;
         begin_access();
@@ -761,7 +748,6 @@ Status RunLanes(const Program& prog, const LaunchBindings& bind,
     }
     ++pc;
   }
-  return Status::Ok();
 }
 
 }  // namespace hipacc::sim

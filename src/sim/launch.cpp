@@ -34,31 +34,19 @@ LaunchBindings ResolveBindings(const ProgramSet& programs,
   return bind;
 }
 
-Status CheckBindings(const ProgramSet& programs, const Launch& launch) {
-  const LaunchBindings bind = ResolveBindings(programs, launch);
-  for (const Program& prog : programs.programs) {
-    for (const Insn& I : prog.code) {
-      const auto index = static_cast<std::size_t>(I.buffer);
-      switch (I.op) {
-        case Op::kLoadImage:
-          if (!bind.buffers[index])
-            return Status::Invalid("unbound buffer " +
-                                   programs.buffer_names[index]);
-          break;
-        case Op::kStore:
-          if (!bind.buffers[index] || !bind.buffers[index]->writable)
-            return Status::Invalid("write to unbound or read-only buffer " +
-                                   programs.buffer_names[index]);
-          break;
-        case Op::kLoadConst:
-          if (!bind.masks[index].data)
-            return Status::Invalid("unbound constant mask " +
-                                   programs.const_masks[index].name);
-          break;
-        default:
-          break;
-      }
-    }
+Status CheckBindings(const Launch& launch) {
+  for (const ast::BufferParam& buf : launch.kernel->buffers) {
+    const BufferBinding* bound = launch.FindBuffer(buf.name);
+    if (!bound) return Status::Invalid("buffer not bound: " + buf.name);
+    if (buf.is_output && !bound->writable)
+      return Status::Invalid("output buffer bound read-only: " + buf.name);
+  }
+  for (const ast::MaskInfo& mask : launch.kernel->const_masks) {
+    const auto it = launch.const_masks.find(mask.name);
+    if (it == launch.const_masks.end())
+      return Status::Invalid("constant mask not bound: " + mask.name);
+    if (static_cast<int>(it->second.size()) != mask.size_x * mask.size_y)
+      return Status::Invalid("constant mask size mismatch: " + mask.name);
   }
   return Status::Ok();
 }

@@ -1,8 +1,10 @@
 // Kernel launch description for the simulated device: the lowered kernel,
 // the configuration, the bound buffers, mask coefficient tables, and scalar
 // arguments. Produced by the runtime, consumed by the Simulator and the
-// host executor. ResolveBindings is how every executor binds a launch's
-// names to the tables of its register programs.
+// host executor. CheckBindings is the one binding check, made before any
+// block runs (Simulator::Validate, HostLaunch::Prepare); ResolveBindings is
+// how every executor then binds a launch's names to the tables of its
+// register programs, which cannot fail.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +49,8 @@ struct Launch {
 
 /// A launch's buffers, constant masks and scalar arguments bound to the
 /// name tables of one ProgramSet, by pointer into the launch: what the VM,
-/// the native tier and the host executor read. Bindings are lazy, like the
-/// oracle's: an entry stays null until an instruction touches it.
+/// the native tier and the host executor read. For a launch that passed
+/// CheckBindings every entry an instruction touches is bound.
 struct LaunchBindings {
   struct Mask {
     const std::vector<float>* data = nullptr;
@@ -72,10 +74,11 @@ struct LaunchBindings {
 LaunchBindings ResolveBindings(const ProgramSet& programs,
                                const Launch& launch);
 
-/// Ok when `launch` binds every buffer and constant mask that an
-/// instruction of `programs` touches, and every stored buffer is writable;
-/// else the Invalid status the VM returns when it reaches such an
-/// instruction. Executors that cannot fail mid-launch check this up front.
-Status CheckBindings(const ProgramSet& programs, const Launch& launch);
+/// Ok when `launch` binds every buffer of its kernel, writable when it is
+/// an output, and every constant mask with its size_x * size_y
+/// coefficients; else Invalid naming the first that is not. The programs
+/// name only the kernel's buffers and masks, and lowering stores only to its
+/// outputs, so no executor of a checked launch can fail on a binding.
+Status CheckBindings(const Launch& launch);
 
 }  // namespace hipacc::sim

@@ -18,25 +18,19 @@
 namespace hipacc::sim {
 namespace {
 
-/// The block function of a launch on the product engines, over the
-/// launch's bindings resolved once. A sampled launch runs the VM's
+/// The block function of a validated launch on the product engines, over
+/// the launch's bindings resolved once. A sampled launch runs the VM's
 /// model-only walk whatever the engine: Measure observes, Execute computes.
-/// Execute runs the native warp functions once the tier is hot and the
-/// bindings pass CheckBindings (with engine == kNative), else the bytecode
-/// VM (counted as jit.vm under kNative). The warp functions check bindings
-/// before any side effect, while the VM fails mid-program, so a launch that
-/// fails the check runs on the VM to fail the same way.
+/// Execute runs the native warp functions when engine == kNative and the
+/// program set has a native program, else the bytecode VM.
 BlockFn ResolveExecutor(const Launch& launch, const SimulatorOptions& options,
                         bool sampled, TraceSink* trace) {
   const ProgramSet& programs = *launch.programs;
   LaunchBindings bindings = ResolveBindings(programs, launch);
-  const jit::NativeProgram* native = nullptr;
-  if (options.engine == ExecEngine::kNative && !sampled) {
-    if (CheckBindings(programs, launch).ok())
-      native = jit::AcquireNative(programs, options.jit_threshold, trace);
-    else if (trace)
-      trace->IncrementCounter("jit.vm");
-  }
+  const jit::NativeProgram* native =
+      options.engine == ExecEngine::kNative && !sampled
+          ? jit::AcquireNative(programs, trace)
+          : nullptr;
   if (trace)
     trace->IncrementCounter(native ? "sim.launch.native"
                                    : "sim.launch.bytecode");
@@ -199,17 +193,7 @@ Status Simulator::Validate(const Launch& launch) const {
                            " carries no register programs");
   if (launch.width <= 0 || launch.height <= 0)
     return Status::Invalid("empty iteration space");
-  for (const auto& buf : launch.kernel->buffers) {
-    if (!launch.FindBuffer(buf.name))
-      return Status::Invalid("buffer not bound: " + buf.name);
-  }
-  for (const auto& mask : launch.kernel->const_masks) {
-    const auto it = launch.const_masks.find(mask.name);
-    if (it == launch.const_masks.end())
-      return Status::Invalid("constant mask not bound: " + mask.name);
-    if (static_cast<int>(it->second.size()) != mask.size_x * mask.size_y)
-      return Status::Invalid("constant mask size mismatch: " + mask.name);
-  }
+  HIPACC_RETURN_IF_ERROR(CheckBindings(launch));
   const hw::OccupancyResult occ = Occupancy(launch);
   if (!occ.valid)
     return Status::Exhausted(StrFormat(

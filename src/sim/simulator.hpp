@@ -6,12 +6,14 @@
 // slightly at the image edges, which the per-region samples capture.
 //
 // Both run through one launch driver (Run), parameterised by the function
-// that executes one thread block. Execute runs the launch's register
-// programs on the engine the options select: the bytecode VM (vm.hpp) or
-// the native tier (jit/). Measure observes rather than computes: it runs the
-// VM's model-only walk, which skips the values no address, mask or loop
-// bound reads (Insn::observed) and writes no pixel, so its metrics equal a
-// full run's. Tests pass a reference executor.
+// that executes one thread block. Run validates the launch, bindings
+// included (CheckBindings), before any block runs, so a block function
+// never meets an unbound or read-only buffer. Execute runs the launch's
+// register programs on the engine the options select: the bytecode VM
+// (vm.hpp) or the native tier (jit/). Measure observes rather than
+// computes: it runs the VM's model-only walk, which skips the values no
+// address, mask or loop bound reads (Insn::observed) and writes no pixel,
+// so its metrics equal a full run's. Tests pass a reference executor.
 #pragma once
 
 #include <cstdint>
@@ -62,8 +64,9 @@ class Simulator {
   TraceSink* trace() const noexcept { return trace_; }
 
   /// Validates the launch against device limits (configs exceeding the
-  /// hardware model's resources fail like a real kernel-launch error) and
-  /// requires its register programs.
+  /// hardware model's resources fail like a real kernel-launch error),
+  /// requires its register programs and checks its bindings
+  /// (CheckBindings).
   Status Validate(const Launch& launch) const;
 
   /// Executes every block of the grid (host-parallel), producing the exact

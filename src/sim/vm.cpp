@@ -6,10 +6,10 @@
 
 namespace hipacc::sim {
 
-Status RunBlockBytecode(const Launch& launch, const LaunchBindings& bindings,
-                        const hw::DeviceSpec& device, int block_x_idx,
-                        int block_y_idx, Metrics* metrics,
-                        std::uint64_t* executed_insns, bool model_only) {
+[[gnu::aligned(64)]] Status RunBlockBytecode(
+    const Launch& launch, const LaunchBindings& bindings,
+    const hw::DeviceSpec& device, int block_x_idx, int block_y_idx,
+    Metrics* metrics, std::uint64_t* executed_insns, bool model_only) {
   HIPACC_CHECK(launch.kernel != nullptr && metrics != nullptr);
   const ProgramSet& ps = *bindings.programs;
   BlockState st(launch, device, block_x_idx, block_y_idx, metrics);
@@ -48,8 +48,8 @@ Status RunBlockBytecode(const Launch& launch, const LaunchBindings& bindings,
       g.gid_y[l] = static_cast<int>(st.gid_y[l]);
     }
     g.Seal();
-    HIPACC_RETURN_IF_ERROR((RunLanes<kMaxWarpWidth, true>(
-        *prog, bindings, g, file, model, model_only)));
+    RunLanes<kMaxWarpWidth, true>(*prog, bindings, g, file, model,
+                                  model_only);
   }
   return Status::Ok();
 }

@@ -19,7 +19,11 @@ namespace hipacc::sim {
 /// `executed_insns`, when non-null, accumulates the number of instructions
 /// dispatched (across all warps of the block). With `model_only`, computes
 /// only what the model observes and writes no pixel (RunLanes' model-only
-/// walk); the metrics are the same.
+/// walk); the metrics are the same. The launch passed CheckBindings, so no
+/// instruction fails on a binding; only an internal inconsistency (a region
+/// without a program) returns an error. Its definition starts on a cache
+/// line, as HostLaunch::RunRows does, so its placement, and so its speed,
+/// does not move with the size of unrelated code linked before it.
 Status RunBlockBytecode(const Launch& launch, const LaunchBindings& bindings,
                         const hw::DeviceSpec& device, int block_x_idx,
                         int block_y_idx, Metrics* metrics,

@@ -593,14 +593,10 @@ TEST(RunOptionsTest, ChainableSettersCompose) {
           .with_backend(ast::Backend::kOpenCL)
           .with_scratchpad()
           .with_device(hw::TeslaC2050())
-          .with_trace(&trace)
-          .with_sim_engine(sim::ExecEngine::kNative);
+          .with_trace(&trace);
   EXPECT_EQ(options.codegen.backend, ast::Backend::kOpenCL);
   EXPECT_TRUE(options.codegen.use_scratchpad);
   EXPECT_EQ(options.trace, &trace);
-  EXPECT_EQ(options.sim.engine, sim::ExecEngine::kNative);
-  // Options are explicit: the default engine is the bytecode VM.
-  EXPECT_EQ(runtime::RunOptions().sim.engine, sim::ExecEngine::kBytecode);
 }
 
 TEST(RunOptionsTest, MakeCompileOptionsMapsFields) {

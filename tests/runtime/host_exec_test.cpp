@@ -113,6 +113,30 @@ TEST(HostLaunchTest, AnyRowCutMatchesOneBand) {
   }
 }
 
+TEST(HostLaunchTest, ReadOnlyOutputFailsPrepareLikeValidate) {
+  // Prepare makes Simulator::Validate's binding check: a launch with a
+  // read-only output fails before any row runs, with the simulator's
+  // status.
+  const compiler::CompiledKernel ck =
+      CompileGaussian5(ast::BoundaryMode::kClamp);
+  dsl::Image<float> input(kWidth, kHeight), out(kWidth, kHeight);
+  runtime::BindingSet bindings;
+  bindings.Input("Input", input).Output(out);
+  Result<runtime::LaunchHolder> holder =
+      runtime::BuildLaunch(ck.device_ir, ck.config.config, bindings);
+  ASSERT_TRUE(holder.ok()) << holder.status().ToString();
+  sim::Launch& launch = holder.value().launch;
+  launch.programs = ck.bytecode.get();
+  for (sim::BufferBinding& buf : launch.buffers) buf.writable = false;
+  const Status validated =
+      sim::Simulator(runtime::RunOptions().device).Validate(launch);
+  ASSERT_FALSE(validated.ok());
+  const Result<runtime::HostLaunch> host = runtime::HostLaunch::Prepare(
+      launch, ck.device_ir.bh_window.half_x, ck.device_ir.bh_window.half_y);
+  ASSERT_FALSE(host.ok());
+  EXPECT_EQ(host.status().ToString(), validated.ToString());
+}
+
 TEST(HostLaunchTest, HaloFusedKernelMatchesTheSimulator) {
   // The graph runtime's host model declines halo fusion, so no shipped
   // graph sends a halo-fused kernel to the host. Hold the executor to the
@@ -176,9 +200,8 @@ TEST(HostLaunchTest, HaloFusedKernelMatchesTheSimulator) {
           ASSERT_TRUE(host.ok()) << host.status().ToString();
           host.value().RunRows(0, kHeight);
         } else {
-          const runtime::RunOptions run;
           const Result<sim::LaunchStats> stats =
-              sim::Simulator(run.device, run.sim).Execute(launch);
+              sim::Simulator(runtime::RunOptions().device).Execute(launch);
           ASSERT_TRUE(stats.ok()) << stats.status().ToString();
         }
         outputs[on_host] = out.getData();

@@ -70,7 +70,6 @@ EngineRun RunEngine(const compiler::CompiledKernel& kernel,
   holder.value().launch.programs = kernel.bytecode.get();
   sim::SimulatorOptions options;
   if (runner == Runner::kNative) options.engine = sim::ExecEngine::kNative;
-  options.jit_threshold = 1;  // native runs tier up on the first launch
   sim::Simulator simulator(hw::TeslaC2050(), options);
   Result<sim::LaunchStats> stats =
       runner == Runner::kOracle
@@ -306,11 +305,11 @@ TEST(BytecodeDifferentialTest, ConvolveUnrolledFormulation) {
 
 // --- Native tier ---------------------------------------------------------
 // The same differential contract, with the native tier as the engine under
-// test. Each run tiers up on its first launch (threshold 1), so the
-// generated host code — not the VM — produces the compared pixels whenever
-// a toolchain is present and the kernel's programs fuse; kernels that do
-// not fuse (the scalar-sigma bilateral's runtime-bounded loops) run on the
-// VM and never reach the toolchain. Without a toolchain the engine must
+// test. A set compiles on its first native launch, so the generated host
+// code — not the VM — produces the compared pixels whenever a toolchain is
+// present and the kernel's programs fuse; kernels that do not fuse (the
+// scalar-sigma bilateral's runtime-bounded loops) run on the VM and never
+// reach the toolchain. Without a toolchain the engine must
 // degrade to the VM and still agree, which is exactly what
 // MissingToolchainStillAgrees pins down.
 

@@ -346,7 +346,6 @@ EngineRun RunEngine(const compiler::CompiledKernel& kernel,
   holder.value().launch.programs = kernel.bytecode.get();
   sim::SimulatorOptions options;
   if (runner == Runner::kNative) options.engine = sim::ExecEngine::kNative;
-  options.jit_threshold = 1;  // tier up on the first launch
   sim::Simulator simulator(hw::TeslaC2050(), options);
   const sim::BlockFn block =
       runner == Runner::kOracle ? sim::BlockFn(oracle::RunBlock) : nullptr;

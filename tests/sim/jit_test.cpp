@@ -1,13 +1,13 @@
-// Native-tier behaviour tests: tiering thresholds, the all-or-nothing move
-// of a program set to native code, the per-launch binding check, the
-// process-wide module cache (including concurrent exploration lanes sharing
-// one compile), and graceful degradation to the VM when the host toolchain
-// is missing or broken. Output parity across the whole kernel matrix lives
-// in bytecode_test.cpp and differential_fuzz_test.cpp; here the subject is
-// the tiering machinery itself.
+// Native-tier behaviour tests: compiling on the first native launch, the
+// all-or-nothing move of a program set to native code, a launch refused by
+// the binding check before any block runs, the process-wide module cache
+// (including concurrent exploration lanes sharing one compile), and
+// graceful degradation to the VM when the host toolchain is missing or
+// broken. Output parity across the whole kernel matrix lives in
+// bytecode_test.cpp and differential_fuzz_test.cpp; here the subject is the
+// tiering machinery itself.
 #include <gtest/gtest.h>
 
-#include <climits>
 #include <cstring>
 #include <filesystem>
 #include <optional>
@@ -90,8 +90,8 @@ struct RunResult {
 /// One Execute through a fresh launch of `kernel` on `input`, with
 /// `bindings` supplying the scalars. The tier state lives in
 /// kernel.bytecode, so repeated calls with the same kernel exercise the
-/// tiering counters. `read_only_output` binds every written buffer
-/// read-only, which Simulator::Validate does not catch.
+/// tiering counters. `read_only_output` binds every buffer read-only, which
+/// Simulator::Validate refuses.
 RunResult RunOnce(const compiler::CompiledKernel& kernel,
                   const HostImage<float>& input,
                   const sim::SimulatorOptions& options,
@@ -123,10 +123,9 @@ RunResult RunOnce(const compiler::CompiledKernel& kernel,
   return run;
 }
 
-sim::SimulatorOptions NativeOptions(int threshold) {
+sim::SimulatorOptions NativeOptions() {
   sim::SimulatorOptions options;
   options.engine = sim::ExecEngine::kNative;
-  options.jit_threshold = threshold;
   return options;
 }
 
@@ -166,11 +165,13 @@ TEST(JitEmitTest, EmittedSourceIsDeterministic) {
   ASSERT_TRUE(a.has_value() && b.has_value());
   EXPECT_EQ(a->source, b->source);
   ASSERT_EQ(a->symbols.size(), kernel.bytecode->programs.size());
-  // Every region-specialised program gets its own extern "C" symbol.
+  // Every region-specialised program gets its own extern "C" symbol, a
+  // warp function that cannot fail: it checks no binding.
   for (const auto& si : a->symbols) {
-    EXPECT_NE(a->source.find("int " + si.symbol + "("), std::string::npos)
+    EXPECT_NE(a->source.find("void " + si.symbol + "("), std::string::npos)
         << si.symbol;
   }
+  EXPECT_EQ(a->source.find("->bound"), std::string::npos);
   EXPECT_EQ(sim::jit::ProgramFingerprint(*kernel.bytecode),
             sim::jit::ProgramFingerprint(*kernel.bytecode));
 }
@@ -184,53 +185,12 @@ TEST(JitTierTest, NativeMatchesBytecodeWhenToolchainPresent) {
   const HostImage<float> input = RandomInput(73, 41, rng);
   const RunResult vm = RunOnce(kernel, input, sim::SimulatorOptions{});
   sim::TraceSink trace;
-  const RunResult native = RunOnce(kernel, input, NativeOptions(1), &trace);
+  const RunResult native = RunOnce(kernel, input, NativeOptions(), &trace);
   ExpectSameOutput(vm, native);
   EXPECT_EQ(trace.counter("jit.compile"), 1);
   EXPECT_EQ(trace.counter("jit.hit"), 1);
   EXPECT_EQ(trace.counter("sim.launch.native"), 1);
   EXPECT_EQ(sim::jit::JitCache::Instance().compiles(), 1u);
-}
-
-TEST(JitTierTest, ThresholdCountsLaunchesBeforeCompiling) {
-  if (!sim::jit::ToolchainAvailable())
-    GTEST_SKIP() << "no host toolchain in this environment";
-  sim::jit::JitCache::Instance().ResetForTesting();
-  const compiler::CompiledKernel kernel = CompileGaussian(73, 41);
-  Rng rng(0x22u);
-  const HostImage<float> input = RandomInput(73, 41, rng);
-  sim::TraceSink trace;
-  const sim::SimulatorOptions options = NativeOptions(3);
-  // Launches 1 and 2 stay on the VM; launch 3 reaches the threshold and
-  // compiles; launch 4 hits the installed fast path.
-  RunOnce(kernel, input, options, &trace);
-  RunOnce(kernel, input, options, &trace);
-  EXPECT_EQ(trace.counter("jit.vm"), 2);
-  EXPECT_EQ(trace.counter("jit.compile"), 0);
-  RunOnce(kernel, input, options, &trace);
-  EXPECT_EQ(trace.counter("jit.compile"), 1);
-  EXPECT_EQ(trace.counter("jit.hit"), 1);
-  RunOnce(kernel, input, options, &trace);
-  EXPECT_EQ(trace.counter("jit.hit"), 2);
-  EXPECT_EQ(trace.counter("sim.launch.native"), 2);
-  EXPECT_EQ(trace.counter("sim.launch.bytecode"), 2);
-}
-
-TEST(JitTierTest, ColdNativeTierRunsTheVm) {
-  // A huge threshold keeps the tier cold: the launch runs on the VM with no
-  // toolchain involved, so this holds in every environment.
-  const compiler::CompiledKernel kernel = CompileGaussian(73, 41);
-  Rng rng(0x33u);
-  const HostImage<float> input = RandomInput(73, 41, rng);
-  const RunResult vm = RunOnce(kernel, input, sim::SimulatorOptions{});
-  sim::TraceSink trace;
-  const RunResult cold =
-      RunOnce(kernel, input, NativeOptions(INT_MAX), &trace);
-  ExpectSameOutput(vm, cold);
-  EXPECT_EQ(trace.counter("jit.vm"), 1);
-  EXPECT_EQ(trace.counter("jit.compile"), 0);
-  EXPECT_EQ(trace.counter("sim.launch.bytecode"), 1);
-  EXPECT_EQ(trace.counter("sim.launch.native"), 0);
 }
 
 TEST(JitTierTest, UnfusedSetNeverRunsTheToolchain) {
@@ -248,7 +208,7 @@ TEST(JitTierTest, UnfusedSetNeverRunsTheToolchain) {
   ToolchainGuard guard("/bin/false");
   sim::TraceSink trace;
   for (int launch = 0; launch < 2; ++launch) {
-    const RunResult native = RunOnce(kernel, input, NativeOptions(1), &trace,
+    const RunResult native = RunOnce(kernel, input, NativeOptions(), &trace,
                                      BilateralScalars());
     ExpectSameOutput(vm, native);
   }
@@ -259,28 +219,30 @@ TEST(JitTierTest, UnfusedSetNeverRunsTheToolchain) {
   EXPECT_EQ(trace.counter("sim.launch.native"), 0);
 }
 
-TEST(JitTierTest, ReadOnlyOutputFailsLikeTheVm) {
-  // Validate only checks that buffers are bound, so a read-only output
-  // reaches the engines. The native tier checks bindings once per launch
-  // and runs a launch that fails the check on the VM, which reports the
-  // failing store; the tier is not touched, so nothing compiles.
+TEST(JitTierTest, ReadOnlyOutputFailsBeforeAnyBlockRuns) {
+  // Simulator::Validate checks a launch's bindings before any block runs,
+  // so a read-only output fails with one status on either engine: no
+  // engine is chosen, no launch is counted and nothing compiles.
   sim::jit::JitCache::Instance().ResetForTesting();
   const compiler::CompiledKernel kernel = CompileGaussian(73, 41);
   Rng rng(0x99u);
   const HostImage<float> input = RandomInput(73, 41, rng);
+  sim::TraceSink vm_trace, native_trace;
   const RunResult vm = RunOnce(kernel, input, sim::SimulatorOptions{},
-                               nullptr, {}, /*read_only_output=*/true);
+                               &vm_trace, {}, /*read_only_output=*/true);
   ASSERT_FALSE(vm.status.ok());
-  EXPECT_NE(vm.status.message().find("write to unbound or read-only buffer"),
-            std::string::npos)
+  EXPECT_EQ(vm.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(vm.status.message().find("_out"), std::string::npos)
       << vm.status.ToString();
-  sim::TraceSink trace;
-  const RunResult native = RunOnce(kernel, input, NativeOptions(1), &trace,
-                                   {}, /*read_only_output=*/true);
+  const RunResult native = RunOnce(kernel, input, NativeOptions(),
+                                   &native_trace, {},
+                                   /*read_only_output=*/true);
   EXPECT_EQ(native.status.ToString(), vm.status.ToString());
-  EXPECT_EQ(trace.counter("jit.vm"), 1);
-  EXPECT_EQ(trace.counter("jit.compile"), 0);
-  EXPECT_EQ(trace.counter("sim.launch.bytecode"), 1);
+  for (const sim::TraceSink* trace : {&vm_trace, &native_trace}) {
+    EXPECT_EQ(trace->ToJson().Find("counters"), nullptr)
+        << trace->ToJson().Dump();
+    EXPECT_TRUE(trace->empty());
+  }
   EXPECT_EQ(sim::jit::JitCache::Instance().compiles(), 0u);
 }
 
@@ -293,14 +255,14 @@ TEST(JitDegradationTest, MissingToolchainFallsBackToVm) {
   ToolchainGuard guard("");
   EXPECT_FALSE(sim::jit::ToolchainAvailable());
   sim::TraceSink trace;
-  const RunResult first = RunOnce(kernel, input, NativeOptions(1), &trace);
+  const RunResult first = RunOnce(kernel, input, NativeOptions(), &trace);
   ExpectSameOutput(vm, first);
   EXPECT_EQ(trace.counter("jit.error"), 1);
   EXPECT_EQ(trace.counter("jit.vm"), 1);
   EXPECT_EQ(trace.counter("sim.launch.native"), 0);
   // Failure is latched: the second launch does not probe the toolchain
   // again and still produces identical output.
-  const RunResult second = RunOnce(kernel, input, NativeOptions(1), &trace);
+  const RunResult second = RunOnce(kernel, input, NativeOptions(), &trace);
   ExpectSameOutput(vm, second);
   EXPECT_EQ(trace.counter("jit.error"), 1);
   EXPECT_EQ(trace.counter("jit.vm"), 2);
@@ -315,7 +277,7 @@ TEST(JitDegradationTest, BrokenCompilerFallsBackToVm) {
   const RunResult vm = RunOnce(kernel, input, sim::SimulatorOptions{});
   ToolchainGuard guard("/bin/false");
   sim::TraceSink trace;
-  const RunResult native = RunOnce(kernel, input, NativeOptions(1), &trace);
+  const RunResult native = RunOnce(kernel, input, NativeOptions(), &trace);
   ExpectSameOutput(vm, native);
   EXPECT_EQ(trace.counter("jit.error"), 1);
   EXPECT_EQ(trace.counter("sim.launch.native"), 0);
@@ -347,8 +309,8 @@ TEST(JitCacheTest, IdenticalProgramsShareOneModule) {
   Rng rng(0x66u);
   const HostImage<float> input = RandomInput(73, 41, rng);
   sim::TraceSink ta, tb;
-  RunOnce(a, input, NativeOptions(1), &ta);
-  RunOnce(b, input, NativeOptions(1), &tb);
+  RunOnce(a, input, NativeOptions(), &ta);
+  RunOnce(b, input, NativeOptions(), &tb);
   EXPECT_EQ(ta.counter("jit.compile"), 1);
   EXPECT_EQ(tb.counter("jit.compile"), 0);
   EXPECT_EQ(tb.counter("jit.cache_hit"), 1);
@@ -374,7 +336,7 @@ TEST(JitCacheTest, ParallelLanesShareOneCompile) {
     for (int t = 0; t < kLanes; ++t)
       lanes.emplace_back([&, t] {
         results[static_cast<std::size_t>(t)] =
-            RunOnce(kernel, input, NativeOptions(1));
+            RunOnce(kernel, input, NativeOptions());
       });
     for (std::thread& lane : lanes) lane.join();
   }
@@ -431,7 +393,7 @@ TEST(JitCacheTest, WarmStartLoadsTheSharedObjectFromDisk) {
   Rng rng(0x99u);
   const HostImage<float> input = RandomInput(73, 41, rng);
   const RunResult vm = RunOnce(kernel, input, sim::SimulatorOptions{});
-  const RunResult native = RunOnce(kernel, input, NativeOptions(1));
+  const RunResult native = RunOnce(kernel, input, NativeOptions());
   ExpectSameOutput(vm, native);
   EXPECT_EQ(sim::jit::JitCache::Instance().compiles(), 0u);
 }

@@ -3,10 +3,13 @@
 // validation, and timing-model monotonicity.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <optional>
 
 #include "dsl/image.hpp"
 #include "hwmodel/device_db.hpp"
+#include "oracle/interpreter.hpp"
 #include "sim/bytecode.hpp"
 #include "sim/simulator.hpp"
 
@@ -156,9 +159,46 @@ TEST(SimulatorTest, ValidateRejectsBadLaunches) {
   }
   {
     Launch launch = MakeLaunch(kernel, *programs, in, out, {32, 1});
+    launch.buffers.back().writable = false;  // output bound read-only
+    const Status st = sim.Validate(launch);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(st.message().find("_out"), std::string::npos) << st.ToString();
+  }
+  {
+    Launch launch = MakeLaunch(kernel, *programs, in, out, {32, 1});
     launch.width = 0;
     EXPECT_FALSE(sim.Validate(launch).ok());
   }
+}
+
+TEST(SimulatorTest, ReadOnlyOutputFailsBeforeAnyBlockRuns) {
+  // A launch starts with all its bindings or fails as a launch error: no
+  // block function, the oracle's included, sees a read-only output, and
+  // every driver returns Validate's status.
+  const DeviceKernel kernel = MakeScaleKernel();
+  const auto programs = Programs(kernel);
+  dsl::Image<float> in(16, 16), out(16, 16);
+  Launch launch = MakeLaunch(kernel, *programs, in, out, {32, 1});
+  launch.buffers.back().writable = false;
+  const Simulator sim(hw::TeslaC2050());
+  const Status st = sim.Validate(launch);
+  ASSERT_FALSE(st.ok());
+  std::atomic<int> blocks{0};
+  const BlockFn counted = [&](const Launch& l, const hw::DeviceSpec& device,
+                              int bx, int by, Metrics* metrics,
+                              std::uint64_t* executed_insns) {
+    ++blocks;
+    return oracle::RunBlock(l, device, bx, by, metrics, executed_insns);
+  };
+  for (const std::optional<int> samples :
+       {std::optional<int>(), std::optional<int>(3)}) {
+    const Result<LaunchStats> run = sim.Run(launch, counted, samples);
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().ToString(), st.ToString());
+  }
+  EXPECT_EQ(blocks.load(), 0);
+  EXPECT_EQ(sim.Execute(launch).status().ToString(), st.ToString());
+  EXPECT_EQ(sim.Measure(launch).status().ToString(), st.ToString());
 }
 
 TEST(SimulatorTest, LaunchWithoutProgramsFailsValidate) {

@@ -30,7 +30,6 @@
 #include "hwmodel/device_db.hpp"
 #include "ops/kernel_sources.hpp"
 #include "sim/trace.hpp"
-#include "support/disk_store.hpp"
 #include "support/stopwatch.hpp"
 
 int main(int argc, char** argv) {
@@ -88,10 +87,9 @@ int main(int argc, char** argv) {
 
   // Sweep the PPT axis by recompiling per value; each compile's valid
   // configuration set is explored independently and the points merged.
-  // Each sub-sweep's best point also lands in the profile store
-  // (disk-backed when --cache-dir enables the persistent tier), which the
+  // Each sub-sweep's best point also lands in the profile store, which the
   // learned pick below reads.
-  compiler::ProfileStore profiles(&support::GlobalDiskStore());
+  compiler::ProfileStore profiles;
   eopts.profiles = &profiles;
   std::vector<int> ppt_values = {1, 2, 4, 8};
   if (bench::Tuning().ppt > 0) ppt_values = {bench::Tuning().ppt};

@@ -25,9 +25,6 @@ struct BuiltinFn {
   ScalarType result = ScalarType::kFloat;
   std::string cuda_name;    ///< suffixed CUDA spelling
   std::string opencl_name;  ///< OpenCL spelling
-  /// Hardware-accelerated CUDA intrinsic (e.g. __expf), empty if none. The
-  /// compiler supports mapping to these but the evaluation does not use it.
-  std::string cuda_intrinsic;
   OpCost cost = OpCost::kAlu;
 };
 

@@ -35,9 +35,6 @@ struct CodegenOptions {
   /// Place Mask objects in constant memory (Section IV-C). When off, mask
   /// reads are lowered to global-memory reads (the no-constant baseline).
   bool masks_in_constant_memory = true;
-  /// Map math builtins onto hardware-accelerated CUDA intrinsics (__expf).
-  /// Supported but off by default, exactly as in the paper's evaluation.
-  bool use_fast_intrinsics = false;
   /// Run the scalar optimizer (CSE + LICM) on lowered bodies — the stand-in
   /// for the vendor compiler's optimizations over the generated source.
   bool scalar_optimizer = true;

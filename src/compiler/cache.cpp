@@ -70,13 +70,13 @@ std::string OptionsFingerprint(const codegen::CodegenOptions& options) {
   // pixels_per_thread is key material: the lowered IR bakes the PPT loop
   // in, so compiles differing only in ppt must never share an entry.
   return StrFormat(
-      "backend=%s;tex=%d;border=%d;smem=%d;constmask=%d;intrinsics=%d;"
-      "scalaropt=%d;vliw=%d;ppt=%d",
+      "backend=%s;tex=%d;border=%d;smem=%d;constmask=%d;scalaropt=%d;"
+      "vliw=%d;ppt=%d",
       to_string(options.backend), static_cast<int>(options.texture),
       static_cast<int>(options.border), options.use_scratchpad ? 1 : 0,
       options.masks_in_constant_memory ? 1 : 0,
-      options.use_fast_intrinsics ? 1 : 0, options.scalar_optimizer ? 1 : 0,
-      options.vectorize_vliw ? 1 : 0, options.pixels_per_thread);
+      options.scalar_optimizer ? 1 : 0, options.vectorize_vliw ? 1 : 0,
+      options.pixels_per_thread);
 }
 
 std::uint64_t SourceHash(const std::string& source_fingerprint) {
@@ -109,8 +109,7 @@ std::string DeviceIdentity(const hw::DeviceSpec& device) {
 CacheKey MakeTargetKey(const CacheKey& frontend_key,
                        const hw::DeviceSpec& device, int image_width,
                        int image_height,
-                       const std::optional<hw::KernelConfig>& forced_config,
-                       const std::string& profile_salt) {
+                       const std::optional<hw::KernelConfig>& forced_config) {
   std::string canonical = frontend_key.canonical + "|device=" +
                           DeviceIdentity(device) +
                           StrFormat("|extent=%dx%d", image_width, image_height);
@@ -120,7 +119,6 @@ CacheKey MakeTargetKey(const CacheKey& frontend_key,
                   forced_config->block_y);
   else
     canonical += "|forced=auto";
-  if (!profile_salt.empty()) canonical += "|profile=" + profile_salt;
   return KeyFromCanonical(std::move(canonical));
 }
 

@@ -73,15 +73,13 @@ CacheKey MakeFrontendKeyFromFingerprint(
     const codegen::CodegenOptions& options);
 
 /// Target-level key: frontend key + device identity + image extent +
-/// forced configuration (if any). `profile_salt` distinguishes artifacts
-/// whose configuration came from measured profile history (compiler/
-/// profile.hpp) from pure-heuristic ones — the two may differ while hashing
-/// the same source, so they must never alias in the cache.
+/// forced configuration (if any). A profile pick reaches the key as a
+/// forced configuration, so it shares its entry with the same configuration
+/// forced by hand.
 CacheKey MakeTargetKey(const CacheKey& frontend_key,
                        const hw::DeviceSpec& device, int image_width,
                        int image_height,
-                       const std::optional<hw::KernelConfig>& forced_config,
-                       const std::string& profile_salt = "");
+                       const std::optional<hw::KernelConfig>& forced_config);
 
 /// Target-independent products of the pipeline's first three passes. The
 /// frontend key fixes the source fingerprint and every codegen option, so

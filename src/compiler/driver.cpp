@@ -2,6 +2,7 @@
 
 #include "compiler/cache.hpp"
 #include "compiler/pass.hpp"
+#include "compiler/profile.hpp"
 #include "sim/trace.hpp"
 #include "support/log.hpp"
 #include "support/string_utils.hpp"
@@ -33,16 +34,22 @@ void SeedFromFrontend(CompilationContext& ctx, FrontendArtifacts fe) {
 
 /// The compile's one profile lookup: no pick without a store or when the
 /// caller forces a configuration, and an explicit pixels_per_thread pins
-/// the pick's PPT.
-std::optional<ProfileEntry> LookupPick(const CompileOptions& options,
-                                       const std::string& fingerprint) {
-  if (options.profiles == nullptr || options.forced_config) return {};
-  return DecideSelection(
+/// the pick's PPT. A pick becomes a forced configuration at its PPT, so the
+/// pipeline lowers at that PPT from the start and the cache keys carry it.
+void ApplyProfilePick(CompileOptions& options, const std::string& fingerprint) {
+  if (options.profiles == nullptr || options.forced_config) return;
+  const std::optional<ProfileEntry> pick = DecideSelection(
       options.profiles->Lookup(MakeProfileKey(fingerprint, options.codegen,
                                               options.device,
                                               options.image_width,
                                               options.image_height)),
       options.codegen.pixels_per_thread);
+  if (options.trace != nullptr)
+    options.trace->IncrementCounter(pick ? "reselect.measured"
+                                         : "reselect.no_history");
+  if (!pick) return;
+  options.forced_config = pick->config;
+  options.codegen.pixels_per_thread = pick->ppt;
 }
 
 /// Runs the pipeline from the pass named `first`, and on success stores the
@@ -77,19 +84,16 @@ Result<CompiledKernel> Compile(const frontend::KernelSource& source,
   ctx.options = options;
   ctx.artifact.source_fingerprint = SourceFingerprint(source);
   ctx.artifact.source_hash = SourceHash(ctx.artifact.source_fingerprint);
-  ctx.profile_pick = LookupPick(options, ctx.artifact.source_fingerprint);
+  ApplyProfilePick(ctx.options, ctx.artifact.source_fingerprint);
 
   CompilationCache* cache = options.cache;
   if (cache == nullptr) return RunAndFinish(ctx, "parse", nullptr, nullptr);
 
   const CacheKey frontend_key = MakeFrontendKeyFromFingerprint(
-      ctx.artifact.source_fingerprint, options.codegen);
-  // Profile-influenced artifacts carry the pick in the key: the pick and
-  // the heuristic may configure the same source differently, and the cache
-  // must never hand one out for the other.
-  const CacheKey target_key = MakeTargetKey(
-      frontend_key, options.device, options.image_width, options.image_height,
-      options.forced_config, ProfileSalt(ctx.profile_pick));
+      ctx.artifact.source_fingerprint, ctx.options.codegen);
+  const CacheKey target_key =
+      MakeTargetKey(frontend_key, options.device, options.image_width,
+                    options.image_height, ctx.options.forced_config);
   if (std::optional<CompiledKernel> hit =
           cache->LookupTarget(target_key, options.trace)) {
     LogCompiled(*hit, options);

@@ -56,12 +56,11 @@ struct CompileOptions {
   /// by (kernel-source fingerprint, codegen options, device, image extent).
   /// Null compiles from scratch every time.
   CompilationCache* cache = nullptr;
-  /// Optional sweep records (compiler/profile.hpp): select_config installs
-  /// the record's fastest entry in place of the Algorithm-2/PPT heuristic,
-  /// re-lowering at its pixels-per-thread if needed. An explicit
-  /// pixels_per_thread pins the pick to that PPT, and forced_config always
-  /// wins over it; with no pick the compile is bit-identical to a
-  /// profile-less one.
+  /// Optional sweep records (compiler/profile.hpp): the record's fastest
+  /// entry compiles as forced_config at that entry's pixels_per_thread, in
+  /// place of the Algorithm-2/PPT heuristic. An explicit pixels_per_thread
+  /// pins the pick to that PPT, and forced_config always wins over it; with
+  /// no pick the compile is bit-identical to a profile-less one.
   ProfileStore* profiles = nullptr;
   /// When set, the per-pass wall-clock timings of every executed pipeline
   /// are appended here (the CLI's --print-pass-timings).

@@ -10,6 +10,11 @@
 namespace hipacc::compiler {
 namespace {
 
+/// Blocks Measure interprets per boundary region for each candidate.
+/// Within one region every block executes the same instruction stream (the
+/// region variants exist precisely so that holds), so one sample suffices.
+constexpr int kSamplesPerRegion = 1;
+
 /// Coarse hardware-model prune (no interpreter work): a candidate that the
 /// occupancy calculator already rejected never reaches ExploreConfigs, and
 /// one whose boundary tiling is degenerate (opposite guard bands overlap)
@@ -31,8 +36,6 @@ Result<std::vector<ExplorePoint>> ExploreConfigurations(
     const CompiledKernel& kernel, const hw::DeviceSpec& device,
     const runtime::BindingSet& bindings, const ExploreOptions& options) {
   if (!bindings.output()) return Status::Invalid("no output image bound");
-  if (options.samples_per_region < 1)
-    return Status::Invalid("samples_per_region must be >= 1");
   const int width = bindings.output()->width();
   const int height = bindings.output()->height();
   const double trace_start = options.trace ? options.trace->NowMs() : 0.0;
@@ -77,7 +80,7 @@ Result<std::vector<ExplorePoint>> ExploreConfigurations(
          i += jobs) {
       const hw::HeuristicChoice& candidate = *candidates[i];
       Result<sim::LaunchStats> stats = exe.Measure(
-          bindings, candidate.config, options.samples_per_region);
+          bindings, candidate.config, kSamplesPerRegion);
       if (!stats.ok()) continue;  // invalid at launch time: skip, like nvcc
       ExplorePoint point;
       point.config = candidate.config;
@@ -128,7 +131,7 @@ Result<std::vector<ExplorePoint>> ExploreConfigurations(
     args["pruned"] = pruned;
     args["measured"] = static_cast<long long>(points.size());
     args["jobs"] = static_cast<long long>(jobs);
-    args["samples_per_region"] = options.samples_per_region;
+    args["samples_per_region"] = kSamplesPerRegion;
     options.trace->AddSpan("explore " + kernel.decl.name, "explore",
                            trace_start,
                            options.trace->NowMs() - trace_start,

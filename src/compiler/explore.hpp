@@ -14,7 +14,7 @@
 // A sweep is also the profile store's only writer: with
 // ExploreOptions::profiles set, its best point becomes the entry for the
 // kernel's ppt in the kernel's profile record (compiler/profile.hpp), and
-// later compiles pick their configuration from that record.
+// the process's later compiles pick their configuration from that record.
 #pragma once
 
 #include <vector>
@@ -43,11 +43,6 @@ struct ExploreOptions {
   /// Measurement workers (0 = hardware concurrency). Results are identical
   /// for every value; only wall-clock time changes.
   int jobs = 1;
-  /// Blocks interpreted per boundary region for each candidate. Within one
-  /// region every block executes the same instruction stream (the region
-  /// variants exist precisely so that holds), so one sample per region is
-  /// the exploration default; raise it to average residual cache effects.
-  int samples_per_region = 1;
   /// Optional observability sink: records the prune decision, every
   /// simulated candidate launch (per worker lane), and the merge.
   sim::TraceSink* trace = nullptr;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <iterator>
-#include <optional>
 
 #include "codegen/lower.hpp"
 #include "codegen/resource_estimator.hpp"
@@ -74,60 +73,6 @@ Status Estimate(CompilationContext& ctx) {
                                  ctx.artifact.resources.regs_per_thread,
                                  ctx.artifact.resources.smem_static_bytes));
   return Status::Ok();
-}
-
-/// Installs the profile pick Compile looked up (compiler/profile.hpp):
-/// re-lowers at the pick's PPT if it differs, validates the picked
-/// configuration's occupancy, and installs it. Returns false whenever the
-/// ordinary sweep + heuristic should run instead — no profiles wired, no
-/// pick, or a pick that no longer validates on the device
-/// ("reselect.fallback").
-bool TrySelectFromProfile(CompilationContext& ctx) {
-  CompiledKernel& out = ctx.artifact;
-  const CompileOptions& options = ctx.options;
-  sim::TraceSink* trace = options.profiles != nullptr ? options.trace : nullptr;
-  if (trace != nullptr)
-    trace->IncrementCounter(ctx.profile_pick ? "reselect.measured"
-                                             : "reselect.no_history");
-  if (!ctx.profile_pick) return false;
-  const ProfileEntry& pick = *ctx.profile_pick;
-  const auto fall_back = [trace] {
-    if (trace != nullptr) trace->IncrementCounter("reselect.fallback");
-    return false;
-  };
-  // Stage the (possibly re-lowered) IR in locals and validate before
-  // committing: a fallback must leave the artifact exactly as a
-  // profile-less compile would find it.
-  std::optional<ast::DeviceKernel> relowered;
-  hw::KernelResources resources = out.resources;
-  if (out.device_ir.ppt != pick.ppt) {
-    // The pick was measured at another pixels-per-thread: the IR must
-    // match, or the configuration is meaningless.
-    if (!out.decl.body) return false;  // hand-built artifact: cannot relower
-    codegen::CodegenOptions copts = options.codegen;
-    copts.pixels_per_thread = pick.ppt;
-    Result<ast::DeviceKernel> lowered = codegen::LowerKernel(out.decl, copts);
-    if (!lowered.ok()) return fall_back();
-    relowered = std::move(lowered).take();
-    resources = codegen::EstimateResources(*relowered);
-  }
-  const hw::OccupancyResult occupancy =
-      hw::ComputeOccupancy(options.device, pick.config, resources);
-  if (!occupancy.valid) return fall_back();
-  if (relowered) {
-    out.device_ir = std::move(*relowered);
-    out.resources = resources;
-  }
-  out.config.config = pick.config;
-  out.config.occupancy = occupancy;
-  out.config.border_threads = hw::ApproxBorderThreads(
-      pick.config, options.image_width, options.image_height,
-      out.device_ir.bh_window, out.device_ir.ppt);
-  ctx.Note("select_config",
-           StrFormat("profile-guided config %dx%d (ppt %d, %.4f ms measured)",
-                     pick.config.block_x, pick.config.block_y, pick.ppt,
-                     pick.ms));
-  return true;
 }
 
 /// Analytic cost model behind the PPT axis of the extended Algorithm 2:
@@ -220,7 +165,8 @@ Status SelectPixelsPerThread(CompilationContext& ctx) {
 }
 
 /// Select: resources + device -> launch configuration, via Algorithm 2 or
-/// the caller's forced configuration. When the caller asked for automatic
+/// a forced configuration (the caller's, or the profile pick Compile turned
+/// into one). When the caller asked for automatic
 /// pixels-per-thread selection (pixels_per_thread == 0), the pass first
 /// sweeps PPT in {1, 2, 4, 8}: each candidate is re-lowered and re-estimated,
 /// then scored with an analytic per-pixel cost — the per-thread prologue
@@ -228,10 +174,6 @@ Status SelectPixelsPerThread(CompilationContext& ctx) {
 /// the occupancy the fatter kernel still achieves. The winning IR replaces
 /// the artifact before the ordinary configuration selection runs.
 Status Select(CompilationContext& ctx) {
-  // Profile-guided reselection first: a pick replaces both the PPT sweep
-  // and the heuristic. Without one the compile is bit-identical to a
-  // profile-less run.
-  if (TrySelectFromProfile(ctx)) return Status::Ok();
   if (ctx.options.codegen.pixels_per_thread == 0) {
     Status swept = SelectPixelsPerThread(ctx);
     if (!swept.ok()) return swept;
@@ -247,6 +189,11 @@ Status Select(CompilationContext& ctx) {
           "forced configuration %dx%d is invalid on %s: %s",
           out.config.config.block_x, out.config.config.block_y,
           options.device.name.c_str(), out.config.occupancy.reason.c_str()));
+    // The evidence Algorithm 2 and the sweep report for this configuration.
+    if (out.device_ir.has_boundary_variants())
+      out.config.border_threads = hw::ApproxBorderThreads(
+          out.config.config, options.image_width, options.image_height,
+          out.device_ir.bh_window, out.device_ir.ppt);
     ctx.Note("select_config", StrFormat("forced config %dx%d",
                                         out.config.config.block_x,
                                         out.config.config.block_y));

@@ -17,13 +17,11 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "compiler/driver.hpp"
-#include "compiler/profile.hpp"
 
 namespace hipacc::compiler {
 
@@ -55,9 +53,6 @@ struct CompilationContext {
   /// past parse may leave it null.
   const frontend::KernelSource* source = nullptr;
   CompileOptions options;
-  /// The profile pick Compile looked up (compiler/profile.hpp), which
-  /// select_config installs in place of Algorithm 2.
-  std::optional<ProfileEntry> profile_pick;
   CompiledKernel artifact;
   std::vector<PassDiagnostic> diagnostics;
   std::vector<PassTiming> timings;

@@ -3,12 +3,13 @@
 // The Algorithm-2 heuristic (hwmodel/heuristic.hpp) picks a launch
 // configuration from the static occupancy model; an exploration sweep
 // (compiler/explore.hpp, the paper's Figure 4) measures every configuration
-// and so knows the optimum. The ProfileStore keeps that optimum for later
-// compiles (the ImageCL-style learned-autotuning loop the paper leaves as
-// future work): one record per profile key, holding the best measured
-// (config, ppt, ms) of each pixels-per-thread value swept. Each sweep
-// replaces the entry of its own PPT, and select_config installs the
-// record's fastest entry — the optimum over every point swept.
+// and so knows the optimum. The ProfileStore keeps that optimum for the
+// later compiles of the process that swept (the ImageCL-style
+// learned-autotuning loop the paper leaves as future work): one record per
+// profile key, holding the best measured (config, ppt, ms) of each
+// pixels-per-thread value swept. Each sweep replaces the entry of its own
+// PPT, and Compile turns the record's fastest entry into a forced
+// configuration at that entry's PPT — the optimum over every point swept.
 //
 // Measured times are the simulator's modelled times, which are
 // deterministic: a sweep is the whole truth about its points, so a record
@@ -16,9 +17,9 @@
 // either; a launch can only re-observe the configuration it was compiled
 // with.
 //
-// A device or options change moves the profile key, so a record never
-// leaks across incompatible contexts: the compile falls back to the
-// heuristic until a sweep fills the new key.
+// Records live in memory for one process. A device or options change moves
+// the profile key, so a record never leaks across incompatible contexts:
+// the compile falls back to the heuristic until a sweep fills the new key.
 #pragma once
 
 #include <mutex>
@@ -30,10 +31,6 @@
 #include "codegen/options.hpp"
 #include "hwmodel/config.hpp"
 #include "hwmodel/device_spec.hpp"
-
-namespace hipacc::support {
-class DiskStore;
-}  // namespace hipacc::support
 
 namespace hipacc::compiler {
 
@@ -57,49 +54,26 @@ std::optional<ProfileEntry> DecideSelection(const ProfileRecord& record,
                                             int require_ppt = 0);
 
 /// Canonical profile key. pixels_per_thread is normalised out of the
-/// options so the sweeps of every PPT share one record — each entry keeps
-/// its own `ppt` — and the salt of profile-influenced cache entries stays
-/// orthogonal to the PPT the caller happened to request.
+/// options so the sweeps of every PPT share one record; each entry keeps
+/// its own `ppt`.
 std::string MakeProfileKey(const std::string& source_fingerprint,
                            const codegen::CodegenOptions& options,
                            const hw::DeviceSpec& device, int image_width,
                            int image_height);
 
-/// Cache-key salt of a pick: "m:<bx>x<by>x<ppt>", or "" without one (such
-/// a compile is a profile-less compile and shares its cache entries).
-std::string ProfileSalt(const std::optional<ProfileEntry>& pick);
-
-/// Thread-safe store of profile records, in memory with optional
-/// write-through to the "profile" kind of a support::DiskStore.
+/// Thread-safe in-memory store of profile records.
 class ProfileStore {
  public:
-  /// `disk` null = in-memory only. The store does not own the DiskStore.
-  explicit ProfileStore(support::DiskStore* disk = nullptr);
-
   /// Replaces the entry for `best.ppt` under `key` with `best`, the best
-  /// point of one sweep. Disk-backed, this re-reads the key's record under
-  /// a FileLock, replaces the entry and writes the record back, so
-  /// processes that sweep different PPTs of one key keep each other's
-  /// entries.
+  /// point of one sweep.
   void Record(const std::string& key, const ProfileEntry& best);
 
-  /// The key's record (read from disk on the first touch of `key`).
+  /// The key's record; empty when nothing was recorded under `key`.
   ProfileRecord Lookup(const std::string& key) const;
 
  private:
-  bool on_disk() const;
-
-  support::DiskStore* disk_ = nullptr;
   mutable std::mutex mutex_;
-  mutable std::unordered_map<std::string, ProfileRecord> records_;
+  std::unordered_map<std::string, ProfileRecord> records_;
 };
-
-/// JSON codec of one record, the disk payload:
-/// {"v":2,"entries":[{"bx","by","ppt","ms"}...]}. Decoding rejects the
-/// whole record when an entry has a block dimension outside 1..32768, a
-/// ppt outside 1..32 or an ms that is negative or not finite, and reads
-/// any other version (v1 included) as no record.
-std::string EncodeProfileRecord(const ProfileRecord& record);
-bool DecodeProfileRecord(const std::string& payload, ProfileRecord* out);
 
 }  // namespace hipacc::compiler

@@ -1,7 +1,6 @@
 #include "support/atomic_file.hpp"
 
 #include <dirent.h>
-#include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -9,11 +8,9 @@
 
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 
 #include "support/string_utils.hpp"
 
@@ -128,40 +125,6 @@ std::string UserCacheDir(const std::string& app) {
   if (const char* home = std::getenv("HOME"))
     if (home[0] != '\0') return std::string(home) + "/.cache/" + app;
   return "";
-}
-
-FileLock::FileLock(const std::string& path, int wait_ms, int stale_ms)
-    : path_(path) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(wait_ms);
-  for (;;) {
-    const int fd = ::open(path_.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-    if (fd >= 0) {
-      const std::string pid = StrFormat("%d\n", static_cast<int>(::getpid()));
-      (void)!::write(fd, pid.data(), pid.size());
-      ::close(fd);
-      held_ = true;
-      return;
-    }
-    if (errno == EEXIST) {
-      // Break locks whose owner crashed before the unlink.
-      struct stat st{};
-      if (::stat(path_.c_str(), &st) == 0) {
-        const auto age = std::chrono::system_clock::now() -
-                         std::chrono::system_clock::from_time_t(st.st_mtime);
-        if (age > std::chrono::milliseconds(stale_ms)) {
-          std::remove(path_.c_str());
-          continue;
-        }
-      }
-    }
-    if (std::chrono::steady_clock::now() >= deadline) return;  // proceed unlocked
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-}
-
-FileLock::~FileLock() {
-  if (held_) std::remove(path_.c_str());
 }
 
 }  // namespace hipacc::support

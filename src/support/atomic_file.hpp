@@ -1,10 +1,11 @@
-// Crash-safe filesystem primitives for the on-disk caches. The core
-// protocol is write-to-temp + atomic rename: a writer materialises the full
-// contents under a unique temporary name in the destination directory, then
-// rename(2)s it over the final path. Readers therefore only ever observe
-// complete files — a crashed or concurrent writer leaves at worst a stale
-// temp file, never a torn entry. rename() is atomic within one filesystem,
-// which holds because the temp name lives next to its destination.
+// Crash-safe filesystem primitives for the on-disk JIT object cache
+// (support/disk_store.hpp). The core protocol is write-to-temp + atomic
+// rename: a writer materialises the full contents under a unique temporary
+// name in the destination directory, then rename(2)s it over the final
+// path. Readers therefore only ever observe complete files — a crashed or
+// concurrent writer leaves at worst a stale temp file, never a torn entry.
+// rename() is atomic within one filesystem, which holds because the temp
+// name lives next to its destination.
 #pragma once
 
 #include <cstdint>
@@ -52,25 +53,5 @@ void TouchFile(const std::string& path);
 /// The per-user cache root: $XDG_CACHE_HOME or $HOME/.cache, with `app`
 /// appended ("~/.cache/<app>"). Empty when neither variable resolves.
 std::string UserCacheDir(const std::string& app);
-
-/// Best-effort advisory lock via an O_CREAT|O_EXCL lock file. Used to
-/// serialise read-modify-write cycles (the profile store's record updates);
-/// the data files themselves stay safe without it thanks to atomic renames.
-/// A lock older than `stale_ms` is broken (its owner crashed).
-class FileLock {
- public:
-  /// Tries for ~`wait_ms`; `held()` reports the outcome. Proceeding without
-  /// the lock is safe (last-writer-wins), just lossier.
-  FileLock(const std::string& path, int wait_ms = 200, int stale_ms = 10000);
-  ~FileLock();
-  FileLock(const FileLock&) = delete;
-  FileLock& operator=(const FileLock&) = delete;
-
-  bool held() const noexcept { return held_; }
-
- private:
-  std::string path_;
-  bool held_ = false;
-};
 
 }  // namespace hipacc::support

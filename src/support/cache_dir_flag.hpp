@@ -1,8 +1,9 @@
 // Shared --cache-dir=PATH|off flag for every user-facing binary (the
 // compiler CLI, benchmarks, examples): steers the process-wide persistent
 // cache tier (support/disk_store.hpp) that holds the JIT object cache's
-// shared objects and disk-backed profile records. Compilation products are
-// never persisted; they recompile in milliseconds.
+// shared objects and nothing else. Compilation products and sweep records
+// are never persisted: a kernel recompiles in milliseconds, and a sweep's
+// records serve the later compiles of the process that swept.
 //
 // Libraries and tests stay hermetic — GlobalDiskStore() starts disabled —
 // so enabling-by-default is an explicit, binary-level decision made by
@@ -25,7 +26,7 @@ inline CliParser& RegisterCacheDirFlag(CliParser& cli) {
   ConfigureGlobalDiskStore(std::move(defaults));
   return cli.Value(
       "cache-dir", "PATH|off",
-      "persistent JIT object and profile cache directory (default: "
+      "persistent JIT object cache directory (default: "
       "$HIPACC_CACHE_DIR, else ~/.cache/hipacc; off disables)",
       [](const std::string& value) -> Status {
         DiskStoreOptions options;

@@ -1,7 +1,6 @@
 // Content-addressed on-disk blob store — the persistent tier of what costs
-// seconds or carries measurements across processes: the simulator's
-// JitCache (compiled .so bytes) and the profile store (sweep records).
-// tinygrad's @diskcache idiom, grown a schema.
+// seconds to rebuild: the simulator's JitCache (compiled .so bytes, the
+// "jit" kind). tinygrad's @diskcache idiom, grown a schema.
 //
 // Layout:   <root>/v<schema>/<kind>/<fnv16hex-of-canonical>
 // Each file is a self-describing frame:
@@ -20,8 +19,9 @@
 // the frame header. Bumping kSchemaVersion orphans old entries wholesale
 // (they age out by LRU eviction) without any migration code. Kind
 // directories no consumer reads any more (`frontend/` and `target/` from
-// builds that persisted compiler artifacts) age out the same way: eviction
-// walks every kind directory under the version root.
+// builds that persisted compiler artifacts, `profile/` from builds that
+// persisted sweep records) age out the same way: eviction walks every kind
+// directory under the version root.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +67,7 @@ class DiskStore {
   bool enabled() const;
   std::string root() const;
 
-  /// Looks up `canonical` under `kind` ("jit" or "profile"). Returns the
+  /// Looks up `canonical` under `kind` (the JitCache's "jit"). Returns the
   /// payload, or nullopt on miss/corruption.
   /// Hits refresh the entry's mtime (LRU touch).
   std::optional<std::string> Get(const std::string& kind,
@@ -118,8 +118,7 @@ class DiskStore {
 std::string ResolveCacheDir(const std::string& spec);
 
 /// The process-wide persistent tier: JitCache persists .so bytes through
-/// it, and a ProfileStore constructed over it keeps its records there.
-/// Starts disabled; tools and benches enable it via
+/// it. Starts disabled; tools and benches enable it via
 /// ConfigureGlobalDiskStore after flag parsing.
 DiskStore& GlobalDiskStore();
 

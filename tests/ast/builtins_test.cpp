@@ -12,7 +12,6 @@ TEST(BuiltinsTest, CanonicalLookup) {
   ASSERT_TRUE(fn.has_value());
   EXPECT_EQ(fn->cuda_name, "expf");
   EXPECT_EQ(fn->opencl_name, "exp");
-  EXPECT_EQ(fn->cuda_intrinsic, "__expf");
   EXPECT_EQ(fn->arity, 1);
   EXPECT_EQ(fn->cost, OpCost::kSfu);
 }

@@ -1,13 +1,12 @@
 // Profile-guided configuration selection: the pure DecideSelection pick
-// (fastest entry, deterministic ties, the PPT pin), the record codec and
-// its validation, the per-PPT replace semantics of the store on disk and in
-// memory, and the end-to-end compile behaviour — a sweep's optimum becomes
-// the pick, a pick overrides Algorithm 2, and an empty store, an invalid
-// disk record and a device change all fall back bit-identically to the
-// heuristic compile.
+// (fastest entry, deterministic ties, the PPT pin), the per-PPT replace
+// semantics of the store, and the end-to-end compile behaviour — a sweep's
+// optimum becomes the pick, a pick overrides Algorithm 2 and compiles as
+// the same configuration forced by hand (one cache entry, one failure
+// mode), and an empty store and a device change both fall back
+// bit-identically to the heuristic compile.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -18,12 +17,10 @@
 #include "hwmodel/device_db.hpp"
 #include "ops/kernel_sources.hpp"
 #include "runtime/run_options.hpp"
-#include "support/disk_store.hpp"
+#include "sim/trace.hpp"
 
 namespace hipacc {
 namespace {
-
-namespace fs = std::filesystem;
 
 frontend::KernelSource Source() {
   return ops::BilateralMaskSource(1, ast::BoundaryMode::kClamp);
@@ -52,19 +49,10 @@ std::string KeyFor(const compiler::CompiledKernel& kernel,
                                   device, n, n);
 }
 
-support::DiskStoreOptions DiskAt(const char* name) {
-  const fs::path root = fs::path(::testing::TempDir()) / name;
-  fs::remove_all(root);
-  support::DiskStoreOptions options;
-  options.root = root.string();
-  return options;
-}
-
 TEST(DecideSelectionTest, WinnerIsTheFastestFreshEntry) {
   // Every entry is the latest sweep of its PPT, so every entry competes.
   compiler::ProfileRecord record;
   EXPECT_FALSE(compiler::DecideSelection(record).has_value());
-  EXPECT_EQ(compiler::ProfileSalt(std::nullopt), "");
 
   record.entries = {{{32, 6}, 1, 9.0}, {{64, 2}, 2, 4.0}, {{16, 4}, 4, 7.0}};
   std::optional<compiler::ProfileEntry> pick =
@@ -72,7 +60,6 @@ TEST(DecideSelectionTest, WinnerIsTheFastestFreshEntry) {
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(pick->config, (hw::KernelConfig{64, 2}));
   EXPECT_EQ(pick->ppt, 2);
-  EXPECT_EQ(compiler::ProfileSalt(pick), "m:64x2x2");
 
   // Equal times break on fewer threads, then a narrower block, then a
   // smaller ppt, whatever the entry order.
@@ -117,55 +104,6 @@ TEST(DecideSelectionTest, StaleEntriesStopCompeting) {
   EXPECT_DOUBLE_EQ(pick->ms, 9.0);
 }
 
-TEST(ProfileCodecTest, HistoryRoundTripsAndRejectsJunk) {
-  compiler::ProfileRecord record;
-  record.entries = {{{32, 6}, 1, 9.25}, {{8, 28}, 32, 4.5}};
-
-  compiler::ProfileRecord decoded;
-  ASSERT_TRUE(compiler::DecodeProfileRecord(
-      compiler::EncodeProfileRecord(record), &decoded));
-  ASSERT_EQ(decoded.entries.size(), 2u);
-  EXPECT_EQ(decoded.entries[0].config, (hw::KernelConfig{32, 6}));
-  EXPECT_EQ(decoded.entries[0].ppt, 1);
-  EXPECT_DOUBLE_EQ(decoded.entries[0].ms, 9.25);
-  EXPECT_EQ(decoded.entries[1].config, (hw::KernelConfig{8, 28}));
-  EXPECT_EQ(decoded.entries[1].ppt, 32);
-  EXPECT_DOUBLE_EQ(decoded.entries[1].ms, 4.5);
-
-  const std::string good = R"({"bx":32,"by":6,"ppt":1,"ms":1.5})";
-  const auto payload = [&](const std::string& bad) {
-    return R"({"v":2,"entries":[)" + good + "," + bad + "]}";
-  };
-  const std::vector<std::string> junk = {
-      "",
-      "not json",
-      "[]",
-      R"({"v":999})",
-      R"({"v":2})",
-      R"({"v":2,"entries":{}})",
-      // A version-1 history (EWMA entries) reads as no record.
-      R"({"v":1,"seq":2,"entries":[{"bx":32,"by":6,"ppt":1,"ms":1.5,)"
-      R"("samples":2,"last_seq":2}]})",
-      payload(R"({"bx":0,"by":6,"ppt":1,"ms":1.5})"),
-      payload(R"({"bx":32,"by":-1,"ppt":1,"ms":1.5})"),
-      payload(R"({"bx":4294967328,"by":6,"ppt":1,"ms":1.5})"),
-      payload(R"({"bx":32.5,"by":6,"ppt":1,"ms":1.5})"),
-      payload(R"({"bx":"32","by":6,"ppt":1,"ms":1.5})"),
-      payload(R"({"bx":32,"by":6,"ppt":0,"ms":1.5})"),
-      payload(R"({"bx":32,"by":6,"ppt":33,"ms":1.5})"),
-      payload(R"({"bx":32,"by":6,"ppt":64,"ms":1.5})"),
-      payload(R"({"bx":32,"by":6,"ppt":1024,"ms":1.5})"),
-      payload(R"({"bx":32,"by":6,"ppt":1,"ms":-0.5})"),
-      payload(R"({"bx":32,"by":6,"ppt":1,"ms":1e999})"),
-      payload(R"({"bx":32,"by":6,"ppt":1})"),
-  };
-  for (const std::string& bad : junk) {
-    compiler::ProfileRecord sink = record;
-    EXPECT_FALSE(compiler::DecodeProfileRecord(bad, &sink)) << bad;
-    EXPECT_EQ(sink.entries.size(), 2u) << "a rejected payload wrote " << bad;
-  }
-}
-
 TEST(ProfileKeyTest, KeyTracksContextButNotPpt) {
   const codegen::CodegenOptions defaults;
   const std::string base = compiler::MakeProfileKey(
@@ -189,37 +127,6 @@ TEST(ProfileKeyTest, KeyTracksContextButNotPpt) {
   ppt8.pixels_per_thread = 8;
   EXPECT_EQ(base, compiler::MakeProfileKey("fingerprint", ppt8,
                                            hw::TeslaC2050(), 512, 512));
-}
-
-TEST(ProfileStoreTest, DiskBackedStoresAppendMergeAcrossInstances) {
-  support::DiskStore disk(DiskAt("profile_store_merge"));
-
-  // Two instances (two processes) that both looked the key up before
-  // either swept, then swept different PPTs: the second write re-reads the
-  // first under the lock, so both entries survive.
-  compiler::ProfileStore first(&disk);
-  compiler::ProfileStore second(&disk);
-  EXPECT_TRUE(first.Lookup("key").entries.empty());
-  EXPECT_TRUE(second.Lookup("key").entries.empty());
-  first.Record("key", {{32, 2}, 1, 10.0});
-  second.Record("key", {{64, 2}, 2, 5.0});
-
-  compiler::ProfileStore reader(&disk);
-  compiler::ProfileRecord merged = reader.Lookup("key");
-  ASSERT_EQ(merged.entries.size(), 2u);
-  EXPECT_EQ(compiler::DecideSelection(merged, 1)->config,
-            (hw::KernelConfig{32, 2}));
-  EXPECT_EQ(compiler::DecideSelection(merged)->config,
-            (hw::KernelConfig{64, 2}));
-
-  // A re-sweep of one PPT replaces only that PPT's entry on disk.
-  first.Record("key", {{16, 4}, 1, 12.0});
-  merged = compiler::ProfileStore(&disk).Lookup("key");
-  ASSERT_EQ(merged.entries.size(), 2u);
-  EXPECT_EQ(compiler::DecideSelection(merged, 1)->config,
-            (hw::KernelConfig{16, 4}));
-  EXPECT_EQ(compiler::DecideSelection(merged, 2)->config,
-            (hw::KernelConfig{64, 2}));
 }
 
 TEST(ProfileReselectionTest, MeasuredWinnerOverridesTheHeuristic) {
@@ -272,34 +179,63 @@ TEST(ProfileReselectionTest, NoHistoryIsABitIdenticalFallback) {
   EXPECT_EQ(cache.stats().target_misses, 1);
 }
 
-TEST(ProfileReselectionTest, InvalidDiskRecordCompilesLikeTheHeuristic) {
-  // A stored ppt above the --ppt cap would make select_config re-lower at
-  // that ppt (hundreds of ms at ppt 64, growing linearly) before the
-  // occupancy check could reject it. The decoder drops such a record, so
-  // the compile is the heuristic one.
+TEST(ProfileReselectionTest, PickSharesTheForcedCompilesCacheEntry) {
+  // A pick compiles as its configuration forced by hand at its PPT: the
+  // second compile is a target hit, and the two artifacts agree on
+  // everything select_config fills in.
   const hw::DeviceSpec device = hw::TeslaC2050();
   const compiler::CompiledKernel baseline = MustCompile(Options(device));
-  support::DiskStore disk(DiskAt("profile_store_invalid"));
-  const auto compile_from_disk = [&](const std::string& payload) {
-    disk.Put("profile", KeyFor(baseline, device), payload);
-    compiler::ProfileStore profiles(&disk);
-    compiler::CompileOptions options = Options(device);
-    options.profiles = &profiles;
-    return MustCompile(options);
-  };
+  compiler::ProfileStore profiles;
+  const hw::KernelConfig config{64, 2};
+  profiles.Record(KeyFor(baseline, device), {config, 2, 1.0});
 
-  // The same record at a valid ppt is picked up from disk...
-  ASSERT_NE(baseline.config.config, (hw::KernelConfig{64, 2}));
-  EXPECT_EQ(compile_from_disk(
-                R"({"v":2,"entries":[{"bx":64,"by":2,"ppt":1,"ms":0.01}]})")
-                .config.config,
-            (hw::KernelConfig{64, 2}));
-  // ...and at ppt 64 it reads as no record.
-  const compiler::CompiledKernel compiled = compile_from_disk(
-      R"({"v":2,"entries":[{"bx":64,"by":2,"ppt":64,"ms":0.01}]})");
-  EXPECT_EQ(compiled.source, baseline.source);
-  EXPECT_EQ(compiled.config.config, baseline.config.config);
-  EXPECT_EQ(compiled.device_ir.ppt, baseline.device_ir.ppt);
+  compiler::CompilationCache cache;
+  compiler::CompileOptions learned_opts = Options(device);
+  learned_opts.codegen.pixels_per_thread = 0;  // auto: the pick's PPT holds
+  learned_opts.profiles = &profiles;
+  learned_opts.cache = &cache;
+  const compiler::CompiledKernel learned = MustCompile(learned_opts);
+
+  compiler::CompileOptions forced_opts = Options(device);
+  forced_opts.codegen.pixels_per_thread = 2;
+  forced_opts.forced_config = config;
+  forced_opts.cache = &cache;
+  const compiler::CompiledKernel forced = MustCompile(forced_opts);
+
+  EXPECT_EQ(cache.stats().target_misses, 1);
+  EXPECT_EQ(cache.stats().target_hits, 1);
+  EXPECT_EQ(learned.config.config, config);
+  EXPECT_EQ(learned.device_ir.ppt, 2);
+  EXPECT_GT(learned.config.border_threads, 0);
+  EXPECT_EQ(forced.source, learned.source);
+  EXPECT_EQ(forced.config.config, learned.config.config);
+  EXPECT_EQ(forced.config.border_threads, learned.config.border_threads);
+  EXPECT_EQ(forced.device_ir.ppt, learned.device_ir.ppt);
+}
+
+TEST(ProfileReselectionTest,
+     PickThatDoesNotFitFailsLikeAForcedConfiguration) {
+  // Only a hand-recorded entry can exceed the device: a sweep measures
+  // only configurations that fit. Such a pick fails the compile the way
+  // the same forced configuration does.
+  const hw::DeviceSpec device = hw::TeslaC2050();
+  ASSERT_LT(device.max_threads_per_block, 2048);
+  const compiler::CompiledKernel baseline = MustCompile(Options(device));
+  compiler::ProfileStore profiles;
+  profiles.Record(KeyFor(baseline, device),
+                  {{2048, 1}, baseline.device_ir.ppt, 1.0});
+
+  sim::TraceSink trace;
+  compiler::CompileOptions options = Options(device);
+  options.profiles = &profiles;
+  options.trace = &trace;
+  const Result<compiler::CompiledKernel> compiled =
+      compiler::Compile(Source(), options);
+  ASSERT_FALSE(compiled.ok());
+  EXPECT_EQ(compiled.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(compiled.status().message().find("2048x1"), std::string::npos)
+      << compiled.status().ToString();
+  EXPECT_EQ(trace.counter("reselect.measured"), 1);
 }
 
 TEST(ProfileReselectionTest, SweepOptimumIsThePick) {

@@ -121,6 +121,8 @@ TEST(ExploreTest, ResultsAreIdenticalForAnyWorkerCount) {
 }
 
 TEST(ExploreTest, MoreSamplesPerRegionStillCoversAllPoints) {
+  // The sweep measures one block per region; every point it returns also
+  // measures at three, close to the one-sample time.
   const int n = 256;
   const hw::DeviceSpec device = hw::TeslaC2050();
   const compiler::CompiledKernel kernel = CompileBilateral(device, n);
@@ -128,24 +130,21 @@ TEST(ExploreTest, MoreSamplesPerRegionStillCoversAllPoints) {
   runtime::BindingSet bindings;
   bindings.Input("Input", in).Output(out).Scalar("sigma_d", 1).Scalar(
       "sigma_r", 4);
-  compiler::ExploreOptions one, three;
-  one.samples_per_region = 1;
-  three.samples_per_region = 3;
-  auto a = compiler::ExploreConfigurations(kernel, device, bindings, one);
-  auto b = compiler::ExploreConfigurations(kernel, device, bindings, three);
-  ASSERT_TRUE(a.ok() && b.ok());
-  ASSERT_EQ(a.value().size(), b.value().size());
-  for (size_t i = 0; i < a.value().size(); ++i) {
-    EXPECT_EQ(a.value()[i].config, b.value()[i].config);
+  auto points = compiler::ExploreConfigurations(kernel, device, bindings);
+  ASSERT_TRUE(points.ok()) << points.status().ToString();
+  ASSERT_FALSE(points.value().empty());
+  const compiler::SimulatedExecutable exe(kernel, device);
+  for (const compiler::ExplorePoint& point : points.value()) {
+    Result<sim::LaunchStats> one = exe.Measure(bindings, point.config, 1);
+    Result<sim::LaunchStats> three = exe.Measure(bindings, point.config, 3);
+    ASSERT_TRUE(one.ok() && three.ok());
+    EXPECT_EQ(one.value().timing.total_ms, point.ms);
     // Sampling depth shifts the extrapolated time somewhat (boundary
     // regions weigh heavily at 256x256) but must stay the same order of
     // magnitude: every block in a region runs the same instruction stream.
-    EXPECT_NEAR(a.value()[i].ms, b.value()[i].ms, 0.30 * b.value()[i].ms);
+    EXPECT_NEAR(point.ms, three.value().timing.total_ms,
+                0.30 * three.value().timing.total_ms);
   }
-  compiler::ExploreOptions invalid;
-  invalid.samples_per_region = 0;
-  EXPECT_FALSE(
-      compiler::ExploreConfigurations(kernel, device, bindings, invalid).ok());
 }
 
 TEST(ExploreTest, TraceSinkSeesEveryMeasuredCandidate) {

@@ -251,8 +251,8 @@ TEST(StreamExecutorTest, FramesRetireInOrderAndStatsCount) {
 
 // Launches never feed the profile store: a launch can only re-observe the
 // configuration it was compiled with, and a store that changed under a
-// running graph would salt new target keys and recompile stages for that
-// same configuration. So with a store and one cache, only the first run of
+// running graph would move target keys and recompile stages for that same
+// configuration. So with a store and one cache, only the first run of
 // a graph compiles anything.
 TEST(StreamExecutorTest, ProfiledRunsCompileOnlyOnce) {
   constexpr int n = 64;

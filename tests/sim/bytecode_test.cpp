@@ -279,12 +279,10 @@ TEST(BytecodeDifferentialTest, MemoryPathVariants) {
   unopt.scalar_optimizer = false;
   ExpectEnginesAgree(source, 73, 41, {}, rng, unopt);
 
-  codegen::CodegenOptions intrinsics;
-  intrinsics.use_fast_intrinsics = true;
   runtime::BindingSet scalars;
   scalars.Scalar("sigma_d", 1).Scalar("sigma_r", 5);
   ExpectEnginesAgree(ops::BilateralSource(1, BoundaryMode::kClamp), 73, 41,
-                     scalars, rng, intrinsics);
+                     scalars, rng);
 }
 
 TEST(BytecodeDifferentialTest, SiblingScopeRedeclarationAllModes) {
@@ -402,12 +400,10 @@ TEST(NativeDifferentialTest, BackendAndMemoryPathVariants) {
   unopt.scalar_optimizer = false;
   ExpectNativeAgrees(source, 73, 41, {}, rng, unopt);
 
-  codegen::CodegenOptions intrinsics;
-  intrinsics.use_fast_intrinsics = true;
   runtime::BindingSet scalars;
   scalars.Scalar("sigma_d", 1).Scalar("sigma_r", 5);
   ExpectNativeAgrees(ops::BilateralSource(1, BoundaryMode::kClamp), 73, 41,
-                     scalars, rng, intrinsics);
+                     scalars, rng);
 }
 
 TEST(NativeDifferentialTest, SpecialisedSourcesAllModes) {

@@ -1,8 +1,7 @@
 // DiskStore behaviour: round trips, the disabled no-op mode, corruption
 // self-repair, schema-version invalidation, LRU eviction, dedup of racing
-// writers, and thread safety of concurrent get-or-put on one key. Its
-// consumers are covered in tests/sim/jit_test.cpp (JIT objects) and
-// tests/compiler/profile_test.cpp (profile records);
+// writers, and thread safety of concurrent get-or-put on one key. Its one
+// consumer is covered in tests/sim/jit_test.cpp (JIT objects);
 // tests/compiler/cache_test.cpp checks that compiles never touch it.
 #include <gtest/gtest.h>
 
